@@ -53,11 +53,37 @@ class ConfigError(CofactorError):
     """Unusable run configuration (maps to exit code 2)."""
 
 
+# flags that change neither results nor speed, so not part of the fingerprint
+NON_RESULT_FLAGS = ("threads", "deterministic")
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(default, value, name: str) -> None:
+    """A key whose default is not None takes values of the default's type; an
+    integer is also a valid float, a bool is neither. Lists hold numbers."""
+    if default is None:
+        return
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(value, expected) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(value, list) and not all(map(_is_number, value)):
+        raise ConfigError(f"config key {name!r} must be a list of numbers, "
+                          f"got {json.dumps(value)}")
+
+
 def _merge(base: dict, override: dict, context: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise ConfigError(f"unknown config key {context + key!r}")
+        _check_type(out[key], value, context + key)
         if isinstance(out[key], dict) and isinstance(value, dict):
             out[key] = _merge(out[key], value, context + key + ".")
         else:
@@ -73,6 +99,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(user_cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     cfg = _merge(DEFAULT_CONFIG, user_cfg)
     if getattr(overrides, "seed", None) is not None:
         cfg["seed"] = overrides.seed
@@ -91,13 +119,14 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         cfg["flags"]["clamp"] = [lo, hi]
     if getattr(overrides, "clicks_from_all", False):
         cfg["flags"]["clicks_from_all"] = True
-    if cfg["flags"]["deterministic"]:
-        cfg["flags"]["threads"] = 1
     return cfg
 
 
 def fingerprint(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Hash of the resolved config without NON_RESULT_FLAGS."""
+    flags = {k: v for k, v in cfg["flags"].items() if k not in NON_RESULT_FLAGS}
+    blob = json.dumps({**cfg, "flags": flags}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -289,8 +318,7 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
               f"layer_widths={widths} run={run_label(hyper)}")
         return 0
     data = _prepare_data(cfg, ratings, _load_cached_clicks(cache), docs, hyper.lambda_s)
-    threads = cfg["flags"]["threads"]
-    state, trace = train(data, hyper, threads=threads)
+    state, trace = train(data, hyper)
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
     vocab = docs.vocab if docs is not None else ()
@@ -344,14 +372,13 @@ def cmd_sweep(cfg: dict) -> int:
     docs = _load_cached_docs(cache) if cfg["text"]["enabled"] else None
     cached_clicks = _load_cached_clicks(cache)
     hyper = _build_hyper(cfg, docs)
-    threads = cfg["flags"]["threads"]
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
 
     grid = cfg["sweep"]["lambda_s_grid"]
     if grid:
         data = _prepare_data(cfg, ratings, cached_clicks, docs, lambda_s=1.0)
-        points = sweep_lambda_s(data, hyper, grid, threads=threads)
+        points = sweep_lambda_s(data, hyper, grid)
         with open(out / "sweep_lambda_s.csv", "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(points, fh, fp)
         print("lambda_s sweep:")
@@ -368,10 +395,10 @@ def cmd_sweep(cfg: dict) -> int:
             sub_cfg = copy.deepcopy(cfg)
             sub_cfg["subsample_fraction"] = pct / 100.0
             data = _prepare_data(sub_cfg, ratings, cached_clicks, docs, hyper.lambda_s)
-            joint_state, _ = train(data, hyper, threads=threads)
+            joint_state, _ = train(data, hyper)
             joint_rmse = evaluate(joint_state, data.split, docs).rmse
             pmf_data = TrainData(split=data.split, ppmi=None, docs=None)
-            pmf_state, _ = train(pmf_data, pmf_hyper, threads=threads)
+            pmf_state, _ = train(pmf_data, pmf_hyper)
             pmf_rmse = evaluate(pmf_state, data.split).rmse
             rows.append((f"{label}-{pct:g}", pct / 100.0, joint_rmse, pmf_rmse))
         with open(out / "sparsity.csv", "w", encoding="utf-8", newline="") as fh:
@@ -389,9 +416,11 @@ def cmd_sweep(cfg: dict) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--threads", type=int, help="cap internal worker threads")
+    parser.add_argument("--threads", type=int,
+                        help="accepted, no effect: block solves are batched in one "
+                             "thread; BLAS threads follow OPENBLAS_NUM_THREADS")
     parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded, fixed reduction order")
+                        help="accepted, no effect: every run is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:

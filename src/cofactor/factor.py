@@ -17,12 +17,10 @@ plain ridge toward zero and the model is classic regularized factorization.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .container import read_container, write_container
@@ -131,30 +129,68 @@ def run_label(hyper: Hyperparams) -> str:
     return "pmf-degenerate" if hyper.lambda_s == 0 and hyper.sdae is None else "joint"
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve one block system; a non-finite system yields a non-finite result.
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K).
 
-    The input scan is skipped (check_finite=False) because train() checks the
-    joint loss after every block, which turns a NaN or inf coming out of here
-    into TrainingDivergedError naming the epoch and the loss term.
+    A non-finite system yields a NaN row, which train()'s loss check after the
+    block reports as TrainingDivergedError. A Cholesky pass gates the LU solve,
+    so a finite system that is not positive definite (a rank-deficient Gram
+    with no ridge) raises ValidationError instead of returning a huge x.
     """
+    finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+    if not finite.all():
+        out = np.full(rhs.shape, np.nan)
+        out[finite] = _solve_spd(gram[finite], rhs[finite])
+        return out
     try:
-        return scipy.linalg.solve(a, b, assume_a="pos", check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            return np.full(b.shape, np.nan)
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise ValidationError(f"singular block system: {exc}") from None
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+
+
+_CHUNK_ROWS = 256  # rows per stacked solve; bounds the (rows, K, K) Gram stack
+
+
+def _solve_rows(out: np.ndarray, ridge: float, terms: list,
+                anchor: np.ndarray | None = None) -> None:
+    """Write into each row r of `out` the exact ridge solution of
+
+        (Σ_b w_b Σ_{j∈N_b(r)} B_j B_jᵀ + ridge·I) x = Σ_b w_b Σ_{j∈N_b(r)} v_j B_j + ridge·anchor_r
+
+    where each term b is (w_b, indptr, indices, values, B), a CSR view whose
+    row r lists N_b(r) and the v_j. Terms of zero weight are left out. Rows are
+    solved in chunks of _CHUNK_ROWS, one stacked solve per chunk.
+    """
+    n_rows, k = out.shape
+    terms = [term for term in terms if term[0] != 0]
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        gram = np.repeat(ridge * np.eye(k)[None], stop - start, axis=0)
+        rhs = np.zeros((stop - start, k)) if anchor is None else ridge * anchor[start:stop]
+        for weight, indptr, indices, values, basis in terms:
+            bounds = indptr[start:stop + 1].tolist()
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:
+                    rows = basis[indices[lo:hi]]
+                    gram[r] += weight * (rows.T @ rows)
+                    rhs[r] += weight * (rows.T @ values[lo:hi])
+        out[start:stop] = _solve_spd(gram, rhs)
+
+
+def _solve_one(ridge: float, terms: list, anchor=None) -> np.ndarray:
+    """_solve_rows for a single row; each term is (w_b, indices, values, B)."""
+    out = np.empty((1, terms[0][3].shape[1]))
+    _solve_rows(out, ridge, [(w, np.array([0, len(idx)]), idx, vals, basis)
+                             for w, idx, vals, basis in terms],
+                None if anchor is None else np.asarray(anchor)[None])
+    return out[0]
 
 
 def update_user(rated_items: np.ndarray, rated_values: np.ndarray,
                 item_factors: np.ndarray, lambda_user: float) -> np.ndarray:
     """Exact minimizer over one user's factor vector, all else fixed."""
-    k = item_factors.shape[1]
-    if len(rated_items) == 0:
-        return np.zeros(k)
-    basis = item_factors[rated_items]
-    gram = basis.T @ basis + lambda_user * np.eye(k)
-    return _solve_spd(gram, basis.T @ rated_values)
+    return _solve_one(lambda_user, [(1.0, rated_items, rated_values, item_factors)])
 
 
 def update_item_feature(rater_users: np.ndarray, rater_values: np.ndarray,
@@ -167,30 +203,18 @@ def update_item_feature(rater_users: np.ndarray, rater_values: np.ndarray,
     With no raters and no stored neighbors the solution collapses to the text
     anchor (or zero without one): the cold-start value.
     """
-    k = user_factors.shape[1]
-    gram = lambda_item * np.eye(k)
-    rhs = np.zeros(k) if text_anchor is None else lambda_item * np.asarray(text_anchor)
-    if len(rater_users):
-        basis = user_factors[rater_users]
-        gram = gram + basis.T @ basis
-        rhs = rhs + basis.T @ rater_values
-    if lambda_s > 0 and len(neighbor_items):
-        ctx = context_factors[neighbor_items]
-        gram = gram + lambda_s * (ctx.T @ ctx)
-        rhs = rhs + lambda_s * (ctx.T @ neighbor_values)
-    return _solve_spd(gram, rhs)
+    return _solve_one(lambda_item,
+                      [(1.0, rater_users, rater_values, user_factors),
+                       (lambda_s, neighbor_items, neighbor_values, context_factors)],
+                      text_anchor)
 
 
 def update_item_context(neighbor_items: np.ndarray, neighbor_values: np.ndarray,
                         item_factors: np.ndarray, lambda_s: float,
                         lambda_context: float) -> np.ndarray:
     """Exact minimizer over one item's context vector."""
-    k = item_factors.shape[1]
-    if lambda_s == 0 or len(neighbor_items) == 0:
-        return np.zeros(k)
-    basis = item_factors[neighbor_items]
-    gram = lambda_s * (basis.T @ basis) + lambda_context * np.eye(k)
-    return _solve_spd(gram, lambda_s * (basis.T @ neighbor_values))
+    return _solve_one(lambda_context,
+                      [(lambda_s, neighbor_items, neighbor_values, item_factors)])
 
 
 def _check_finite(value: float, term: str) -> float:
@@ -232,20 +256,12 @@ def _group_by(keys: np.ndarray, companions: list[np.ndarray], n_groups: int):
     return indptr, [c[order] for c in companions]
 
 
-def _run_rows(n_rows: int, worker, threads: int) -> None:
-    if threads <= 1 or n_rows < 2 * threads:
-        worker(range(n_rows))
-        return
-    chunks = np.array_split(np.arange(n_rows), threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, chunks))
-
-
 def train(data: TrainData, hyper: Hyperparams,
           threads: int = 1) -> tuple[ModelState, TrainingTrace]:
     """Alternate user / item-feature / item-context solves and one autoencoder
     gradient pass per epoch; stop on stale validation RMSE; return the state
-    of the best validation epoch plus the per-epoch trace.
+    of the best validation epoch plus the per-epoch trace. `threads` is
+    accepted and ignored: each block is one batched solve.
     """
     hyper.validate()
     split = data.split
@@ -288,6 +304,7 @@ def train(data: TrainData, hyper: Hyperparams,
         s_matrix = data.ppmi.matrix
     else:
         s_matrix = sp.csr_matrix((n_items, n_items))
+    s_view = (s_matrix.indptr, s_matrix.indices, s_matrix.data)
 
     val = split.validation
     if sdae_on:
@@ -321,36 +338,17 @@ def train(data: TrainData, hyper: Hyperparams,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
             anchor = np.asarray(encode(x0, params))
 
-        def user_worker(rows):
-            for u in rows:
-                lo, hi = u_indptr[u], u_indptr[u + 1]
-                theta[u] = update_user(u_items[lo:hi], u_values[lo:hi], beta,
-                                       hyper.lambda_user)
-
-        _run_rows(n_users, user_worker, threads)
+        _solve_rows(theta, hyper.lambda_user, [(1.0, u_indptr, u_items, u_values, beta)])
         loss_users = loss_now(epoch)
-
-        def item_worker(rows):
-            for i in rows:
-                lo, hi = i_indptr[i], i_indptr[i + 1]
-                slo, shi = s_matrix.indptr[i], s_matrix.indptr[i + 1]
-                beta[i] = update_item_feature(
-                    i_users[lo:hi], i_values[lo:hi], theta, alpha,
-                    s_matrix.indices[slo:shi], s_matrix.data[slo:shi],
-                    hyper.lambda_s, hyper.lambda_item,
-                    anchor[i] if sdae_on else None)
-
-        _run_rows(n_items, item_worker, threads)
+        _solve_rows(beta, hyper.lambda_item,
+                    [(1.0, i_indptr, i_users, i_values, theta),
+                     (hyper.lambda_s, *s_view, alpha)],
+                    anchor if sdae_on else None)
         loss_items = loss_now(epoch)
-
-        def context_worker(rows):
-            for j in rows:
-                slo, shi = s_matrix.indptr[j], s_matrix.indptr[j + 1]
-                alpha[j] = update_item_context(s_matrix.indices[slo:shi],
-                                               s_matrix.data[slo:shi], beta,
-                                               hyper.lambda_s, hyper.lambda_context)
-
-        _run_rows(n_items, context_worker, threads)
+        if hyper.lambda_s > 0:
+            _solve_rows(alpha, hyper.lambda_context, [(hyper.lambda_s, *s_view, beta)])
+        else:
+            alpha[:] = 0.0
         loss_contexts = loss_now(epoch)
 
         if sdae_on:

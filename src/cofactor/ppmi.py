@@ -102,10 +102,14 @@ def export_ppmi(ppmi: PpmiMatrix, sink: IO[str]) -> int:
 
 
 def import_ppmi(source: IO[str], n_items: int) -> PpmiMatrix:
-    """Inverse of export_ppmi; round-trips values bit-exactly."""
+    """Inverse of export_ppmi; round-trips values bit-exactly.
+
+    Each unordered pair may appear once, with a finite positive value.
+    """
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
+    seen: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -119,8 +123,14 @@ def import_ppmi(source: IO[str], n_items: int) -> PpmiMatrix:
             raise ParseError(f"bad entry {line!r}", line_no) from None
         if not 0 <= i < n_items or not 0 <= j < n_items or i == j:
             raise ValidationError(f"line {line_no}: pair ({i}, {j}) out of range")
-        if v <= 0:
-            raise ValidationError(f"line {line_no}: value must be positive, got {v}")
+        if not np.isfinite(v) or v <= 0:
+            raise ValidationError(f"line {line_no}: value must be finite and positive, "
+                                  f"got {v}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValidationError(
+                f"line {line_no}: pair ({i}, {j}) already given on line {seen[pair]}")
+        seen[pair] = line_no
         rows.extend((i, j))
         cols.extend((j, i))
         vals.extend((v, v))

@@ -149,8 +149,8 @@ class SweepPoint:
     test_rmse: float
 
 
-def sweep_lambda_s(data: TrainData, hyper: Hyperparams, grid: Sequence[float],
-                   threads: int = 1) -> list[SweepPoint]:
+def sweep_lambda_s(data: TrainData, hyper: Hyperparams,
+                   grid: Sequence[float]) -> list[SweepPoint]:
     """Train once per grid value with shared seed and data; report both RMSEs."""
     if len(grid) == 0:
         raise ValidationError("empty lambda_s grid")
@@ -158,7 +158,7 @@ def sweep_lambda_s(data: TrainData, hyper: Hyperparams, grid: Sequence[float],
     for lam in grid:
         run_hyper = dataclasses.replace(hyper, lambda_s=float(lam))
         try:
-            state, trace = train(data, run_hyper, threads=threads)
+            state, trace = train(data, run_hyper)
         except CofactorError as exc:
             raise CofactorError(f"lambda_s={lam}: {exc}") from exc
         report = evaluate(state, data.split, data.docs)

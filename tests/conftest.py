@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# child interpreters (the entry-point tests) import the package from src/ too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 from cofactor.corpus import ClickDataset, RatingDataset
 

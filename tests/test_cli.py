@@ -189,6 +189,47 @@ class TestTrain:
         assert base != reseeded
 
 
+    def test_threads_and_deterministic_leave_fingerprint(self, tmp_path):
+        # both flags have no effect on the model, so none on its fingerprint
+        paths = write_fixture(tmp_path)
+        config = write_config(tmp_path, paths,
+                              flags={"threads": 1, "deterministic": False})
+        main(["ingest", "--config", str(config)])
+        runs = []
+        for extra in ([], ["--threads", "2"], ["--deterministic"]):
+            assert main(["train", "--config", str(config), *extra]) == 0
+            out = tmp_path / "out"
+            runs.append(((out / "trace.csv").read_text().splitlines()[0],
+                         (out / "checkpoint.bin").read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("key,value", [("hyper.lambda_user", "0.1"),
+                                           ("hyper.max_epochs", 2.5),
+                                           ("hyper.center_ratings", 1),
+                                           ("hyper.lambda_s", True),
+                                           ("text", []),
+                                           ("sweep.lambda_s_grid", [0.1, "1"])])
+    def test_wrong_value_type_exits_2(self, workspace, capsys, key, value):
+        tmp_path, config_path = workspace
+        cfg = json.loads(config_path.read_text())
+        section, _, field = key.partition(".")
+        if field:
+            cfg[section][field] = value
+        else:
+            cfg[section] = value
+        config_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: config key {key!r} must be")
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        assert main(["train", "--config", str(config)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+
 class TestEval:
     def test_report_files_and_fingerprint(self, workspace, capsys):
         tmp_path, config = workspace

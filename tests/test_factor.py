@@ -5,8 +5,9 @@ import pytest
 
 from cofactor.corpus import SyntheticConfig, generate_synthetic, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
-                             TrainData, _solve_spd, load_checkpoint, run_label,
+from cofactor.factor import (_CHUNK_ROWS, Hyperparams, ModelState,
+                             NonFiniteLossError, TrainData, _solve_rows,
+                             _solve_spd, load_checkpoint, run_label,
                              save_checkpoint, total_loss, train,
                              update_item_context, update_item_feature,
                              update_user)
@@ -167,6 +168,102 @@ class TestUpdateItemContext:
             _, _, g_alpha = block_gradients(theta, beta, alpha, users, items, values,
                                             sr, sc, sv, anchor, **lam)
             assert np.linalg.norm(g_alpha[j]) <= 1e-8
+
+
+def random_csr(rng, n_rows, n_cols, density):
+    """CSR view (indptr, indices, values) with empty rows and stored exact zeros."""
+    mask = rng.random((n_rows, n_cols)) < density
+    mask[rng.random(n_rows) < 0.2] = False
+    rows, cols = np.nonzero(mask)
+    values = rng.standard_normal(len(rows))
+    values[rng.random(len(rows)) < 0.1] = 0.0
+    return np.searchsorted(rows, np.arange(n_rows + 1)), cols, values
+
+
+def dense_ridge_rows(ridge, terms, anchor, n_rows, k):
+    """Reference for _solve_rows from dense masks: one np.linalg.solve per row."""
+    gram = np.repeat(ridge * np.eye(k)[None], n_rows, axis=0)
+    rhs = np.zeros((n_rows, k)) if anchor is None else ridge * anchor
+    for weight, indptr, indices, values, basis in terms:
+        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+        mask = np.zeros((n_rows, basis.shape[0]))
+        mask[rows, indices] = 1.0
+        dense = np.zeros((n_rows, basis.shape[0]))
+        dense[rows, indices] = values
+        gram += weight * np.einsum("rj,jk,jl->rkl", mask, basis, basis)
+        rhs += weight * dense @ basis
+    return np.array([np.linalg.solve(g, b) for g, b in zip(gram, rhs)])
+
+
+class TestSolveRows:
+    """The batched block solver against the one-row updates and a dense reference."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("block", ["user", "item", "context"])
+    def test_matches_per_row_updates(self, rng, k, block):
+        n_rows = _CHUNK_ROWS + 37  # crosses a chunk boundary
+        n_other = 40
+        theta = rng.standard_normal((n_other, k))
+        alpha = rng.standard_normal((n_rows, k))
+        anchor = rng.standard_normal((n_rows, k))
+        r_view = random_csr(rng, n_rows, n_other, 0.1)
+        s_view = random_csr(rng, n_rows, n_rows, 0.03)
+        lam_s, ridge = 0.7, 0.4
+
+        def row(view, r):
+            lo, hi = view[0][r], view[0][r + 1]
+            return view[1][lo:hi], view[2][lo:hi]
+
+        if block == "user":
+            terms, row_anchor = [(1.0, *r_view, theta)], None
+            want = [update_user(*row(r_view, r), theta, ridge) for r in range(n_rows)]
+        elif block == "item":
+            terms = [(1.0, *r_view, theta), (lam_s, *s_view, alpha)]
+            row_anchor = anchor
+            want = [update_item_feature(*row(r_view, r), theta, alpha, *row(s_view, r),
+                                        lam_s, ridge, anchor[r]) for r in range(n_rows)]
+        else:
+            terms, row_anchor = [(lam_s, *s_view, alpha)], None
+            want = [update_item_context(*row(s_view, r), alpha, lam_s, ridge)
+                    for r in range(n_rows)]
+        want = np.array(want)
+        got = np.empty((n_rows, k))
+        _solve_rows(got, ridge, terms, row_anchor)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        reference = dense_ridge_rows(ridge, terms, row_anchor, n_rows, k)
+        np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * scale)
+
+    def test_lone_rank_deficient_system_in_stack_rejected(self, rng):
+        # K=3, no ridge: rows with 4 neighbors are full rank, row 2 has one
+        basis = rng.standard_normal((6, 3))
+        indices = np.array([0, 1, 2, 3, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0, 1, 3, 5])
+        indptr = np.array([0, 4, 8, 9, 13, 17])
+        values = rng.standard_normal(len(indices))
+        out = np.empty((5, 3))
+        with pytest.raises(ValidationError, match="singular"):
+            _solve_rows(out, 0.0, [(1.0, indptr, indices, values, basis)])
+        grams = np.repeat(np.eye(3)[None], 4, axis=0)
+        grams[2] = np.outer(basis[0], basis[0])
+        with pytest.raises(ValidationError, match="singular"):
+            _solve_spd(grams, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_comes_back_nan(self, rng, bad):
+        grams = np.stack([np.eye(3) * (r + 1) for r in range(4)])
+        rhs = rng.standard_normal((4, 3))
+        grams[1, 0, 2] = grams[1, 2, 0] = bad
+        out = _solve_spd(grams, rhs)
+        assert np.isnan(out[1]).all()
+        keep = [0, 2, 3]
+        np.testing.assert_allclose(out[keep], rhs[keep] / np.array([1.0, 3.0, 4.0])[:, None],
+                                   rtol=1e-15)
+        values = np.array([1.0, bad, 2.0])
+        out = np.empty((3, 2))
+        with np.errstate(invalid="ignore"):  # inf * 0.0 in the right-hand side
+            _solve_rows(out, 0.5, [(1.0, np.array([0, 1, 2, 3]), np.array([0, 1, 0]),
+                                    values, np.eye(2))])
+        assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
 
 
 def _state_and_inputs(theta, beta, alpha, users, items, values):

@@ -159,3 +159,16 @@ class TestExportImport:
             import_ppmi(io.StringIO("0 1 -2.0\n"), 3)
         with pytest.raises(ValidationError):
             import_ppmi(io.StringIO("0 9 1.0\n"), 3)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_import_rejects_non_finite_value(self, value):
+        text = f"0 1 1.5\n1 2 {value}\n"
+        with pytest.raises(ValidationError, match="line 2: value must be finite"):
+            import_ppmi(io.StringIO(text), 3)
+
+    @pytest.mark.parametrize("repeat", ["0 1 2.0", "1 0 0.5"])
+    def test_import_rejects_duplicate_pair(self, repeat):
+        # the same unordered pair twice, in either order, would be summed
+        text = f"0 1 0.5\n1 2 1.0\n\n{repeat}\n"
+        with pytest.raises(ValidationError, match="line 4: .* already given on line 1"):
+            import_ppmi(io.StringIO(text), 3)
