@@ -1,20 +1,20 @@
 """cofactor: joint factorization of ratings and co-click PPMI with a text anchor."""
 
 from .corpus import (BowScheme, ClickDataset, DocTermMatrix, EvalSplit,
-                     RatingDataset, RatingFileFormat, SyntheticConfig,
-                     binarize_ratings, generate_synthetic, make_split,
-                     parse_clicks, parse_documents, parse_ratings,
-                     subsample_ratings)
+                     RatingDataset, SyntheticConfig, binarize_ratings,
+                     generate_synthetic, make_split, parse_clicks,
+                     parse_documents, parse_ratings, subsample_ratings)
 from .errors import (CheckpointError, CofactorError, ParseError, SplitError,
                      TrainingDivergedError, ValidationError)
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
-                     load_checkpoint, save_checkpoint, total_loss, train,
-                     update_item_context, update_item_feature, update_user)
-from .ppmi import (CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts,
-                   export_ppmi, import_ppmi, load_ppmi, save_ppmi)
-from .predict_eval import (EvalReport, PredictionRequest, SweepPoint, evaluate,
-                           predict, predict_in_matrix, predict_out_of_matrix,
-                           rmse, sweep_lambda_s)
+                     load_checkpoint, predict_ratings, save_checkpoint,
+                     total_loss, train, update_item_context,
+                     update_item_feature, update_user)
+from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
+from .predict_eval import (EvalReport, PredictionRequest, SparsityPoint,
+                           SweepPoint, evaluate, predict, predict_in_matrix,
+                           predict_out_of_matrix, rmse, sweep_lambda_s,
+                           sweep_sparsity)
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, forward_activations,
                    pretrain, reconstruct, sdae_gradients)
 

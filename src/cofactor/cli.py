@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import hashlib
 import json
 import sys
@@ -24,8 +23,8 @@ from .container import read_container, write_container
 from .errors import CheckpointError, CofactorError
 from .factor import (Hyperparams, TrainData, load_checkpoint, run_label,
                      save_checkpoint, train)
-from .predict_eval import (evaluate, save_report, sweep_lambda_s,
-                           write_sweep_csv, write_trace_csv)
+from .predict_eval import (evaluate, sweep_lambda_s, sweep_sparsity,
+                           write_sparsity_csv, write_sweep_csv, write_trace_csv)
 from .sdae import SdaeConfig
 
 DEFAULT_CONFIG = {
@@ -154,46 +153,31 @@ def _require_path(cfg: dict, key: str) -> Path:
 
 # ---------------------------------------------------------------- ingest
 
-def _write_ratings_cache(cache: Path, ratings: corpus.RatingDataset) -> None:
+def _write_ingest(cfg: dict, ratings: corpus.RatingDataset,
+                  clicks: corpus.ClickDataset | None,
+                  docs: corpus.DocTermMatrix | None, **extra) -> int:
+    """Cache the parsed or generated datasets, then write and print the report."""
+    cache = _cache_dir(cfg)
+    report = {"config": fingerprint(cfg), "n_users": ratings.n_users,
+              "n_items": ratings.n_items, "n_ratings": ratings.n_entries, **extra}
     write_container(cache / "ratings.bin",
                     {"kind": "ratings", "user_ids": list(ratings.user_ids),
                      "item_ids": list(ratings.item_ids)},
                     {"users": ratings.users, "items": ratings.items,
                      "values": ratings.ratings})
-
-
-def _write_clicks_cache(cache: Path, clicks: corpus.ClickDataset) -> None:
-    write_container(cache / "clicks.bin",
-                    {"kind": "clicks", "n_users": clicks.n_users,
-                     "n_items": clicks.n_items},
-                    {"users": clicks.users, "items": clicks.items})
-
-
-def _write_docs_cache(cache: Path, docs: corpus.DocTermMatrix) -> None:
-    write_container(cache / "docs.bin",
-                    {"kind": "docs", "vocab": list(docs.vocab),
-                     "n_items": docs.n_items},
-                    {"data": docs.rows.data, "indices": docs.rows.indices,
-                     "indptr": docs.rows.indptr})
-
-
-def _ingest_synthetic(cfg: dict) -> int:
-    blob = dict(cfg["synthetic"])
-    if "encoder_hidden" in blob:
-        blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
-    try:
-        config = corpus.SyntheticConfig(**blob)
-    except TypeError as exc:
-        raise ConfigError(f"bad synthetic config: {exc}") from None
-    ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
-    cache = _cache_dir(cfg)
-    _write_ratings_cache(cache, ratings)
-    _write_clicks_cache(cache, clicks)
-    _write_docs_cache(cache, docs)
-    report = {"config": fingerprint(cfg), "synthetic": True,
-              "n_users": ratings.n_users, "n_items": ratings.n_items,
-              "n_ratings": ratings.n_entries, "n_clicks": clicks.n_entries,
-              "vocab_size": docs.vocab_size}
+    if clicks is not None:
+        write_container(cache / "clicks.bin",
+                        {"kind": "clicks", "n_users": clicks.n_users,
+                         "n_items": clicks.n_items},
+                        {"users": clicks.users, "items": clicks.items})
+        report["n_clicks"] = clicks.n_entries
+    if docs is not None:
+        write_container(cache / "docs.bin",
+                        {"kind": "docs", "vocab": list(docs.vocab),
+                         "n_items": docs.n_items},
+                        {"data": docs.rows.data, "indices": docs.rows.indices,
+                         "indptr": docs.rows.indptr})
+        report["vocab_size"] = docs.vocab_size
     (cache / "ingest_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for key in sorted(report):
@@ -203,36 +187,30 @@ def _ingest_synthetic(cfg: dict) -> int:
 
 def cmd_ingest(cfg: dict) -> int:
     if cfg["synthetic"] is not None:
-        return _ingest_synthetic(cfg)
-    ratings_path = _require_path(cfg, "ratings")
-    cache = _cache_dir(cfg)
-    with open(ratings_path, "r", encoding="utf-8") as fh:
+        blob = dict(cfg["synthetic"])
+        if "encoder_hidden" in blob:
+            blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
+        try:
+            config = corpus.SyntheticConfig(**blob)
+        except TypeError as exc:
+            raise ConfigError(f"bad synthetic config: {exc}") from None
+        ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
+        return _write_ingest(cfg, ratings, clicks, docs, synthetic=True)
+    with open(_require_path(cfg, "ratings"), "r", encoding="utf-8") as fh:
         ratings = corpus.parse_ratings(fh)
-    _write_ratings_cache(cache, ratings)
-    report = {"config": fingerprint(cfg), "n_users": ratings.n_users,
-              "n_items": ratings.n_items, "n_ratings": ratings.n_entries}
+    clicks = docs = None
+    extra = {}
     if cfg["paths"]["clicks"]:
-        clicks_path = _require_path(cfg, "clicks")
-        with open(clicks_path, "r", encoding="utf-8") as fh:
-            clicks, dropped = corpus.parse_clicks(fh, ratings.user_index_map,
-                                                  ratings.item_index_map)
-        _write_clicks_cache(cache, clicks)
-        report["n_clicks"] = clicks.n_entries
-        report["n_clicks_dropped"] = dropped
+        with open(_require_path(cfg, "clicks"), "r", encoding="utf-8") as fh:
+            clicks, extra["n_clicks_dropped"] = corpus.parse_clicks(
+                fh, ratings.user_index_map, ratings.item_index_map)
     if cfg["paths"]["documents"] and cfg["text"]["enabled"]:
-        docs_path = _require_path(cfg, "documents")
-        with open(docs_path, "r", encoding="utf-8") as fh:
+        with open(_require_path(cfg, "documents"), "r", encoding="utf-8") as fh:
             docs = corpus.parse_documents(fh, cfg["text"]["vocab_size"],
                                           cfg["text"]["bow_scheme"],
                                           ratings.item_index_map)
-        _write_docs_cache(cache, docs)
-        report["vocab_size"] = docs.vocab_size
-        report["n_documents"] = int((np.diff(docs.rows.indptr) > 0).sum())
-    (cache / "ingest_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    for key in sorted(report):
-        print(f"{key}: {report[key]}")
-    return 0
+        extra["n_documents"] = int((np.diff(docs.rows.indptr) > 0).sum())
+    return _write_ingest(cfg, ratings, clicks, docs, **extra)
 
 
 def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
@@ -305,6 +283,12 @@ def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
     return TrainData(split=split, ppmi=ppmi_matrix, docs=docs)
 
 
+def _split_record(cfg: dict) -> dict:
+    """The config values that decide which ratings are trained on and scored."""
+    return {"seed": cfg["seed"], "subsample_fraction": cfg["subsample_fraction"],
+            **{f"split.{key}": value for key, value in cfg["split"].items()}}
+
+
 def cmd_train(cfg: dict, dry_run: bool = False) -> int:
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
@@ -325,7 +309,8 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
     save_checkpoint(out / "checkpoint.bin", state, hyper,
                     user_ids=ratings.user_ids, item_ids=ratings.item_ids,
                     vocab=vocab, config_fingerprint=fp,
-                    best_validation_rmse=trace.best_validation_rmse)
+                    best_validation_rmse=trace.best_validation_rmse,
+                    split_record=_split_record(cfg))
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         write_trace_csv(trace, fh, fp)
     print(f"run: {trace.label}")
@@ -349,16 +334,29 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
         raise CheckpointError(
             f"checkpoint is for {meta['n_users']}x{meta['n_items']} but data is "
             f"{ratings.n_users}x{ratings.n_items}")
+    trained_on = meta.get("split")
+    if trained_on is None:
+        raise CheckpointError("checkpoint records no training split; retrain it")
+    changed = [f"{key}={trained_on.get(key)!r} (config: {value!r})"
+               for key, value in _split_record(cfg).items() if trained_on.get(key) != value]
+    if changed:
+        raise CheckpointError("checkpoint was trained on another split: " + ", ".join(changed))
     docs = _load_cached_docs(cache)
-    data = _prepare_data(cfg, ratings, _load_cached_clicks(cache), docs, lambda_s=0.0)
+    if (cfg["split"]["mode"] == "out_of_matrix" and docs is not None
+            and tuple(meta["vocab"]) != docs.vocab):
+        raise CheckpointError("checkpoint vocabulary differs from the ingested documents'; "
+                              "ingest with the training config")
+    data = _prepare_data(cfg, ratings, None, docs, lambda_s=0.0)  # builds no PPMI
     clamp = cfg["flags"]["clamp"]
     report = evaluate(state, data.split, docs,
                       clamp=tuple(clamp) if clamp else None,
                       config_fingerprint=fingerprint(cfg),
                       trace_ref=str(Path(cfg["paths"]["output_dir"]) / "trace.csv"))
     out = _out_dir(cfg)
-    save_report(report, out / "report.txt", out / "report.csv",
-                lambda_s=hyper.lambda_s, epoch=state.epoch)
+    with open(out / "report.txt", "w", encoding="utf-8") as fh:
+        report.write_text(fh)
+    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
+        report.write_csv(fh, hyper.lambda_s, state.epoch)
     print(f"mode: {report.mode}")
     print(f"rmse: {report.rmse:.6f} over {report.n_predictions} predictions")
     return 0
@@ -375,10 +373,9 @@ def cmd_sweep(cfg: dict) -> int:
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
 
-    grid = cfg["sweep"]["lambda_s_grid"]
-    if grid:
-        data = _prepare_data(cfg, ratings, cached_clicks, docs, lambda_s=1.0)
-        points = sweep_lambda_s(data, hyper, grid)
+    if cfg["sweep"]["lambda_s_grid"]:
+        points = sweep_lambda_s(_prepare_data(cfg, ratings, cached_clicks, docs, lambda_s=1.0),
+                                hyper, cfg["sweep"]["lambda_s_grid"])
         with open(out / "sweep_lambda_s.csv", "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(points, fh, fp)
         print("lambda_s sweep:")
@@ -386,28 +383,19 @@ def cmd_sweep(cfg: dict) -> int:
             print(f"  lambda_s={p.lambda_s:<10g} validation={p.validation_rmse:.6f} "
                   f"test={p.test_rmse:.6f}")
 
-    sparsity = cfg["sweep"]["sparsity_grid"]
-    if sparsity:
+    if cfg["sweep"]["sparsity_grid"]:
+        def subsampled(fraction: float) -> TrainData:
+            return _prepare_data({**cfg, "subsample_fraction": fraction}, ratings,
+                                 cached_clicks, docs, hyper.lambda_s)
+
         label = cfg["dataset_label"]
-        rows = []
-        pmf_hyper = dataclasses.replace(hyper, lambda_s=0.0, sdae=None)
-        for pct in sparsity:
-            sub_cfg = copy.deepcopy(cfg)
-            sub_cfg["subsample_fraction"] = pct / 100.0
-            data = _prepare_data(sub_cfg, ratings, cached_clicks, docs, hyper.lambda_s)
-            joint_state, _ = train(data, hyper)
-            joint_rmse = evaluate(joint_state, data.split, docs).rmse
-            pmf_data = TrainData(split=data.split, ppmi=None, docs=None)
-            pmf_state, _ = train(pmf_data, pmf_hyper)
-            pmf_rmse = evaluate(pmf_state, data.split).rmse
-            rows.append((f"{label}-{pct:g}", pct / 100.0, joint_rmse, pmf_rmse))
+        points = sweep_sparsity(subsampled, hyper, cfg["sweep"]["sparsity_grid"])
         with open(out / "sparsity.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("label,fraction,joint_test_rmse,pmf_test_rmse,config\n")
-            for name, frac, joint_rmse, pmf_rmse in rows:
-                fh.write(f"{name},{frac:g},{joint_rmse:.10g},{pmf_rmse:.10g},{fp}\n")
+            write_sparsity_csv(points, fh, label, fp)
         print(f"{'subset':<12}{'joint':>10}{'pmf':>10}")
-        for name, _, joint_rmse, pmf_rmse in rows:
-            print(f"{name:<12}{joint_rmse:>10.4f}{pmf_rmse:>10.4f}")
+        for p in points:
+            name = f"{label}-{p.percent:g}"
+            print(f"{name:<12}{p.joint_test_rmse:>10.4f}{p.pmf_test_rmse:>10.4f}")
     return 0
 
 

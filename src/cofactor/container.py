@@ -48,23 +48,37 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
             fh.write(raw)
 
 
+class _Entries(dict):
+    """A container's meta or arrays: a missing name raises CheckpointError."""
+
+    def __init__(self, path: str | Path, entries: dict):
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, key):
+        raise CheckpointError(f"{self.path}: no {key!r} in the container")
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by write_container; returns (meta, arrays)."""
+    """Read a container written by write_container; returns (meta, arrays).
+    A truncated or malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise CheckpointError(f"{path}: not a cofactor container (bad magic)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    arrays = {}
-    for name, info in header["arrays"].items():
-        dtype = _DTYPES.get(info["dtype"])
-        if dtype is None:
-            raise CheckpointError(f"{path}: unknown dtype {info['dtype']} for {name!r}")
-        shape = tuple(info["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = info["offset"]
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(shape)
-        arrays[name] = arr.copy()
-    return header["meta"], arrays
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise CheckpointError(f"{path}: not a cofactor container (bad magic)")
+    try:
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        payload = memoryview(blob)[16 + hlen:]
+        arrays = {}
+        for name, info in header["arrays"].items():
+            dtype = _DTYPES.get(info["dtype"])
+            if dtype is None:
+                raise CheckpointError(f"{path}: unknown dtype {info['dtype']} for {name!r}")
+            shape = tuple(info["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(payload, dtype=dtype, count=count, offset=info["offset"])
+            arrays[name] = arr.reshape(shape).copy()
+        return _Entries(path, header["meta"]), _Entries(path, arrays)
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: truncated or corrupt container ({exc})") from None

@@ -22,13 +22,6 @@ BowScheme = Literal["tfidf", "count"]
 
 
 @dataclass
-class RatingFileFormat:
-    """Line format for rating/click files. delimiter=None splits on any whitespace."""
-
-    delimiter: str | None = None
-
-
-@dataclass
 class RatingDataset:
     """Sparse rating triplets over dense indices.
 
@@ -112,31 +105,31 @@ class EvalSplit:
     seed: int
 
 
-def _split_line(line: str, fmt: RatingFileFormat) -> list[str]:
-    return line.split(fmt.delimiter) if fmt.delimiter else line.split()
+def _records(source: IO[str], form: str):
+    """Yield (line number, fields) per non-blank line of whitespace-separated
+    fields, which must be as many as the words of `form`."""
+    for line_no, raw in enumerate(source, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if len(fields) != len(form.split()):
+            raise ParseError(f"expected {form!r}, got {raw.strip()!r}", line_no)
+        yield line_no, fields
 
 
-def parse_ratings(source: IO[str], fmt: RatingFileFormat | None = None) -> RatingDataset:
+def parse_ratings(source: IO[str]) -> RatingDataset:
     """Read `user_id item_id rating` lines into a densely indexed dataset.
 
     Indices are assigned in first-appearance order. Duplicate (user, item)
     pairs and non-positive ratings are rejected.
     """
-    fmt = fmt or RatingFileFormat()
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     users: list[int] = []
     items: list[int] = []
     values: list[float] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = _split_line(line, fmt)
-        if len(parts) != 3:
-            raise ParseError(f"expected 'user item rating', got {line!r}", line_no)
-        uid, iid, rtext = parts
+    for line_no, (uid, iid, rtext) in _records(source, "user item rating"):
         try:
             rating = float(rtext)
         except ValueError:
@@ -160,25 +153,16 @@ def parse_ratings(source: IO[str], fmt: RatingFileFormat | None = None) -> Ratin
 
 
 def parse_clicks(source: IO[str], user_index_map: dict[str, int],
-                 item_index_map: dict[str, int],
-                 fmt: RatingFileFormat | None = None) -> tuple[ClickDataset, int]:
+                 item_index_map: dict[str, int]) -> tuple[ClickDataset, int]:
     """Read `user_id item_id` lines against an existing index universe.
 
     Pairs naming users/items absent from the maps are dropped (returned count),
     mirroring the removal of ids that have no explicit feedback. Duplicates
     collapse to one click.
     """
-    fmt = fmt or RatingFileFormat()
     pairs: set[tuple[int, int]] = set()
     dropped = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = _split_line(line, fmt)
-        if len(parts) != 2:
-            raise ParseError(f"expected 'user item', got {line!r}", line_no)
-        uid, iid = parts
+    for _, (uid, iid) in _records(source, "user item"):
         u = user_index_map.get(uid)
         i = item_index_map.get(iid)
         if u is None or i is None:
@@ -207,9 +191,7 @@ def subsample_ratings(ratings: RatingDataset, fraction: float, seed: int) -> Rat
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
     n = ratings.n_entries
     k = int(round(fraction * n))
-    keep = np.sort(np.random.default_rng(seed).permutation(n)[:k])
-    return ratings.replace_entries(ratings.users[keep], ratings.items[keep],
-                                   ratings.ratings[keep])
+    return _take(ratings, np.random.default_rng(seed).permutation(n)[:k])
 
 
 def _take(ratings: RatingDataset, idx: np.ndarray) -> RatingDataset:
@@ -239,20 +221,14 @@ def make_split(ratings: RatingDataset, mode: SplitMode, test_fraction: float,
         if n_test < 1 or n_val < 1:
             raise SplitError(f"split of {n} entries yields empty test or validation set")
         order = rng.permutation(n)
-        anchored = np.zeros(n, dtype=bool)
-        seen_items: set[int] = set()
-        for idx in order:
-            it = int(ratings.items[idx])
-            if it not in seen_items:
-                seen_items.add(it)
-                anchored[idx] = True
-        pool = [int(idx) for idx in order if not anchored[idx]]
+        # each item's anchor is its first entry in `order`; the rest form the pool
+        _, first = np.unique(ratings.items[order], return_index=True)
+        pool = np.delete(order, first)
         if len(pool) < n_test + n_val:
             raise SplitError("too few non-anchor entries to fill test and validation sets")
-        test_idx = np.asarray(pool[:n_test])
-        val_idx = np.asarray(pool[n_test:n_test + n_val])
-        train_idx = np.concatenate([np.flatnonzero(anchored),
-                                    np.asarray(pool[n_test + n_val:], dtype=np.int64)])
+        test_idx = pool[:n_test]
+        val_idx = pool[n_test:n_test + n_val]
+        train_idx = np.concatenate([order[first], pool[n_test + n_val:]])
     elif mode == "out_of_matrix":
         m = ratings.n_items
         n_test_items = int(round(test_fraction * m))
@@ -262,10 +238,10 @@ def make_split(ratings: RatingDataset, mode: SplitMode, test_fraction: float,
         if n_test_items + n_val_items >= m:
             raise SplitError("held-out items would leave no training items")
         perm = rng.permutation(m)
-        test_items = set(perm[:n_test_items].tolist())
-        val_items = set(perm[n_test_items:n_test_items + n_val_items].tolist())
-        owner = np.asarray([2 if int(i) in test_items else 1 if int(i) in val_items else 0
-                            for i in ratings.items], dtype=np.int64)
+        item_owner = np.zeros(m, dtype=np.int64)  # 0 train, 1 validation, 2 test
+        item_owner[perm[:n_test_items]] = 2
+        item_owner[perm[n_test_items:n_test_items + n_val_items]] = 1
+        owner = item_owner[ratings.items]
         train_idx = np.flatnonzero(owner == 0)
         val_idx = np.flatnonzero(owner == 1)
         test_idx = np.flatnonzero(owner == 2)

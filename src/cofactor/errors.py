@@ -10,11 +10,9 @@ class CofactorError(Exception):
 class ParseError(CofactorError):
     """A malformed record in an input stream."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int):
         self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line_no}: {message}")
 
 
 class ValidationError(CofactorError):

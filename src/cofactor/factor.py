@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .container import read_container, write_container
-from .corpus import DocTermMatrix, EvalSplit
+from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
@@ -217,6 +217,23 @@ def update_item_context(neighbor_items: np.ndarray, neighbor_values: np.ndarray,
                       [(lambda_s, neighbor_items, neighbor_values, item_factors)])
 
 
+def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
+                    docs: DocTermMatrix | None = None) -> np.ndarray:
+    """Predicted rating of each entry of `ratings`, offset included. out_of_matrix
+    encodes each distinct item's clean text row once and reads no item factor."""
+    if mode == "in_matrix":
+        item_vectors = state.item_factors[ratings.items]
+    elif mode == "out_of_matrix":
+        if docs is None or state.sdae is None:
+            raise ValidationError("out_of_matrix prediction needs documents and the text model")
+        unique_items, inverse = np.unique(ratings.items, return_inverse=True)
+        item_vectors = np.asarray(encode(docs.rows[unique_items], state.sdae))[inverse]
+    else:
+        raise ValidationError(f"unknown mode {mode!r}")
+    return (np.einsum("ij,ij->i", state.user_factors[ratings.users], item_vectors)
+            + state.rating_offset)
+
+
 def _check_finite(value: float, term: str) -> float:
     if not np.isfinite(value):
         raise NonFiniteLossError(term)
@@ -306,19 +323,6 @@ def train(data: TrainData, hyper: Hyperparams,
         s_matrix = sp.csr_matrix((n_items, n_items))
     s_view = (s_matrix.indptr, s_matrix.indices, s_matrix.data)
 
-    val = split.validation
-    if sdae_on:
-        val_unique, val_inverse = np.unique(val.items, return_inverse=True)
-
-    def validation_rmse() -> float:
-        if split.mode == "in_matrix":
-            pred = np.einsum("ij,ij->i", theta[val.users], beta[val.items])
-        else:
-            emb = np.asarray(encode(docs.rows[val_unique], params))
-            pred = np.einsum("ij,ij->i", theta[val.users], emb[val_inverse])
-        err = val.ratings - offset - pred
-        return float(np.sqrt(np.mean(err * err)))
-
     state = ModelState(theta, beta, alpha, params, 0, offset)
     trace = TrainingTrace(label=run_label(hyper))
     sdae_lr = hyper.sdae.learning_rate if sdae_on else 0.0
@@ -363,7 +367,9 @@ def train(data: TrainData, hyper: Hyperparams,
                 sdae_lr *= 0.5
         loss_end = loss_now(epoch)
 
-        rmse_val = validation_rmse()
+        err = split.validation.ratings - predict_ratings(state, split.validation,
+                                                         split.mode, docs)
+        rmse_val = float(np.sqrt(np.mean(err * err)))
         if not np.isfinite(rmse_val):
             raise TrainingDivergedError(epoch, "validation_rmse")
         state.epoch = epoch
@@ -388,24 +394,25 @@ def _sdae_objective(params: SdaeParams, x0, xc, beta: np.ndarray,
                   + hyper.lambda_decay * decay_sq)
 
 
-def _hyper_to_dict(hyper: Hyperparams) -> dict:
-    blob = dataclasses.asdict(hyper)
-    return blob
-
-
 def _hyper_from_dict(blob: dict) -> Hyperparams:
+    """Inverse of dataclasses.asdict(hyper). An `activation` key, which older
+    checkpoints store and which was always "sigmoid", is dropped."""
     blob = dict(blob)
     sdae_blob = blob.pop("sdae", None)
-    sdae = SdaeConfig(**sdae_blob) if sdae_blob is not None else None
-    return Hyperparams(sdae=sdae, **blob)
+    if sdae_blob is not None:
+        sdae_blob = {k: v for k, v in sdae_blob.items() if k != "activation"}
+    return Hyperparams(sdae=SdaeConfig(**sdae_blob) if sdae_blob is not None else None,
+                       **blob)
 
 
 def save_checkpoint(path: str | Path, state: ModelState, hyper: Hyperparams, *,
                     user_ids: tuple[str, ...], item_ids: tuple[str, ...],
-                    vocab: tuple[str, ...] = (), run_tag: str = "",
+                    vocab: tuple[str, ...] = (),
                     config_fingerprint: str = "",
-                    best_validation_rmse: float | None = None) -> None:
-    """Versioned binary checkpoint: manifest header plus little-endian float64 arrays."""
+                    best_validation_rmse: float | None = None,
+                    split_record: dict | None = None) -> None:
+    """Versioned binary checkpoint: manifest header plus little-endian float64 arrays.
+    `split_record` names the settings that drew the training split."""
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "n_users": state.user_factors.shape[0],
@@ -413,15 +420,16 @@ def save_checkpoint(path: str | Path, state: ModelState, hyper: Hyperparams, *,
         "n_factors": state.user_factors.shape[1],
         "vocab_size": len(vocab),
         "layer_widths": state.sdae.layer_widths if state.sdae is not None else [],
-        "hyper": _hyper_to_dict(hyper),
+        "hyper": dataclasses.asdict(hyper),
         "epoch": state.epoch,
         "rating_offset": state.rating_offset,
-        "run": run_tag or run_label(hyper),
+        "run": run_label(hyper),
         "config_fingerprint": config_fingerprint,
         "best_validation_rmse": best_validation_rmse,
         "user_ids": list(user_ids),
         "item_ids": list(item_ids),
         "vocab": list(vocab),
+        "split": split_record,
     }
     arrays = {
         "user_factors": state.user_factors,
@@ -441,7 +449,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {meta.get('format_version')!r}")
-    hyper = _hyper_from_dict(meta["hyper"])
+    try:
+        hyper = _hyper_from_dict(meta["hyper"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad hyperparameters: {exc}") from None
     theta = arrays["user_factors"]
     beta = arrays["item_factors"]
     alpha = arrays["context_factors"]

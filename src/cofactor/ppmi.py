@@ -8,14 +8,12 @@ i.e. sum over users of c_u choose 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import ClickDataset
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass
@@ -34,16 +32,6 @@ class PpmiMatrix:
 
     n_items: int
     matrix: sp.csr_matrix           # float64, symmetric, both triangles stored
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of stored unordered pairs."""
-        return self.matrix.nnz // 2
-
-    def neighbors(self, item: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices j with s(item, j) > 0 and the corresponding values."""
-        start, end = self.matrix.indptr[item], self.matrix.indptr[item + 1]
-        return self.matrix.indices[start:end], self.matrix.data[start:end]
 
 
 def cooccurrence_counts(clicks: ClickDataset) -> CoCounts:
@@ -86,63 +74,3 @@ def build_ppmi(counts: CoCounts) -> PpmiMatrix:
          (np.concatenate([row, col]), np.concatenate([col, row]))),
         shape=(counts.n_items, counts.n_items))
     return PpmiMatrix(n_items=counts.n_items, matrix=matrix)
-
-
-def export_ppmi(ppmi: PpmiMatrix, sink: IO[str]) -> int:
-    """Write one `i j value` line per stored pair (i<j), 17 significant digits."""
-    coo = ppmi.matrix.tocoo()
-    n_written = 0
-    order = np.lexsort((coo.col, coo.row))
-    for idx in order:
-        i, j, v = int(coo.row[idx]), int(coo.col[idx]), float(coo.data[idx])
-        if i < j:
-            sink.write(f"{i} {j} {v:.17g}\n")
-            n_written += 1
-    return n_written
-
-
-def import_ppmi(source: IO[str], n_items: int) -> PpmiMatrix:
-    """Inverse of export_ppmi; round-trips values bit-exactly.
-
-    Each unordered pair may appear once, with a finite positive value.
-    """
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    seen: dict[tuple[int, int], int] = {}
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j value', got {line!r}", line_no)
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(f"bad entry {line!r}", line_no) from None
-        if not 0 <= i < n_items or not 0 <= j < n_items or i == j:
-            raise ValidationError(f"line {line_no}: pair ({i}, {j}) out of range")
-        if not np.isfinite(v) or v <= 0:
-            raise ValidationError(f"line {line_no}: value must be finite and positive, "
-                                  f"got {v}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValidationError(
-                f"line {line_no}: pair ({i}, {j}) already given on line {seen[pair]}")
-        seen[pair] = line_no
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((v, v))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_items, n_items))
-    return PpmiMatrix(n_items=n_items, matrix=matrix)
-
-
-def save_ppmi(ppmi: PpmiMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        export_ppmi(ppmi, fh)
-
-
-def load_ppmi(path: str | Path, n_items: int) -> PpmiMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return import_ppmi(fh, n_items)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from .corpus import DocTermMatrix, EvalSplit, SplitMode
 from .errors import CofactorError, ValidationError
-from .factor import Hyperparams, ModelState, TrainData, TrainingTrace, train
+from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
+                     predict_ratings, train)
 from .sdae import SdaeParams, encode
 
 
@@ -104,32 +104,22 @@ class EvalReport:
 
 
 def evaluate(state: ModelState, split: EvalSplit, docs: DocTermMatrix | None = None,
-             mode: SplitMode | None = None, clamp: tuple[float, float] | None = None,
+             clamp: tuple[float, float] | None = None,
              config_fingerprint: str = "", trace_ref: str = "") -> EvalReport:
-    """Predict every test pair with the mode's predictor and report RMSE.
+    """Predict every test pair with the split mode's predictor and report RMSE.
 
     Out-of-matrix reads only user factors and the encoder: items lacking text
     are counted and predicted through their all-zero row.
     """
-    mode = mode or split.mode
+    mode = split.mode
     test = split.test
     if test.n_entries == 0:
         raise ValidationError("empty test set")
-    if mode == "in_matrix":
-        pred = np.einsum("ij,ij->i", state.user_factors[test.users],
-                         state.item_factors[test.items])
-        n_missing_text = 0
-    elif mode == "out_of_matrix":
-        if docs is None or state.sdae is None:
-            raise ValidationError("out_of_matrix evaluation needs documents and the text model")
-        unique_items, inverse = np.unique(test.items, return_inverse=True)
-        emb = np.asarray(encode(docs.rows[unique_items], state.sdae))
-        pred = np.einsum("ij,ij->i", state.user_factors[test.users], emb[inverse])
+    pred = predict_ratings(state, test, mode, docs)
+    n_missing_text = 0
+    if mode == "out_of_matrix":
         per_item_nnz = np.diff(docs.rows.indptr)
-        n_missing_text = int((per_item_nnz[unique_items] == 0).sum())
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    pred = pred + state.rating_offset
+        n_missing_text = int((per_item_nnz[np.unique(test.items)] == 0).sum())
     if clamp is not None:
         pred = np.clip(pred, clamp[0], clamp[1])
     rated_users = np.unique(split.train.users)
@@ -149,23 +139,52 @@ class SweepPoint:
     test_rmse: float
 
 
+@dataclass
+class SparsityPoint:
+    percent: float              # of the ratings kept
+    joint_test_rmse: float
+    pmf_test_rmse: float
+
+
+def _train_and_score(data: TrainData, hyper: Hyperparams) -> tuple[float, float]:
+    """(best validation RMSE, test RMSE) of one training run."""
+    state, trace = train(data, hyper)
+    return trace.best_validation_rmse, evaluate(state, data.split, data.docs).rmse
+
+
+def _sweep(name: str, grid: Sequence[float], run_point: Callable) -> list:
+    """run_point(value) per grid value; an error names the value that raised it."""
+    if len(grid) == 0:
+        raise ValidationError(f"empty {name} grid")
+    points = []
+    for value in grid:
+        try:
+            points.append(run_point(value))
+        except CofactorError as exc:
+            raise CofactorError(f"{name}={value}: {exc}") from exc
+    return points
+
+
 def sweep_lambda_s(data: TrainData, hyper: Hyperparams,
                    grid: Sequence[float]) -> list[SweepPoint]:
     """Train once per grid value with shared seed and data; report both RMSEs."""
-    if len(grid) == 0:
-        raise ValidationError("empty lambda_s grid")
-    points = []
-    for lam in grid:
-        run_hyper = dataclasses.replace(hyper, lambda_s=float(lam))
-        try:
-            state, trace = train(data, run_hyper)
-        except CofactorError as exc:
-            raise CofactorError(f"lambda_s={lam}: {exc}") from exc
-        report = evaluate(state, data.split, data.docs)
-        points.append(SweepPoint(lambda_s=float(lam),
-                                 validation_rmse=trace.best_validation_rmse,
-                                 test_rmse=report.rmse))
-    return points
+    return _sweep("lambda_s", grid, lambda lam: SweepPoint(
+        float(lam), *_train_and_score(data, dataclasses.replace(hyper, lambda_s=float(lam)))))
+
+
+def sweep_sparsity(make_data: Callable[[float], TrainData], hyper: Hyperparams,
+                   percents: Sequence[float]) -> list[SparsityPoint]:
+    """Per rating percentage, the test RMSE of the joint and of the ratings-only
+    model on one subsample. `make_data(fraction)` is called as each point is
+    reached, so only one split and one PPMI matrix are alive at a time."""
+    pmf_hyper = dataclasses.replace(hyper, lambda_s=0.0, sdae=None)
+
+    def point(pct: float) -> SparsityPoint:
+        data = make_data(pct / 100.0)
+        return SparsityPoint(pct, _train_and_score(data, hyper)[1],
+                             _train_and_score(TrainData(split=data.split), pmf_hyper)[1])
+
+    return _sweep("sparsity_percent", percents, point)
 
 
 def write_trace_csv(trace: TrainingTrace, sink: IO[str],
@@ -192,9 +211,9 @@ def write_sweep_csv(points: Sequence[SweepPoint], sink: IO[str],
                          f"{p.test_rmse:.10g}", config_fingerprint])
 
 
-def save_report(report: EvalReport, text_path: str | Path, csv_path: str | Path,
-                lambda_s: float, epoch: int) -> None:
-    with open(text_path, "w", encoding="utf-8") as fh:
-        report.write_text(fh)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        report.write_csv(fh, lambda_s, epoch)
+def write_sparsity_csv(points: Sequence[SparsityPoint], sink: IO[str], label: str,
+                       config_fingerprint: str = "") -> None:
+    sink.write("label,fraction,joint_test_rmse,pmf_test_rmse,config\n")
+    for p in points:
+        sink.write(f"{label}-{p.percent:g},{p.percent / 100.0:g},{p.joint_test_rmse:.10g},"
+                   f"{p.pmf_test_rmse:.10g},{config_fingerprint}\n")

@@ -30,7 +30,6 @@ class SdaeConfig:
     noise_rate: float = 0.3
     pretrain_epochs: int = 20
     learning_rate: float = 0.01
-    activation: str = "sigmoid"
 
     @property
     def n_layers(self) -> int:
@@ -54,8 +53,6 @@ class SdaeConfig:
             raise ValidationError("learning_rate must be positive and finite")
         if self.pretrain_epochs < 0:
             raise ValidationError("pretrain_epochs must be nonnegative")
-        if self.activation != "sigmoid":
-            raise ValidationError(f"unsupported activation {self.activation!r}")
 
 
 @dataclass
@@ -82,10 +79,8 @@ class SdaeParams:
                      + sum((b * b).sum() for b in self.biases))
 
 
-def init_params(layer_widths: list[int], seed_or_rng) -> SdaeParams:
+def init_params(layer_widths: list[int], rng: np.random.Generator) -> SdaeParams:
     """Zero biases; weights uniform in ±sqrt(6 / (fan_in + fan_out))."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else np.random.default_rng(seed_or_rng)
     weights, biases = [], []
     for d_in, d_out in zip(layer_widths[:-1], layer_widths[1:]):
         limit = np.sqrt(6.0 / (d_in + d_out))
@@ -134,8 +129,7 @@ def encode(x0, params: SdaeParams) -> np.ndarray:
 
 def reconstruct(x0, params: SdaeParams) -> np.ndarray:
     """Output-layer activation: the reconstruction of x0 through all layers."""
-    _check_input_width(x0, params)
-    return _forward(x0, params, params.n_layers)[-1]
+    return forward_activations(x0, params)[-1]
 
 
 def forward_activations(x0, params: SdaeParams) -> list:
@@ -197,8 +191,6 @@ def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
     clean propagation of the rows so far; its decoder initializes the mirror
     layer. pretrain_epochs=0 returns the random initialization untouched.
     """
-    if hasattr(clean_rows, "rows"):    # accept a DocTermMatrix directly
-        clean_rows = clean_rows.rows
     config.validate()
     if not sp.issparse(clean_rows):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)

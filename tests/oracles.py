@@ -138,3 +138,35 @@ def numeric_gradient(fn, x, step=1e-5):
         flat[idx] = orig
         out[idx] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def split_reference(items, n_items, mode, test_fraction, validation_fraction, seed):
+    """Entry indices (train, validation, test) of make_split, by per-entry loops.
+
+    Draws the same seeded permutation as the package: of the entries for
+    in_matrix, where each item's first entry in that order stays in train, and
+    of the items for out_of_matrix, where test items come first, then
+    validation items. Each index list is sorted.
+    """
+    rng = np.random.default_rng(seed)
+    if mode == "in_matrix":
+        n = len(items)
+        n_test, n_val = int(round(test_fraction * n)), int(round(validation_fraction * n))
+        anchors, pool, seen = [], [], set()
+        for idx in rng.permutation(n).tolist():
+            if items[idx] in seen:
+                pool.append(idx)
+            else:
+                seen.add(items[idx])
+                anchors.append(idx)
+        parts = (anchors + pool[n_test + n_val:], pool[n_test:n_test + n_val], pool[:n_test])
+    else:
+        perm = rng.permutation(n_items).tolist()
+        n_test = int(round(test_fraction * n_items))
+        n_val = int(round(validation_fraction * n_items))
+        test_items, val_items = set(perm[:n_test]), set(perm[n_test:n_test + n_val])
+        parts = ([], [], [])
+        for idx, item in enumerate(items):
+            owner = 2 if item in test_items else 1 if item in val_items else 0
+            parts[owner].append(idx)
+    return tuple(sorted(part) for part in parts)

@@ -386,3 +386,112 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "sweep" in proc.stdout
+
+
+def rewrite_header(path: Path, edit) -> None:
+    """Apply `edit` to a container's JSON header in place, keeping its payload."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + length])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + length:])
+
+
+def train_checkpoint(config: Path) -> Path:
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    return config.parent / "out" / "checkpoint.bin"
+
+
+def eval_error(capsys, config: Path, ckpt: Path, *flags: str) -> str:
+    """Run eval, require exit 1 and a single `error:` line, return that line."""
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ")
+    return err
+
+
+def edit_config(config: Path, section: str, field: str, value) -> None:
+    cfg = json.loads(config.read_text())
+    if section:
+        cfg[section][field] = value
+    else:
+        cfg[field] = value
+    config.write_text(json.dumps(cfg))
+
+
+class TestEvalRefusesOtherSplit:
+    def test_seed_mismatch_exits_1(self, workspace, capsys):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        assert "seed=7 (config: 1)" in eval_error(capsys, config, ckpt, "--seed", "1")
+
+    def test_split_mode_mismatch_exits_1(self, workspace, capsys):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        err = eval_error(capsys, config, ckpt, "--mode", "out")
+        assert "split.mode='in_matrix' (config: 'out_of_matrix')" in err
+
+    def test_subsample_fraction_mismatch_exits_1(self, workspace, capsys):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        edit_config(config, "", "subsample_fraction", 0.8)
+        assert "subsample_fraction=1.0 (config: 0.8)" in eval_error(capsys, config, ckpt)
+
+    def test_checkpoint_without_split_record_exits_1(self, workspace, capsys):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        rewrite_header(ckpt, lambda header: header["meta"].pop("split"))
+        assert "retrain" in eval_error(capsys, config, ckpt)
+
+    def test_reordered_vocabulary_exits_1(self, tmp_path, capsys):
+        # "count" and "tfidf" rank the fixture's 12 words in different orders
+        config = write_config(tmp_path, write_fixture(tmp_path),
+                              **{"split.mode": "out_of_matrix"})
+        ckpt = train_checkpoint(config)
+        edit_config(config, "text", "bow_scheme", "tfidf")
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert "vocabulary" in eval_error(capsys, config, ckpt, "--mode", "out")
+
+
+CORRUPTIONS = {
+    "truncated_payload": lambda path: path.write_bytes(path.read_bytes()[:-8]),
+    "truncated_length": lambda path: path.write_bytes(path.read_bytes()[:12]),
+    "truncated_header": lambda path: path.write_bytes(path.read_bytes()[:40]),
+    "unknown_hyperparameter": lambda path: rewrite_header(
+        path, lambda header: header["meta"]["hyper"].update(momentum=0.9)),
+    "missing_array": lambda path: rewrite_header(
+        path, lambda header: header["arrays"].pop("user_factors")),
+    "missing_manifest_key": lambda path: rewrite_header(
+        path, lambda header: header["meta"].pop("n_users")),
+}
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_checkpoint_exits_1(self, workspace, capsys, corruption):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        CORRUPTIONS[corruption](ckpt)
+        assert str(ckpt) in eval_error(capsys, config, ckpt)
+
+    def test_truncated_cache_exits_1(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        CORRUPTIONS["truncated_payload"](tmp_path / "out" / "cache" / "ratings.bin")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and "ratings.bin" in err
+
+    def test_stored_activation_key_still_loads(self, workspace):
+        # earlier checkpoints store the autoencoder's activation, always "sigmoid"
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        rewrite_header(ckpt, lambda header: header["meta"]["hyper"]["sdae"].update(
+            activation="sigmoid"))
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0

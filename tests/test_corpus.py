@@ -9,6 +9,7 @@ from cofactor.corpus import (SyntheticConfig, binarize_ratings,
 from cofactor.errors import ParseError, SplitError, ValidationError
 
 from conftest import make_ratings
+from oracles import split_reference
 
 
 class TestParseRatings:
@@ -177,6 +178,20 @@ class TestMakeSplit:
         seen = [set(zip(p.users.tolist(), p.items.tolist())) for p in parts]
         assert seen[0].isdisjoint(seen[1]) and seen[0].isdisjoint(seen[2]) \
             and seen[1].isdisjoint(seen[2])
+
+    @pytest.mark.parametrize("mode", ["in_matrix", "out_of_matrix"])
+    def test_matches_loop_reference(self, mode):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            ratings = _dense_ratings(int(rng.integers(15, 40)), int(rng.integers(10, 30)),
+                                     float(rng.uniform(0.2, 0.6)), seed=100 + seed)
+            split = make_split(ratings, mode, 0.2, 0.1, seed=seed)
+            expected = split_reference(ratings.items.tolist(), ratings.n_items, mode,
+                                       0.2, 0.1, seed)
+            for part, idx in zip((split.train, split.validation, split.test), expected):
+                assert np.array_equal(part.users, ratings.users[idx])
+                assert np.array_equal(part.items, ratings.items[idx])
+                assert np.array_equal(part.ratings, ratings.ratings[idx])
 
     def test_infeasible_split(self):
         ratings = make_ratings([(0, 0, 1), (1, 0, 2)])

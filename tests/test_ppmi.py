@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import scipy.sparse as sp
 
 from cofactor.corpus import ClickDataset
 from cofactor.errors import ValidationError
-from cofactor.ppmi import (CoCounts, build_ppmi, cooccurrence_counts,
-                           export_ppmi, import_ppmi)
+from cofactor.ppmi import CoCounts, build_ppmi, cooccurrence_counts
 
 from conftest import make_clicks
 from oracles import brute_force_ppmi
@@ -128,47 +126,3 @@ class TestBuildPpmi:
                 assert upper[key] == pytest.approx(value, abs=1e-12)
             checked += 1
         assert checked > 30
-
-    def test_neighbors_view(self):
-        clicks = make_clicks([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
-        result = build_ppmi(cooccurrence_counts(clicks))
-        idx, vals = result.neighbors(0)
-        assert sorted(idx.tolist()) == [1, 2]
-        assert (vals > 0).all()
-
-
-class TestExportImport:
-    def test_round_trip_bit_exact(self, rng):
-        clicks = random_clicks(rng, max_users=8, max_items=8)
-        counts = cooccurrence_counts(clicks)
-        if counts.total_pairs == 0:
-            pytest.skip("degenerate draw")
-        original = build_ppmi(counts)
-        sink = io.StringIO()
-        n = export_ppmi(original, sink)
-        assert n == original.n_pairs
-        restored = import_ppmi(io.StringIO(sink.getvalue()), original.n_items)
-        assert (original.matrix != restored.matrix).nnz == 0
-        diff = (original.matrix - restored.matrix)
-        assert diff.nnz == 0
-
-    def test_import_rejects_bad_entries(self):
-        with pytest.raises(ValidationError):
-            import_ppmi(io.StringIO("0 0 1.0\n"), 3)
-        with pytest.raises(ValidationError):
-            import_ppmi(io.StringIO("0 1 -2.0\n"), 3)
-        with pytest.raises(ValidationError):
-            import_ppmi(io.StringIO("0 9 1.0\n"), 3)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_import_rejects_non_finite_value(self, value):
-        text = f"0 1 1.5\n1 2 {value}\n"
-        with pytest.raises(ValidationError, match="line 2: value must be finite"):
-            import_ppmi(io.StringIO(text), 3)
-
-    @pytest.mark.parametrize("repeat", ["0 1 2.0", "1 0 0.5"])
-    def test_import_rejects_duplicate_pair(self, repeat):
-        # the same unordered pair twice, in either order, would be summed
-        text = f"0 1 0.5\n1 2 1.0\n\n{repeat}\n"
-        with pytest.raises(ValidationError, match="line 4: .* already given on line 1"):
-            import_ppmi(io.StringIO(text), 3)
