@@ -11,11 +11,10 @@ from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
                      total_loss, train, update_item_context,
                      update_item_feature, update_user)
 from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
-from .predict_eval import (EvalReport, PredictionRequest, SparsityPoint,
-                           SweepPoint, evaluate, predict, predict_in_matrix,
+from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate,
                            predict_out_of_matrix, rmse, sweep_lambda_s,
                            sweep_sparsity)
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, forward_activations,
-                   pretrain, reconstruct, sdae_gradients)
+                   pretrain, reconstruct, sdae_forward, sdae_gradients)
 
 __version__ = "0.1.0"

@@ -156,8 +156,13 @@ def _require_path(cfg: dict, key: str) -> Path:
 def _write_ingest(cfg: dict, ratings: corpus.RatingDataset,
                   clicks: corpus.ClickDataset | None,
                   docs: corpus.DocTermMatrix | None, **extra) -> int:
-    """Cache the parsed or generated datasets, then write and print the report."""
+    """Cache the parsed or generated datasets, then write and print the report.
+    A clicks or docs cache this ingest does not write is deleted, so a later
+    train never reads a previous ingest's data."""
     cache = _cache_dir(cfg)
+    for name, dataset in (("clicks.bin", clicks), ("docs.bin", docs)):
+        if dataset is None:
+            (cache / name).unlink(missing_ok=True)
     report = {"config": fingerprint(cfg), "n_users": ratings.n_users,
               "n_items": ratings.n_items, "n_ratings": ratings.n_entries, **extra}
     write_container(cache / "ratings.bin",

@@ -28,8 +28,8 @@ from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
-from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, loss_terms,
-                   pretrain, sdae_gradients)
+from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, pretrain,
+                   sdae_forward, sdae_gradients)
 
 CHECKPOINT_VERSION = 1
 
@@ -241,8 +241,11 @@ def _check_finite(value: float, term: str) -> float:
 
 
 def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
-               x0, xc, hyper: Hyperparams) -> float:
-    """Full joint loss; rating values are centered by the state's offset."""
+               encoding: np.ndarray | None, recon_sq: float | None,
+               hyper: Hyperparams) -> float:
+    """Full joint loss; rating values are centered by the state's offset.
+    With the text model on, `(encoding, recon_sq)` is sdae_forward's output
+    for the state's autoencoder; without it both are None."""
     theta, beta, alpha = state.user_factors, state.item_factors, state.context_factors
     resid = (ratings.ratings - state.rating_offset
              - np.einsum("ij,ij->i", theta[ratings.users], beta[ratings.items]))
@@ -255,10 +258,11 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
     loss += _check_finite(0.5 * hyper.lambda_context * float((alpha * alpha).sum()),
                           "context_reg")
     if state.sdae is not None:
-        anchor_sq, recon_sq, decay_sq = loss_terms(state.sdae, x0, xc, beta)
-        loss += _check_finite(0.5 * hyper.lambda_item * anchor_sq, "item_anchor")
+        anchor = beta - encoding
+        loss += _check_finite(0.5 * hyper.lambda_item * float((anchor * anchor).sum()),
+                              "item_anchor")
         loss += _check_finite(0.5 * hyper.lambda_recon * recon_sq, "reconstruction")
-        loss += _check_finite(0.5 * hyper.lambda_decay * decay_sq, "decay")
+        loss += _check_finite(0.5 * hyper.lambda_decay * state.sdae.squared_norm(), "decay")
     else:
         loss += _check_finite(0.5 * hyper.lambda_item * float((beta * beta).sum()),
                               "item_reg")
@@ -276,9 +280,14 @@ def _group_by(keys: np.ndarray, companions: list[np.ndarray], n_groups: int):
 def train(data: TrainData, hyper: Hyperparams,
           threads: int = 1) -> tuple[ModelState, TrainingTrace]:
     """Alternate user / item-feature / item-context solves and one autoencoder
-    gradient pass per epoch; stop on stale validation RMSE; return the state
+    gradient step per epoch; stop on stale validation RMSE; return the state
     of the best validation epoch plus the per-epoch trace. `threads` is
     accepted and ignored: each block is one batched solve.
+
+    With the text model on, an epoch runs three autoencoder passes: a forward
+    pass (item anchor, per-block losses), the gradient pass, and a forward pass
+    after the step (epoch-end loss). Only the autoencoder moves between the
+    last two losses; the learning rate halves when the step raised the loss.
     """
     hyper.validate()
     split = data.split
@@ -326,12 +335,12 @@ def train(data: TrainData, hyper: Hyperparams,
     state = ModelState(theta, beta, alpha, params, 0, offset)
     trace = TrainingTrace(label=run_label(hyper))
     sdae_lr = hyper.sdae.learning_rate if sdae_on else 0.0
-    x0 = xc = None
+    encoding = recon_sq = None
     stale = 0
 
     def loss_now(epoch: int) -> float:
         try:
-            return total_loss(state, train_ds, data.ppmi, x0, xc, hyper)
+            return total_loss(state, train_ds, data.ppmi, encoding, recon_sq, hyper)
         except NonFiniteLossError as exc:
             raise TrainingDivergedError(epoch, exc.term) from None
 
@@ -340,14 +349,14 @@ def train(data: TrainData, hyper: Hyperparams,
             xc = docs.rows
             x0 = corrupt(xc, hyper.sdae.noise_rate,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
-            anchor = np.asarray(encode(x0, params))
+            encoding, recon_sq = sdae_forward(params, x0, xc)
 
         _solve_rows(theta, hyper.lambda_user, [(1.0, u_indptr, u_items, u_values, beta)])
         loss_users = loss_now(epoch)
         _solve_rows(beta, hyper.lambda_item,
                     [(1.0, i_indptr, i_users, i_values, theta),
                      (hyper.lambda_s, *s_view, alpha)],
-                    anchor if sdae_on else None)
+                    encoding)
         loss_items = loss_now(epoch)
         if hyper.lambda_s > 0:
             _solve_rows(alpha, hyper.lambda_context, [(hyper.lambda_s, *s_view, beta)])
@@ -356,16 +365,16 @@ def train(data: TrainData, hyper: Hyperparams,
         loss_contexts = loss_now(epoch)
 
         if sdae_on:
-            before = _sdae_objective(params, x0, xc, beta, hyper)
             grads_w, grads_b = sdae_gradients(
                 params, x0, xc, beta, lambda_anchor=hyper.lambda_item,
                 lambda_recon=hyper.lambda_recon, lambda_decay=hyper.lambda_decay)
             for layer in range(params.n_layers):
                 params.weights[layer] -= sdae_lr * grads_w[layer]
                 params.biases[layer] -= sdae_lr * grads_b[layer]
-            if _sdae_objective(params, x0, xc, beta, hyper) > before:
-                sdae_lr *= 0.5
+            encoding, recon_sq = sdae_forward(params, x0, xc)
         loss_end = loss_now(epoch)
+        if sdae_on and loss_end > loss_contexts:
+            sdae_lr *= 0.5
 
         err = split.validation.ratings - predict_ratings(state, split.validation,
                                                          split.mode, docs)
@@ -385,13 +394,6 @@ def train(data: TrainData, hyper: Hyperparams,
             if hyper.patience and stale >= hyper.patience:
                 break
     return best_state, trace
-
-
-def _sdae_objective(params: SdaeParams, x0, xc, beta: np.ndarray,
-                    hyper: Hyperparams) -> float:
-    anchor_sq, recon_sq, decay_sq = loss_terms(params, x0, xc, beta)
-    return 0.5 * (hyper.lambda_item * anchor_sq + hyper.lambda_recon * recon_sq
-                  + hyper.lambda_decay * decay_sq)
 
 
 def _hyper_from_dict(blob: dict) -> Hyperparams:

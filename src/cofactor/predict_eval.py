@@ -21,15 +21,6 @@ from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
 from .sdae import SdaeParams, encode
 
 
-def predict_in_matrix(theta_u: np.ndarray, beta_i: np.ndarray) -> float:
-    """Factor product; unclamped."""
-    theta_u = np.asarray(theta_u, dtype=np.float64)
-    beta_i = np.asarray(beta_i, dtype=np.float64)
-    if theta_u.shape != beta_i.shape:
-        raise ValidationError(f"factor length mismatch: {theta_u.shape} vs {beta_i.shape}")
-    return float(theta_u @ beta_i)
-
-
 def predict_out_of_matrix(theta_u: np.ndarray, x_item: np.ndarray,
                           sdae: SdaeParams) -> float:
     """User factors against the encoding of the item's clean text row."""
@@ -39,35 +30,6 @@ def predict_out_of_matrix(theta_u: np.ndarray, x_item: np.ndarray,
         raise ValidationError(
             f"factor length {theta_u.shape[0]} != latent width {embedding.shape[0]}")
     return float(theta_u @ embedding)
-
-
-@dataclass
-class PredictionRequest:
-    """One prediction to make: an item index for in-matrix requests, a
-    bag-of-words row over the trained vocabulary for out-of-matrix ones."""
-
-    user: int
-    mode: SplitMode
-    item: int | None = None
-    text_row: np.ndarray | None = None
-
-
-def predict(state: ModelState, request: PredictionRequest) -> float:
-    """Dispatch a request to the mode's predictor; offset-corrected."""
-    theta_u = state.user_factors[request.user]
-    if request.mode == "in_matrix":
-        if request.item is None:
-            raise ValidationError("in_matrix request needs a trained item index")
-        value = predict_in_matrix(theta_u, state.item_factors[request.item])
-    elif request.mode == "out_of_matrix":
-        if request.text_row is None:
-            raise ValidationError("out_of_matrix request needs a bag-of-words row")
-        if state.sdae is None:
-            raise ValidationError("model has no text encoder")
-        value = predict_out_of_matrix(theta_u, request.text_row, state.sdae)
-    else:
-        raise ValidationError(f"unknown mode {request.mode!r}")
-    return value + state.rating_offset
 
 
 def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:

@@ -138,14 +138,12 @@ def forward_activations(x0, params: SdaeParams) -> list:
     return _forward(x0, params, params.n_layers)
 
 
-def loss_terms(params: SdaeParams, x0, xc, beta: np.ndarray) -> tuple[float, float, float]:
-    """Raw squared sums (anchor, reconstruction, decay) before any λ/2 scaling."""
+def sdae_forward(params: SdaeParams, x0, xc) -> tuple[np.ndarray, float]:
+    """One full forward pass: (encode(x0), Σ‖xc − reconstruct(x0)‖²)."""
     acts = forward_activations(x0, params)
-    mid = params.n_layers // 2
     xc_dense = xc.toarray() if sp.issparse(xc) else np.asarray(xc, dtype=np.float64)
-    anchor = beta - acts[mid]
     recon = xc_dense - acts[-1]
-    return float((anchor * anchor).sum()), float((recon * recon).sum()), params.squared_norm()
+    return acts[params.n_layers // 2], float((recon * recon).sum())
 
 
 def sdae_gradients(params: SdaeParams, x0, xc, beta: np.ndarray, *,
@@ -203,24 +201,17 @@ def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
         return params
     n_layers = params.n_layers
     n_rows = clean_rows.shape[0]
-    lr = config.learning_rate
     h = clean_rows
     for depth in range(n_layers // 2):
         enc, dec = depth, n_layers - 1 - depth
+        pair = SdaeParams([params.weights[enc], params.weights[dec]],
+                          [params.biases[enc], params.biases[dec]])
         for _ in range(config.pretrain_epochs):
             noisy = corrupt(h, config.noise_rate, rng)
-            hidden = expit(noisy @ params.weights[enc] + params.biases[enc])
-            output = expit(hidden @ params.weights[dec] + params.biases[dec])
-            target = h.toarray() if sp.issparse(h) else h
-            delta_out = (output - target) * output * (1.0 - output) / n_rows
-            grad_w_dec = hidden.T @ delta_out
-            grad_b_dec = delta_out.sum(axis=0)
-            delta_hid = (delta_out @ params.weights[dec].T) * hidden * (1.0 - hidden)
-            grad_w_enc = noisy.T @ delta_hid
-            grad_b_enc = delta_hid.sum(axis=0)
-            params.weights[dec] -= lr * grad_w_dec
-            params.biases[dec] -= lr * grad_b_dec
-            params.weights[enc] -= lr * np.asarray(grad_w_enc)
-            params.biases[enc] -= lr * grad_b_enc
+            grads_w, grads_b = sdae_gradients(pair, noisy, h, 0.0, lambda_anchor=0.0,
+                                              lambda_recon=1.0 / n_rows, lambda_decay=0.0)
+            for layer in range(2):
+                pair.weights[layer] -= config.learning_rate * grads_w[layer]
+                pair.biases[layer] -= config.learning_rate * grads_b[layer]
         h = expit(h @ params.weights[enc] + params.biases[enc])
     return params

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expit
 
 
 def brute_force_ppmi(user_clicks: list[set[int]]) -> dict[tuple[int, int], float]:
@@ -170,3 +172,48 @@ def split_reference(items, n_items, mode, test_fraction, validation_fraction, se
             owner = 2 if item in test_items else 1 if item in val_items else 0
             parts[owner].append(idx)
     return tuple(sorted(part) for part in parts)
+
+
+def pretrain_reference(rows, layer_widths, noise_rate, epochs, learning_rate, seed):
+    """Greedy layer-wise denoising pretraining, each encoder/decoder pair
+    backpropagated by hand. Returns (weights, biases).
+
+    Draws what the package draws from one seeded generator, in its order:
+    weights uniform in ±sqrt(6 / (fan_in + fan_out)) layer by layer with zero
+    biases, then per epoch one uniform per stored input value, zeroing the
+    value when the draw is below noise_rate. Each step descends the mean over
+    rows of ½‖h − reconstruct(noisy h)‖², h being the clean rows propagated
+    through the encoder layers trained so far.
+    """
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for d_in, d_out in zip(layer_widths[:-1], layer_widths[1:]):
+        limit = math.sqrt(6.0 / (d_in + d_out))
+        weights.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
+        biases.append(np.zeros(d_out))
+    n_layers, n_rows = len(weights), rows.shape[0]
+    h = rows
+    for depth in range(n_layers // 2):
+        enc, dec = depth, n_layers - 1 - depth
+        for _ in range(epochs):
+            if sp.issparse(h):
+                noisy = h.copy().tocsr()
+                noisy.data = noisy.data * (rng.random(noisy.data.shape) >= noise_rate)
+                noisy.eliminate_zeros()
+            else:
+                noisy = h * (rng.random(h.shape) >= noise_rate)
+            hidden = expit(noisy @ weights[enc] + biases[enc])
+            output = expit(hidden @ weights[dec] + biases[dec])
+            target = h.toarray() if sp.issparse(h) else h
+            delta_out = (output - target) * output * (1.0 - output) / n_rows
+            grad_w_dec = hidden.T @ delta_out
+            grad_b_dec = delta_out.sum(axis=0)
+            delta_hid = (delta_out @ weights[dec].T) * hidden * (1.0 - hidden)
+            grad_w_enc = np.asarray(noisy.T @ delta_hid)
+            grad_b_enc = delta_hid.sum(axis=0)
+            weights[dec] -= learning_rate * grad_w_dec
+            biases[dec] -= learning_rate * grad_b_dec
+            weights[enc] -= learning_rate * grad_w_enc
+            biases[enc] -= learning_rate * grad_b_enc
+        h = expit(h @ weights[enc] + biases[enc])
+    return weights, biases

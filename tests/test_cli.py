@@ -112,6 +112,18 @@ class TestIngest:
         second = {p.name: p.read_bytes() for p in cache.iterdir()}
         assert first == second
 
+    def test_reingest_deletes_caches_it_no_longer_writes(self, workspace):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        edit_config(config, "paths", "clicks", None)
+        edit_config(config, "text", "enabled", False)
+        assert main(["ingest", "--config", str(config)]) == 0
+        cache = tmp_path / "out" / "cache"
+        report = json.loads((cache / "ingest_report.json").read_text())
+        assert "n_clicks" not in report and "vocab_size" not in report
+        assert not (cache / "clicks.bin").exists()
+        assert not (cache / "docs.bin").exists()
+
 
 class TestTrain:
     def test_dry_run_writes_nothing(self, workspace, capsys):

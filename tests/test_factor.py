@@ -598,3 +598,21 @@ class TestHyperparams:
         scaled = {k: (2.0 * sigmas["rating"]) ** 2 / (2.0 * v) ** 2
                   for k, v in sigmas.items() if k != "rating"}
         assert lam == pytest.approx(scaled, rel=1e-15)
+
+
+class TestSdaeLearningRate:
+    def test_halves_exactly_when_the_step_raised_the_loss(self):
+        # a rate large enough that some gradient steps overshoot
+        sdae = SdaeConfig(layer_widths=[12, 6, 3, 6, 12], pretrain_epochs=2,
+                          learning_rate=20.0)
+        hyper = Hyperparams(n_factors=3, lambda_s=0.5, lambda_user=0.05,
+                            lambda_item=1.0, lambda_context=0.05,
+                            lambda_recon=1.0, lambda_decay=1e-4, sdae=sdae,
+                            max_epochs=10, patience=0, seed=3)
+        _, trace = train(synthetic_train_data(), hyper)
+        assert len(trace.epochs) == 10
+        rates = [sdae.learning_rate] + [e.sdae_lr for e in trace.epochs]
+        raised = [e.loss_epoch_end > e.loss_after_contexts for e in trace.epochs]
+        assert any(raised) and not all(raised)
+        for before, after, halve in zip(rates, rates[1:], raised):
+            assert after == (0.5 * before if halve else before)

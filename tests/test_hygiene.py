@@ -1,6 +1,7 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,33 @@ def test_every_import_is_used(path):
 def test_check_finds_an_unused_import():
     source = "from typing import IO\nimport numpy as np\nfrom .x import a, b\nnp.zeros(a)\n"
     assert unused_imports(source) == ["line 1: IO", "line 3: b"]
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """How often each name appears as a bare name, an attribute or an imported name."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                   else n.name.rpartition(".")[2] for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes of `sources` (module name →
+    source) that no code in any of them refers to outside their own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = sum(map(referenced_names, trees.values()), Counter())
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and references[node.name] == referenced_names(node)[node.name]]
+
+
+def test_every_private_definition_is_used():
+    assert unused_private_definitions(
+        {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+
+
+def test_check_finds_an_unused_private_definition():
+    sources = {"a": "def _used():\n    pass\n\ndef _unused():\n    pass\n\n"
+                    "def _recursive():\n    return _recursive()\n\nclass _Orphan:\n    pass\n",
+               "b": "from .a import _used\n_used()\n"}
+    assert unused_private_definitions(sources) == ["a: _unused", "a: _recursive", "a: _Orphan"]

@@ -9,31 +9,11 @@ from cofactor.corpus import (EvalSplit, SyntheticConfig, generate_synthetic,
                              make_split)
 from cofactor.errors import ValidationError
 from cofactor.factor import Hyperparams, ModelState, TrainData, train
-from cofactor.predict_eval import (EvalReport, PredictionRequest, evaluate,
-                                   predict, predict_in_matrix,
-                                   predict_out_of_matrix, rmse, sweep_lambda_s,
-                                   write_trace_csv)
+from cofactor.predict_eval import (EvalReport, evaluate, predict_out_of_matrix,
+                                   rmse, sweep_lambda_s, write_trace_csv)
 
 from test_factor import synthetic_train_data
 from test_sdae import tiny_net
-
-
-class TestPredictInMatrix:
-    def test_zero_user(self):
-        assert predict_in_matrix(np.zeros(3), np.array([1.0, -2.0, 5.0])) == 0.0
-
-    def test_hand_dot_product(self):
-        assert predict_in_matrix(np.array([1.0, 2.0]),
-                                 np.array([3.0, -1.0])) == pytest.approx(1.0)
-
-    def test_sign_flip_invariance(self, rng):
-        theta, beta = rng.standard_normal(4), rng.standard_normal(4)
-        assert predict_in_matrix(theta, beta) == pytest.approx(
-            predict_in_matrix(-theta, -beta))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            predict_in_matrix(np.zeros(3), np.zeros(4))
 
 
 class TestPredictOutOfMatrix:
@@ -55,35 +35,6 @@ class TestPredictOutOfMatrix:
     def test_vocabulary_mismatch(self):
         with pytest.raises(ValidationError):
             predict_out_of_matrix(np.zeros(1), np.ones(5), tiny_net())
-
-
-class TestPredictDispatch:
-    def test_in_matrix_request(self, rng):
-        state = ModelState(rng.standard_normal((3, 2)), rng.standard_normal((4, 2)),
-                           np.zeros((4, 2)), None, rating_offset=1.5)
-        request = PredictionRequest(user=1, mode="in_matrix", item=2)
-        expected = state.user_factors[1] @ state.item_factors[2] + 1.5
-        assert predict(state, request) == pytest.approx(expected)
-
-    def test_out_of_matrix_request_uses_text(self, rng):
-        state = ModelState(rng.standard_normal((2, 1)), np.full((3, 1), np.nan),
-                           np.full((3, 1), np.nan), tiny_net())
-        request = PredictionRequest(user=0, mode="out_of_matrix",
-                                    text_row=np.array([1.0, 1.0]))
-        expected = predict_out_of_matrix(state.user_factors[0],
-                                         np.array([1.0, 1.0]), tiny_net())
-        assert predict(state, request) == pytest.approx(expected)
-
-    def test_invariants_enforced(self, rng):
-        state = ModelState(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)),
-                           np.zeros((2, 1)), None)
-        with pytest.raises(ValidationError, match="item index"):
-            predict(state, PredictionRequest(user=0, mode="in_matrix"))
-        with pytest.raises(ValidationError, match="bag-of-words"):
-            predict(state, PredictionRequest(user=0, mode="out_of_matrix"))
-        with pytest.raises(ValidationError, match="text encoder"):
-            predict(state, PredictionRequest(user=0, mode="out_of_matrix",
-                                             text_row=np.ones(2)))
 
 
 class TestRmse:

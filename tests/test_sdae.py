@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from cofactor.errors import ValidationError
 from cofactor.sdae import (SdaeConfig, SdaeParams, corrupt, encode,
                            forward_activations, init_params, pretrain,
-                           reconstruct, sdae_gradients)
+                           reconstruct, sdae_forward, sdae_gradients)
 
-from oracles import numeric_gradient
+from oracles import numeric_gradient, pretrain_reference
 
 
 def tiny_net():
@@ -252,3 +252,38 @@ class TestPretrain:
         config = SdaeConfig(layer_widths=[10, 4, 10], pretrain_epochs=1)
         with pytest.raises(ValidationError):
             pretrain(self._rows(rng, v=12), config, seed=0)
+
+
+def _text_rows(rng, sparse, n=30, v=12):
+    rows = (rng.random((n, v)) < 0.3) * rng.random((n, v))
+    return sp.csr_matrix(rows) if sparse else rows
+
+
+class TestSdaeForward:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_equals_encode_and_reconstruction_error(self, rng, sparse):
+        params = random_net(rng, [12, 6, 3, 6, 12])
+        xc = _text_rows(rng, sparse)
+        x0 = corrupt(xc, 0.3, 5)
+        encoding, recon_sq = sdae_forward(params, x0, xc)
+        resid = (xc.toarray() if sparse else xc) - reconstruct(x0, params)
+        np.testing.assert_array_equal(encoding, encode(x0, params))
+        assert recon_sq == float((resid * resid).sum())
+
+
+class TestPretrainMatchesReference:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("widths", [[12, 5, 12], [12, 6, 3, 6, 12]],
+                             ids=["one-depth", "two-depths"])
+    def test_within_1e12_relative(self, rng, sparse, widths):
+        rows = _text_rows(rng, sparse)
+        config = SdaeConfig(layer_widths=widths, noise_rate=0.3, pretrain_epochs=6,
+                            learning_rate=0.5)
+        got = pretrain(rows, config, seed=13)
+        ref_weights, ref_biases = pretrain_reference(rows, widths, 0.3, 6, 0.5, seed=13)
+        initial = init_params(widths, np.random.default_rng(13))
+        for layer, (w, ref) in enumerate(zip(got.weights, ref_weights)):
+            assert not np.array_equal(ref, initial.weights[layer])
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+        for b, ref in zip(got.biases, ref_biases):
+            assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
