@@ -11,9 +11,8 @@ from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
                      total_loss, train, update_item_context,
                      update_item_feature, update_user)
 from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
-from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate,
-                           predict_out_of_matrix, rmse, sweep_lambda_s,
-                           sweep_sparsity)
+from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse,
+                           sweep_lambda_s, sweep_sparsity)
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, forward_activations,
                    pretrain, reconstruct, sdae_forward, sdae_gradients)
 

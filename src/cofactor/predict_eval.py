@@ -18,18 +18,6 @@ from .corpus import DocTermMatrix, EvalSplit, SplitMode
 from .errors import CofactorError, ValidationError
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
                      predict_ratings, train)
-from .sdae import SdaeParams, encode
-
-
-def predict_out_of_matrix(theta_u: np.ndarray, x_item: np.ndarray,
-                          sdae: SdaeParams) -> float:
-    """User factors against the encoding of the item's clean text row."""
-    theta_u = np.asarray(theta_u, dtype=np.float64)
-    embedding = np.asarray(encode(np.asarray(x_item, dtype=np.float64), sdae)).ravel()
-    if theta_u.shape != embedding.shape:
-        raise ValidationError(
-            f"factor length {theta_u.shape[0]} != latent width {embedding.shape[0]}")
-    return float(theta_u @ embedding)
 
 
 def rmse(predictions: Sequence[float], truths: Sequence[float]) -> float:

@@ -125,6 +125,14 @@ def joint_loss_reference(theta, beta, alpha, users, items, values, s_rows, s_col
     return loss
 
 
+def pair_loss_reference(matrix, beta, alpha):
+    """Σ (s_ij − β_i·α_j)² over the stored entries of a sparse matrix, by
+    gathering β_i and α_j for every stored entry."""
+    coo = sp.coo_matrix(matrix)
+    resid = coo.data - np.einsum("ij,ij->i", beta[coo.row], alpha[coo.col])
+    return float(resid @ resid)
+
+
 def numeric_gradient(fn, x, step=1e-5):
     """Central finite differences of a scalar function over a flat array."""
     x = np.asarray(x, dtype=np.float64)

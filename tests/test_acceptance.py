@@ -11,9 +11,9 @@ import pytest
 from cofactor.corpus import (SyntheticConfig, generate_synthetic, make_split,
                              subsample_ratings)
 from cofactor.factor import (Hyperparams, TrainData, load_checkpoint,
-                             save_checkpoint, train)
+                             predict_ratings, save_checkpoint, train)
 from cofactor.ppmi import build_ppmi, cooccurrence_counts
-from cofactor.predict_eval import evaluate, predict_out_of_matrix, sweep_lambda_s
+from cofactor.predict_eval import evaluate, sweep_lambda_s
 from cofactor.sdae import SdaeConfig, forward_activations, sdae_gradients
 
 from conftest import make_clicks
@@ -351,11 +351,11 @@ def test_criterion_9_out_of_matrix_reads_only_user_and_text(tmp_path):
                         seed=14)
     state, _ = train(TrainData(split=split, ppmi=ppmi, docs=docs), hyper)
     held_out = np.unique(split.test.items)
+    first_pairs = split.test.replace_entries(split.test.users[:40], split.test.items[:40],
+                                             split.test.ratings[:40])
 
     def predictions(model):
-        return np.array([predict_out_of_matrix(model.user_factors[u],
-                                               docs.dense_row(i), model.sdae)
-                         for u, i in zip(split.test.users[:40], split.test.items[:40])])
+        return predict_ratings(model, first_pairs, "out_of_matrix", docs)
 
     base = predictions(state)
     poisoned = state.copy()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
 from cofactor.sdae import SdaeConfig, encode
 
 from conftest import make_ratings
-from oracles import block_gradients, joint_loss_reference, pmf_als_reference
+from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
+                     pmf_als_reference)
 
 import scipy.sparse as sp
 
@@ -359,6 +361,83 @@ class TestTotalLoss:
                 loss = joint_loss_reference(probe, beta, alpha, users, items, values,
                                             sr, sc, sv, anchor, **lam)
                 assert loss >= base - 1e-12
+
+
+def random_symmetric_ppmi(rng, n_items, density):
+    """Symmetric CSR with the given off-diagonal density, about a tenth of the
+    items without any entry, and some stored exact zeros."""
+    upper = np.triu(rng.random((n_items, n_items)) < density, k=1)
+    lonely = rng.random(n_items) < 0.1
+    upper[lonely] = False
+    upper[:, lonely] = False
+    rows, cols = np.nonzero(upper)
+    values = rng.random(len(rows)) + 0.05
+    values[rng.random(len(rows)) < 0.05] = 0.0
+    matrix = sp.csr_matrix((np.concatenate([values, values]),
+                            (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                           shape=(n_items, n_items))
+    return PpmiMatrix(n_items=n_items, matrix=matrix)
+
+
+class TestPairTerm:
+    """The row-chunked pair term of total_loss against the per-entry gather."""
+
+    @staticmethod
+    def pair_only_loss(ppmi, beta, alpha, lambda_s):
+        """total_loss with every other term zero: no ratings, no regularizers."""
+        n_items, k = beta.shape
+        state = ModelState(np.zeros((1, k)), beta, alpha, None)
+        hyper = Hyperparams(n_factors=k, lambda_s=lambda_s, lambda_user=0.0,
+                            lambda_item=0.0, lambda_context=0.0, sdae=None)
+        return total_loss(state, make_ratings([], n_users=1, n_items=n_items), ppmi,
+                          None, None, hyper)
+
+    @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
+    def test_matches_gather_reference(self, rng, density):
+        n_items, k = _CHUNK_ROWS + 37, 5  # crosses a chunk boundary
+        ppmi = random_symmetric_ppmi(rng, n_items, density)
+        assert (ppmi.matrix.data == 0.0).any()
+        assert (np.diff(ppmi.matrix.indptr) == 0).any()
+        beta = rng.standard_normal((n_items, k))
+        alpha = rng.standard_normal((n_items, k))
+        got = self.pair_only_loss(ppmi, beta, alpha, 0.7)
+        want = 0.5 * 0.7 * pair_loss_reference(ppmi.matrix, beta, alpha)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_empty_chunks_contribute_nothing(self, rng):
+        n_items, k = _CHUNK_ROWS + 37, 3
+        beta = rng.standard_normal((n_items, k))
+        alpha = rng.standard_normal((n_items, k))
+        empty = PpmiMatrix(n_items, sp.csr_matrix((n_items, n_items)))
+        assert self.pair_only_loss(empty, beta, alpha, 1.0) == 0.0
+        # entries only between items of the second chunk
+        tail = random_symmetric_ppmi(rng, 37, 0.5).matrix
+        matrix = sp.block_diag([sp.csr_matrix((_CHUNK_ROWS, _CHUNK_ROWS)), tail],
+                               format="csr")
+        got = self.pair_only_loss(PpmiMatrix(n_items, matrix), beta, alpha, 1.0)
+        want = 0.5 * pair_loss_reference(tail, beta[_CHUNK_ROWS:], alpha[_CHUNK_ROWS:])
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_ppmi", [5, 3])
+    def test_wrong_size_ppmi_rejected(self, n_ppmi):
+        ppmi = PpmiMatrix(n_ppmi, sp.csr_matrix(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
+        with pytest.raises(ValidationError, match=rf"\({n_ppmi}, {n_ppmi}\).* 4 items"):
+            self.pair_only_loss(ppmi, np.ones((4, 2)), np.ones((4, 2)), 1.0)
+
+    def test_memory_is_a_chunk_not_a_gather(self, rng):
+        n_items, k = 600, 16
+        ppmi = PpmiMatrix(n_items, sp.csr_matrix(np.ones((n_items, n_items)) - np.eye(n_items)))
+        assert ppmi.matrix.nnz == 359_400  # 0.998 dense
+        beta = rng.standard_normal((n_items, k))
+        alpha = rng.standard_normal((n_items, k))
+        gathered_copy = ppmi.matrix.nnz * k * 8
+        tracemalloc.start()
+        try:
+            self.pair_only_loss(ppmi, beta, alpha, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gathered_copy / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 def synthetic_train_data(seed=7, n_users=40, n_items=30, k=3, density=0.25,

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import math
 
 import numpy as np
 import pytest
@@ -9,32 +8,10 @@ from cofactor.corpus import (EvalSplit, SyntheticConfig, generate_synthetic,
                              make_split)
 from cofactor.errors import ValidationError
 from cofactor.factor import Hyperparams, ModelState, TrainData, train
-from cofactor.predict_eval import (EvalReport, evaluate, predict_out_of_matrix,
-                                   rmse, sweep_lambda_s, write_trace_csv)
+from cofactor.predict_eval import (EvalReport, evaluate, rmse, sweep_lambda_s,
+                                   write_trace_csv)
 
 from test_factor import synthetic_train_data
-from test_sdae import tiny_net
-
-
-class TestPredictOutOfMatrix:
-    def test_zero_user(self, rng):
-        assert predict_out_of_matrix(np.zeros(1), rng.random(2), tiny_net()) == 0.0
-
-    def test_identical_text_identical_prediction(self, rng):
-        params = tiny_net()
-        theta = rng.standard_normal(1)
-        x = rng.random(2)
-        assert predict_out_of_matrix(theta, x, params) == \
-            predict_out_of_matrix(theta, x.copy(), params)
-
-    def test_tiny_net_composition(self):
-        value = predict_out_of_matrix(np.array([2.0]), np.array([1.0, 1.0]), tiny_net())
-        assert value == pytest.approx(2.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
-        assert value == pytest.approx(1.7616, abs=1e-4)
-
-    def test_vocabulary_mismatch(self):
-        with pytest.raises(ValidationError):
-            predict_out_of_matrix(np.zeros(1), np.ones(5), tiny_net())
 
 
 class TestRmse:
