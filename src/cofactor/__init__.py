@@ -15,5 +15,6 @@ from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse
                            sweep_lambda_s, sweep_sparsity)
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, forward_activations,
                    pretrain, reconstruct, sdae_forward, sdae_gradients)
+from .sparse import CsrMatrix
 
 __version__ = "0.1.0"

@@ -16,16 +16,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import corpus, ppmi
 from .container import read_container, write_container
-from .errors import CheckpointError, CofactorError
+from .errors import CheckpointError, CofactorError, ValidationError
 from .factor import (Hyperparams, TrainData, load_checkpoint, run_label,
                      save_checkpoint, train)
 from .predict_eval import (evaluate, sweep_lambda_s, sweep_sparsity,
                            write_sparsity_csv, write_sweep_csv, write_trace_csv)
 from .sdae import SdaeConfig
+from .sparse import CsrMatrix
 
 DEFAULT_CONFIG = {
     "paths": {"ratings": None, "clicks": None, "documents": None, "output_dir": "out"},
@@ -218,11 +218,21 @@ def cmd_ingest(cfg: dict) -> int:
     return _write_ingest(cfg, ratings, clicks, docs, **extra)
 
 
+def _check_indices(path: Path, arrays: dict, bounds: dict[str, int]) -> None:
+    """Each named array of a cache holds indices in [0, its bound)."""
+    for name, bound in bounds.items():
+        index = arrays[name]
+        if index.size and (index.min() < 0 or index.max() >= bound):
+            raise CheckpointError(f"{path}: array {name!r} has an index outside [0, {bound})")
+
+
 def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
     path = cache / "ratings.bin"
     if not path.exists():
         raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
     meta, arrays = read_container(path)
+    _check_indices(path, arrays, {"users": len(meta["user_ids"]),
+                                  "items": len(meta["item_ids"])})
     return corpus.RatingDataset(
         n_users=len(meta["user_ids"]), n_items=len(meta["item_ids"]),
         users=arrays["users"], items=arrays["items"], ratings=arrays["values"],
@@ -234,6 +244,7 @@ def _load_cached_clicks(cache: Path) -> corpus.ClickDataset | None:
     if not path.exists():
         return None
     meta, arrays = read_container(path)
+    _check_indices(path, arrays, {"users": meta["n_users"], "items": meta["n_items"]})
     return corpus.ClickDataset(meta["n_users"], meta["n_items"],
                                arrays["users"], arrays["items"])
 
@@ -244,8 +255,11 @@ def _load_cached_docs(cache: Path) -> corpus.DocTermMatrix | None:
         return None
     meta, arrays = read_container(path)
     vocab = tuple(meta["vocab"])
-    rows = sp.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]),
-                         shape=(meta["n_items"], len(vocab)))
+    try:
+        rows = CsrMatrix((meta["n_items"], len(vocab)), arrays["indptr"], arrays["indices"],
+                         arrays["data"])
+    except ValidationError as exc:
+        raise CheckpointError(f"{path}: inconsistent document rows: {exc}") from None
     return corpus.DocTermMatrix(n_items=meta["n_items"], vocab=vocab, rows=rows)
 
 

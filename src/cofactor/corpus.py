@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import IO, Literal
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParseError, SplitError, ValidationError
+from .sparse import CsrMatrix, from_coo
 
 SplitMode = Literal["in_matrix", "out_of_matrix"]
 BowScheme = Literal["tfidf", "count"]
@@ -86,14 +86,14 @@ class DocTermMatrix:
 
     n_items: int
     vocab: tuple[str, ...]
-    rows: sp.csr_matrix     # shape (n_items, len(vocab)), float64
+    rows: CsrMatrix         # shape (n_items, len(vocab)), float64
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
     def dense_row(self, item: int) -> np.ndarray:
-        return np.asarray(self.rows[item].todense()).ravel()
+        return self.rows[[item]].toarray()[0]
 
 
 @dataclass
@@ -324,8 +324,8 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
             rows_idx.append(item)
             cols_idx.append(col)
             data.append(c / peak)
-    rows = sp.csr_matrix((data, (rows_idx, cols_idx)),
-                         shape=(n_items, len(vocab)), dtype=np.float64)
+    rows = from_coo((n_items, len(vocab)), rows_idx, cols_idx,
+                    np.asarray(data, dtype=np.float64))
     return DocTermMatrix(n_items=n_items, vocab=vocab, rows=rows)
 
 
@@ -395,7 +395,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         rows_idx.extend([i] * terms_per_item)
         cols_idx.extend(cols.tolist())
         data.extend((counts / peak).tolist())
-    doc_rows = sp.csr_matrix((data, (rows_idx, cols_idx)), shape=(m, v), dtype=np.float64)
+    doc_rows = from_coo((m, v), rows_idx, cols_idx, np.asarray(data, dtype=np.float64))
     docs = DocTermMatrix(n_items=m, vocab=vocab, rows=doc_rows)
 
     widths = [v, *config.encoder_hidden, k, *reversed(config.encoder_hidden), v]

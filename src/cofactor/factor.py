@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .container import read_container, write_container
 from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
@@ -30,6 +29,7 @@ from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
 from .ppmi import PpmiMatrix
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, pretrain,
                    sdae_forward, sdae_gradients)
+from .sparse import CsrMatrix, from_coo
 
 CHECKPOINT_VERSION = 1
 
@@ -242,7 +242,7 @@ def _check_finite(value: float, term: str) -> float:
     return value
 
 
-def _pair_residual_sq(matrix: sp.csr_matrix, beta: np.ndarray, alpha: np.ndarray) -> float:
+def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) -> float:
     """Σ (s_ij − β_i·α_j)² over the stored entries of `matrix`, stored zeros included.
 
     Each chunk of _CHUNK_ROWS rows forms beta[chunk] @ alpha.T and reads its
@@ -359,7 +359,7 @@ def train(data: TrainData, hyper: Hyperparams,
             raise ValidationError("PPMI matrix size does not match item count")
         s_matrix = data.ppmi.matrix
     else:
-        s_matrix = sp.csr_matrix((n_items, n_items))
+        s_matrix = from_coo((n_items, n_items), [], [], [])
     s_view = (s_matrix.indptr, s_matrix.indices, s_matrix.data)
 
     state = ModelState(theta, beta, alpha, params, 0, offset)

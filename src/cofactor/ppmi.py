@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import ClickDataset
 from .errors import ValidationError
+from .sparse import CsrMatrix, from_coo
 
 
 @dataclass
@@ -22,7 +22,7 @@ class CoCounts:
 
     n_items: int
     item_counts: np.ndarray         # int64, #(i) = distinct users who clicked i
-    pair_counts: sp.csr_matrix      # int64, strictly upper triangular, #(i,j)
+    pair_counts: CsrMatrix          # int64, strictly upper triangular, #(i,j)
     total_pairs: int                # sum_u c_u * (c_u - 1) / 2
 
 
@@ -31,24 +31,23 @@ class PpmiMatrix:
     """Sparse symmetric matrix of strictly positive PMI values, zero diagonal."""
 
     n_items: int
-    matrix: sp.csr_matrix           # float64, symmetric, both triangles stored
+    matrix: CsrMatrix               # float64, symmetric, both triangles stored
 
 
 def cooccurrence_counts(clicks: ClickDataset) -> CoCounts:
     """Count distinct-user clicks per item and co-clicks per item pair."""
     m = clicks.n_items
-    mat = sp.csr_matrix((np.ones(clicks.n_entries, dtype=np.int64),
-                         (clicks.users, clicks.items)),
-                        shape=(clicks.n_users, m))
-    mat.data[:] = 1  # collapse any duplicate pairs
-    item_counts = np.asarray(mat.sum(axis=0), dtype=np.int64).ravel()
-    per_user = np.diff(mat.indptr)
+    for name, index, n in (("user", clicks.users, clicks.n_users), ("item", clicks.items, m)):
+        if index.size and (index.min() < 0 or index.max() >= n):
+            raise ValidationError(f"a click's {name} index is outside [0, {n})")
+    pairs = np.unique(clicks.users * m + clicks.items)  # duplicate clicks collapse
+    mat = from_coo((clicks.n_users, m), pairs // m, pairs % m,
+                   np.ones(len(pairs), dtype=np.int64))
+    item_counts = np.bincount(mat.indices, minlength=m)
+    per_user = np.diff(mat.indptr).astype(np.int64)
     total_pairs = int((per_user * (per_user - 1) // 2).sum())
-    co = (mat.T @ mat).tocoo()
-    upper = co.row < co.col
-    pair_counts = sp.csr_matrix(
-        (co.data[upper].astype(np.int64), (co.row[upper], co.col[upper])),
-        shape=(m, m))
+    co = mat.gram()
+    pair_counts = co.select(co.row_ids() < co.indices)
     return CoCounts(n_items=m, item_counts=item_counts,
                     pair_counts=pair_counts, total_pairs=total_pairs)
 
@@ -61,16 +60,15 @@ def build_ppmi(counts: CoCounts) -> PpmiMatrix:
     """
     if counts.total_pairs <= 0:
         raise ValidationError("no co-click signal: no user clicked two or more items")
-    coo = counts.pair_counts.tocoo()
+    pairs = counts.pair_counts
+    rows, cols = pairs.row_ids(), pairs.indices
     # single-ratio log keeps PMI exactly 0.0 when #(i,j)·|D| == #(i)·#(j)
-    numer = coo.data.astype(np.float64) * float(counts.total_pairs)
-    denom = (counts.item_counts[coo.row].astype(np.float64)
-             * counts.item_counts[coo.col].astype(np.float64))
+    numer = pairs.data.astype(np.float64) * float(counts.total_pairs)
+    denom = (counts.item_counts[rows].astype(np.float64)
+             * counts.item_counts[cols].astype(np.float64))
     pmi = np.log(numer / denom)
     keep = pmi > 0
-    row, col, val = coo.row[keep], coo.col[keep], pmi[keep]
-    matrix = sp.csr_matrix(
-        (np.concatenate([val, val]),
-         (np.concatenate([row, col]), np.concatenate([col, row]))),
-        shape=(counts.n_items, counts.n_items))
+    row, col, val = rows[keep], cols[keep], pmi[keep]
+    matrix = from_coo((counts.n_items, counts.n_items), np.concatenate([row, col]),
+                      np.concatenate([col, row]), np.concatenate([val, val]))
     return PpmiMatrix(n_items=counts.n_items, matrix=matrix)

@@ -8,13 +8,13 @@ layer, the clean-row reconstruction error, and weight decay.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import ValidationError
+from .sparse import CsrMatrix
 
 
 @dataclass
@@ -94,20 +94,33 @@ def corrupt(x_clean, noise_rate: float, rng_seed):
     if not 0.0 <= noise_rate < 1.0:
         raise ValidationError("noise_rate must be in [0, 1)")
     rng = np.random.default_rng(rng_seed)
-    if sp.issparse(x_clean):
-        out = x_clean.copy().tocsr()
-        out.data = out.data * (rng.random(out.data.shape) >= noise_rate)
-        out.eliminate_zeros()
-        return out
+    if isinstance(x_clean, CsrMatrix):
+        masked = x_clean.data * (rng.random(x_clean.data.shape) >= noise_rate)
+        return dataclasses.replace(x_clean, data=masked).select(masked != 0)
     x = np.asarray(x_clean, dtype=np.float64)
     return x * (rng.random(x.shape) >= noise_rate)
 
 
 def _check_input_width(x, params: SdaeParams) -> None:
-    width = x.shape[-1] if x.ndim > 0 else 0
+    width = x.shape[-1] if x.shape else 0
     expected = params.weights[0].shape[0]
     if width != expected:
         raise ValidationError(f"input width {width} != first layer fan-in {expected}")
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^−x), as scipy.special.expit computes it but on numpy's exp:
+    within 2 ulps of expit. Below x ≈ −709 e^−x overflows to inf and the
+    result is exactly 0, as it should be."""
+    with np.errstate(over="ignore"):
+        out = np.negative(x)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
+def _dense(x) -> np.ndarray:
+    return x.toarray() if isinstance(x, CsrMatrix) else np.asarray(x, dtype=np.float64)
 
 
 def _forward(x, params: SdaeParams, n_layers: int):
@@ -115,7 +128,7 @@ def _forward(x, params: SdaeParams, n_layers: int):
     acts = [x]
     h = x
     for layer in range(n_layers):
-        h = expit(h @ params.weights[layer] + params.biases[layer])
+        h = _sigmoid(h @ params.weights[layer] + params.biases[layer])
         acts.append(h)
     return acts
 
@@ -141,8 +154,7 @@ def forward_activations(x0, params: SdaeParams) -> list:
 def sdae_forward(params: SdaeParams, x0, xc) -> tuple[np.ndarray, float]:
     """One full forward pass: (encode(x0), Σ‖xc − reconstruct(x0)‖²)."""
     acts = forward_activations(x0, params)
-    xc_dense = xc.toarray() if sp.issparse(xc) else np.asarray(xc, dtype=np.float64)
-    recon = xc_dense - acts[-1]
+    recon = _dense(xc) - acts[-1]
     return acts[params.n_layers // 2], float((recon * recon).sum())
 
 
@@ -160,7 +172,7 @@ def sdae_gradients(params: SdaeParams, x0, xc, beta: np.ndarray, *,
         raise ValidationError("gradients need an even layer count")
     mid = n_layers // 2
     beta = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-    xc_dense = xc.toarray() if sp.issparse(xc) else np.atleast_2d(np.asarray(xc, dtype=np.float64))
+    xc_dense = np.atleast_2d(_dense(xc))
     if not (np.isfinite(beta).all() and np.isfinite(xc_dense).all()):
         raise ValidationError("non-finite values in gradient inputs")
     acts = forward_activations(x0, params)
@@ -170,7 +182,9 @@ def sdae_gradients(params: SdaeParams, x0, xc, beta: np.ndarray, *,
     delta = lambda_recon * (out - xc_dense) * out * (1.0 - out)
     for layer in range(n_layers - 1, -1, -1):
         h_prev = acts[layer]
-        grads_w[layer] = (h_prev.T @ delta) + lambda_decay * params.weights[layer]
+        grad = (h_prev.transpose_matmul(delta) if isinstance(h_prev, CsrMatrix)
+                else h_prev.T @ delta)
+        grads_w[layer] = grad + lambda_decay * params.weights[layer]
         grads_b[layer] = delta.sum(axis=0) + lambda_decay * params.biases[layer]
         if layer == 0:
             break
@@ -190,7 +204,7 @@ def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
     layer. pretrain_epochs=0 returns the random initialization untouched.
     """
     config.validate()
-    if not sp.issparse(clean_rows):
+    if not isinstance(clean_rows, CsrMatrix):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)
     if clean_rows.shape[1] != config.layer_widths[0]:
         raise ValidationError(
@@ -213,5 +227,5 @@ def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
             for layer in range(2):
                 pair.weights[layer] -= config.learning_rate * grads_w[layer]
                 pair.biases[layer] -= config.learning_rate * grads_b[layer]
-        h = expit(h @ params.weights[enc] + params.biases[enc])
+        h = _sigmoid(h @ params.weights[enc] + params.biases[enc])
     return params

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 # child interpreters (the entry-point tests) import the package from src/ too
@@ -11,6 +12,27 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 from cofactor.corpus import ClickDataset, RatingDataset
+from cofactor.sparse import CsrMatrix
+
+
+def to_scipy(matrix: CsrMatrix) -> sp.csr_matrix:
+    """A package matrix as scipy CSR, for assertions through scipy's methods."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+def assert_same_csr(got: CsrMatrix, want: sp.csr_matrix) -> None:
+    """Same shape, and indptr, indices and data of the same dtype and bits."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def from_scipy(matrix) -> CsrMatrix:
+    """A scipy sparse or dense 2-D array as a package matrix, stored zeros kept."""
+    matrix = sp.csr_matrix(matrix)
+    matrix.sort_indices()
+    return CsrMatrix(matrix.shape, matrix.indptr, matrix.indices, matrix.data)
 
 
 def make_ratings(triples, n_users=None, n_items=None) -> RatingDataset:

@@ -33,6 +33,54 @@ def brute_force_ppmi(user_clicks: list[set[int]]) -> dict[tuple[int, int], float
     return result
 
 
+def csr_reference(shape, rows, cols, data) -> sp.csr_matrix:
+    """scipy's CSR of COO triplets: canonical order, duplicates summed."""
+    return sp.csr_matrix((np.asarray(data), (rows, cols)), shape=shape)
+
+
+def cooccurrence_reference(users, items, n_users, n_items):
+    """(item_counts, pair_counts, total_pairs) through scipy's sparse product:
+    distinct users per item, co-clicking users per item pair i < j as a
+    strictly upper triangular CSR, and Σ_u c_u (c_u − 1) / 2."""
+    mat = sp.csr_matrix((np.ones(len(users), dtype=np.int64), (users, items)),
+                        shape=(n_users, n_items))
+    mat.data[:] = 1  # collapse any duplicate pairs
+    item_counts = np.asarray(mat.sum(axis=0), dtype=np.int64).ravel()
+    per_user = np.diff(mat.indptr)
+    total_pairs = int((per_user * (per_user - 1) // 2).sum())
+    co = (mat.T @ mat).tocoo()
+    upper = co.row < co.col
+    pair_counts = sp.csr_matrix(
+        (co.data[upper].astype(np.int64), (co.row[upper], co.col[upper])),
+        shape=(n_items, n_items))
+    return item_counts, pair_counts, total_pairs
+
+
+def ppmi_reference(item_counts, pair_counts, total_pairs) -> sp.csr_matrix:
+    """Symmetric CSR of the strictly positive log(#(i,j)·|pairs| / (#(i)·#(j)))."""
+    n_items = len(item_counts)
+    coo = pair_counts.tocoo()
+    numer = coo.data.astype(np.float64) * float(total_pairs)
+    denom = (item_counts[coo.row].astype(np.float64)
+             * item_counts[coo.col].astype(np.float64))
+    pmi = np.log(numer / denom)
+    keep = pmi > 0
+    row, col, val = coo.row[keep], coo.col[keep], pmi[keep]
+    return sp.csr_matrix(
+        (np.concatenate([val, val]),
+         (np.concatenate([row, col]), np.concatenate([col, row]))),
+        shape=(n_items, n_items))
+
+
+def masked_reference(rows: sp.csr_matrix, noise_rate, rng) -> sp.csr_matrix:
+    """Masking noise on a scipy CSR: one uniform draw per stored value from
+    `rng`, the value zeroed when its draw is below noise_rate, zeros dropped."""
+    noisy = rows.copy().tocsr()
+    noisy.data = noisy.data * (rng.random(noisy.data.shape) >= noise_rate)
+    noisy.eliminate_zeros()
+    return noisy
+
+
 def pmf_als_reference(users, items, values, n_users, n_items, k, lambda_user,
                       lambda_item, seed, n_epochs, val_users, val_items, val_values):
     """Plain alternating-least-squares matrix factorization, loops and LU solves.
@@ -126,9 +174,11 @@ def joint_loss_reference(theta, beta, alpha, users, items, values, s_rows, s_col
 
 
 def pair_loss_reference(matrix, beta, alpha):
-    """Σ (s_ij − β_i·α_j)² over the stored entries of a sparse matrix, by
-    gathering β_i and α_j for every stored entry."""
-    coo = sp.coo_matrix(matrix)
+    """Σ (s_ij − β_i·α_j)² over the stored entries of a CSR matrix (any object
+    with shape, indptr, indices and data), by gathering β_i and α_j for every
+    stored entry."""
+    coo = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                        shape=matrix.shape).tocoo()
     resid = coo.data - np.einsum("ij,ij->i", beta[coo.row], alpha[coo.col])
     return float(resid @ resid)
 
@@ -205,9 +255,7 @@ def pretrain_reference(rows, layer_widths, noise_rate, epochs, learning_rate, se
         enc, dec = depth, n_layers - 1 - depth
         for _ in range(epochs):
             if sp.issparse(h):
-                noisy = h.copy().tocsr()
-                noisy.data = noisy.data * (rng.random(noisy.data.shape) >= noise_rate)
-                noisy.eliminate_zeros()
+                noisy = masked_reference(h, noise_rate, rng)
             else:
                 noisy = h * (rng.random(h.shape) >= noise_rate)
             hidden = expit(noisy @ weights[enc] + biases[enc])

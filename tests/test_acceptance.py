@@ -16,7 +16,7 @@ from cofactor.ppmi import build_ppmi, cooccurrence_counts
 from cofactor.predict_eval import evaluate, sweep_lambda_s
 from cofactor.sdae import SdaeConfig, forward_activations, sdae_gradients
 
-from conftest import make_clicks
+from conftest import make_clicks, to_scipy
 from oracles import (block_gradients, brute_force_ppmi, joint_loss_reference,
                      numeric_gradient, pmf_als_reference)
 from test_cli import write_config, write_fixture
@@ -44,7 +44,7 @@ def test_criterion_1_ppmi_matches_brute_force():
         if counts.total_pairs == 0:
             continue
         expected = brute_force_ppmi(clicks_to_user_sets(clicks))
-        matrix = build_ppmi(counts).matrix
+        matrix = to_scipy(build_ppmi(counts).matrix)
         assert (abs(matrix - matrix.T) > 0).nnz == 0, "not symmetric"
         assert (matrix.data > 0).all(), "stored zero or negative entry"
         got = {(int(i), int(j)): v for (i, j), v in matrix.todok().items() if i < j}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cofactor.cli import main
+from cofactor.container import read_container, write_container
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
          "hotel", "india", "juliet", "kilo", "lima"]
@@ -507,3 +508,91 @@ class TestCorruptFiles:
         rewrite_header(ckpt, lambda header: header["meta"]["hyper"]["sdae"].update(
             activation="sigmoid"))
         assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+
+
+def rewrite_array(path: Path, name: str, edit) -> None:
+    """Replace one array of a container by `edit` applied to a copy of it."""
+    meta, arrays = read_container(path)
+    arrays = dict(arrays)
+    arrays[name] = edit(arrays[name].copy())
+    write_container(path, dict(meta), arrays)
+
+
+def set_entry(index: int, value: int):
+    def edit(array):
+        array[index] = value
+        return array
+    return edit
+
+
+def swap_entries(a: int, b: int):
+    def edit(array):
+        array[[a, b]] = array[[b, a]]
+        return array
+    return edit
+
+
+BAD_CACHE_ARRAYS = {
+    # a column index past the vocabulary: an out-of-bounds read in the product
+    "docs_column_index": ("docs.bin", "indices", set_entry(0, 10**6)),
+    # rows 5 and 6 are non-empty, so indptr decreases between them
+    "docs_swapped_indptr": ("docs.bin", "indptr", swap_entries(5, 6)),
+    "ratings_negative_user": ("ratings.bin", "users", set_entry(3, -2)),
+    "ratings_item_past_end": ("ratings.bin", "items", set_entry(3, 100000)),
+    "clicks_item_past_end": ("clicks.bin", "items", set_entry(3, 100000)),
+    "clicks_negative_user": ("clicks.bin", "users", set_entry(3, -1)),
+}
+
+
+class TestCorruptCacheArrays:
+    @pytest.mark.parametrize("case", sorted(BAD_CACHE_ARRAYS))
+    def test_train_exits_1_naming_file_and_array(self, workspace, case):
+        # a child interpreter, so that a crash inside a compiled product fails
+        # this test instead of ending the test session
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        name, array, edit = BAD_CACHE_ARRAYS[case]
+        rewrite_array(tmp_path / "out" / "cache" / name, array, edit)
+        proc = subprocess.run([sys.executable, "-m", "cofactor.cli", "train",
+                               "--config", str(config)], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert name in proc.stderr
+        if name != "docs.bin":
+            assert repr(array) in proc.stderr
+
+
+# runs each argv of the JSON list in sys.argv[1], then prints the exit codes
+# and the scipy modules loaded
+SCIPY_PROBE = """
+import json, sys
+from cofactor.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])] if len(sys.argv) > 1 else []
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_probe(*argvs: list[str]) -> str:
+    args = [json.dumps(argvs)] if argvs else []
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+class TestScipyLoadsOnlyForSparseProducts:
+    def test_import_loads_no_scipy(self):
+        assert scipy_probe() == "[] []"
+
+    def test_text_free_ratings_only_run_loads_no_scipy(self, tmp_path):
+        config = str(write_config(tmp_path, write_fixture(tmp_path),
+                                  **{"hyper.lambda_s": 0.0, "text.enabled": False}))
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        assert scipy_probe(["ingest", "--config", config], ["train", "--config", config],
+                           ["eval", "--config", config, "--checkpoint", ckpt, "--mode", "in"]
+                           ) == "[0, 0, 0] []"
+
+    def test_text_run_loads_scipy(self, workspace):
+        _, config = workspace
+        probe = scipy_probe(["ingest", "--config", str(config)],
+                            ["train", "--config", str(config)])
+        assert probe.startswith("[0, 0] [") and "'scipy.sparse'" in probe

@@ -8,8 +8,8 @@ from cofactor.corpus import (SyntheticConfig, binarize_ratings,
                              parse_documents, parse_ratings, subsample_ratings)
 from cofactor.errors import ParseError, SplitError, ValidationError
 
-from conftest import make_ratings
-from oracles import split_reference
+from conftest import assert_same_csr, make_ratings, to_scipy
+from oracles import csr_reference, split_reference
 
 
 class TestParseRatings:
@@ -257,6 +257,32 @@ class TestParseDocuments:
         assert docs.dense_row(0).tolist() == [1.0, 0.5]
 
 
+def assert_rows_match_scipy_build(rows, rng) -> None:
+    """`rows` equals, bit for bit, scipy's CSR of its own nonzero entries
+    listed in shuffled order."""
+    dense = rows.toarray()
+    r, c = np.nonzero(dense)
+    order = rng.permutation(len(r))
+    assert_same_csr(rows, csr_reference(dense.shape, r[order], c[order], dense[r, c][order]))
+
+
+class TestDocumentRowsMatchScipyBuild:
+    def test_parsed_rows(self, rng):
+        words = [f"t{k}" for k in range(30)]
+        for scheme in ("tfidf", "count"):
+            lines = [f"i{k}\t" + " ".join(rng.choice(words, int(rng.integers(0, 15))))
+                     for k in range(40) if rng.random() < 0.8]
+            docs = parse_documents(io.StringIO("\n".join(lines) + "\n"), 20, scheme,
+                                   {f"i{k}": k for k in range(40)})
+            assert docs.rows.nnz > 0
+            assert_rows_match_scipy_build(docs.rows, rng)
+
+    def test_synthetic_rows(self, rng):
+        _, _, docs, _ = generate_synthetic(SyntheticConfig(n_users=5, n_items=30, n_factors=2,
+                                                           vocab_size=25), seed=4)
+        assert_rows_match_scipy_build(docs.rows, rng)
+
+
 class TestGenerateSynthetic:
     def test_zero_noise_ratings_equal_factor_products(self):
         config = SyntheticConfig(n_users=15, n_items=12, n_factors=3,
@@ -273,7 +299,7 @@ class TestGenerateSynthetic:
         b = generate_synthetic(config, seed=9)
         assert np.array_equal(a[0].ratings, b[0].ratings)
         assert np.array_equal(a[1].users, b[1].users)
-        assert (a[2].rows != b[2].rows).nnz == 0
+        assert (to_scipy(a[2].rows) != to_scipy(b[2].rows)).nnz == 0
         for w_a, w_b in zip(a[3].sdae.weights, b[3].sdae.weights):
             assert np.array_equal(w_a, w_b)
 

@@ -15,7 +15,7 @@ from cofactor.factor import (_CHUNK_ROWS, Hyperparams, ModelState,
 from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
 from cofactor.sdae import SdaeConfig, encode
 
-from conftest import make_ratings
+from conftest import from_scipy, make_ratings, to_scipy
 from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
                      pmf_als_reference)
 
@@ -275,7 +275,7 @@ def _state_and_inputs(theta, beta, alpha, users, items, values):
 
 
 def _ppmi_from_arrays(n_items, s_rows, s_cols, s_values) -> PpmiMatrix:
-    matrix = sp.csr_matrix((s_values, (s_rows, s_cols)), shape=(n_items, n_items))
+    matrix = from_scipy(sp.csr_matrix((s_values, (s_rows, s_cols)), shape=(n_items, n_items)))
     return PpmiMatrix(n_items=n_items, matrix=matrix)
 
 
@@ -376,7 +376,7 @@ def random_symmetric_ppmi(rng, n_items, density):
     matrix = sp.csr_matrix((np.concatenate([values, values]),
                             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                            shape=(n_items, n_items))
-    return PpmiMatrix(n_items=n_items, matrix=matrix)
+    return PpmiMatrix(n_items=n_items, matrix=from_scipy(matrix))
 
 
 class TestPairTerm:
@@ -408,25 +408,25 @@ class TestPairTerm:
         n_items, k = _CHUNK_ROWS + 37, 3
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
-        empty = PpmiMatrix(n_items, sp.csr_matrix((n_items, n_items)))
+        empty = PpmiMatrix(n_items, from_scipy(sp.csr_matrix((n_items, n_items))))
         assert self.pair_only_loss(empty, beta, alpha, 1.0) == 0.0
         # entries only between items of the second chunk
         tail = random_symmetric_ppmi(rng, 37, 0.5).matrix
-        matrix = sp.block_diag([sp.csr_matrix((_CHUNK_ROWS, _CHUNK_ROWS)), tail],
-                               format="csr")
+        matrix = from_scipy(sp.block_diag([sp.csr_matrix((_CHUNK_ROWS, _CHUNK_ROWS)),
+                                           to_scipy(tail)], format="csr"))
         got = self.pair_only_loss(PpmiMatrix(n_items, matrix), beta, alpha, 1.0)
         want = 0.5 * pair_loss_reference(tail, beta[_CHUNK_ROWS:], alpha[_CHUNK_ROWS:])
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_ppmi", [5, 3])
     def test_wrong_size_ppmi_rejected(self, n_ppmi):
-        ppmi = PpmiMatrix(n_ppmi, sp.csr_matrix(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
+        ppmi = PpmiMatrix(n_ppmi, from_scipy(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
         with pytest.raises(ValidationError, match=rf"\({n_ppmi}, {n_ppmi}\).* 4 items"):
             self.pair_only_loss(ppmi, np.ones((4, 2)), np.ones((4, 2)), 1.0)
 
     def test_memory_is_a_chunk_not_a_gather(self, rng):
         n_items, k = 600, 16
-        ppmi = PpmiMatrix(n_items, sp.csr_matrix(np.ones((n_items, n_items)) - np.eye(n_items)))
+        ppmi = PpmiMatrix(n_items, from_scipy(np.ones((n_items, n_items)) - np.eye(n_items)))
         assert ppmi.matrix.nnz == 359_400  # 0.998 dense
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
@@ -632,8 +632,8 @@ class TestScaling:
             ratings.item_ids + tuple(f"{i}~2" for i in ratings.item_ids))
         ppmi_big = PpmiMatrix(
             n_items=2 * m,
-            matrix=sp.block_diag([ppmi_small.matrix, ppmi_small.matrix],
-                                 format="csr"))
+            matrix=from_scipy(sp.block_diag([to_scipy(ppmi_small.matrix)] * 2,
+                                            format="csr")))
 
         def timed(ds, pm):
             split = make_split(ds, "in_matrix", 0.2, 0.08, seed=3)

@@ -64,3 +64,39 @@ def test_check_finds_an_unused_private_definition():
                     "def _recursive():\n    return _recursive()\n\nclass _Orphan:\n    pass\n",
                "b": "from .a import _used\n_used()\n"}
     assert unused_private_definitions(sources) == ["a: _unused", "a: _recursive", "a: _Orphan"]
+
+
+def scipy_references(source: str) -> tuple[list[str], list[str]]:
+    """(lines naming scipy outside a function body, lines naming it inside one).
+    An import of scipy or of a scipy submodule and a bare `scipy` name count."""
+    tree = ast.parse(source)
+
+    def names_scipy(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] == "scipy" and node.level == 0
+        return isinstance(node, ast.Name) and node.id == "scipy"
+
+    in_functions = {id(node) for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                    for node in ast.walk(func)}
+    found = [node for node in ast.walk(tree) if names_scipy(node)]
+    return ([f"line {n.lineno}" for n in found if id(n) not in in_functions],
+            [f"line {n.lineno}" for n in found if id(n) in in_functions])
+
+
+def test_only_sparse_module_names_scipy_and_only_inside_a_function():
+    for path in SOURCES:
+        outside, inside = scipy_references(path.read_text(encoding="utf-8"))
+        assert outside == [], path.name
+        if path.name != "sparse.py":
+            assert inside == [], path.name
+    assert scipy_references((SOURCES[0].parent / "sparse.py").read_text())[1] != []
+
+
+def test_check_finds_scipy_references():
+    source = ("import scipy.sparse as sp\nfrom scipy.special import expit\n"
+              "from .scipy import x\nimport numpy\n\n"
+              "def view():\n    import scipy.sparse\n    return scipy.sparse\n")
+    assert scipy_references(source) == (["line 1", "line 2"], ["line 7", "line 8"])

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cofactor.corpus import ClickDataset
 from cofactor.errors import ValidationError
 from cofactor.ppmi import CoCounts, build_ppmi, cooccurrence_counts
 
-from conftest import make_clicks
-from oracles import brute_force_ppmi
+from conftest import assert_same_csr, from_scipy, make_clicks, to_scipy
+from oracles import brute_force_ppmi, cooccurrence_reference, ppmi_reference
 
 
 def random_clicks(rng, max_users=10, max_items=10):
@@ -37,7 +36,7 @@ class TestCooccurrenceCounts:
         counts = cooccurrence_counts(clicks)
         assert counts.item_counts.tolist() == [2, 2, 1]
         assert counts.total_pairs == 4
-        pairs = counts.pair_counts.todok()
+        pairs = to_scipy(counts.pair_counts).todok()
         assert pairs[0, 1] == 2
         assert pairs[0, 2] == 1
         assert pairs[1, 2] == 1
@@ -55,12 +54,12 @@ class TestCooccurrenceCounts:
         a, b = cooccurrence_counts(base), cooccurrence_counts(dup)
         assert a.item_counts.tolist() == b.item_counts.tolist()
         assert a.total_pairs == b.total_pairs
-        assert (a.pair_counts != b.pair_counts).nnz == 0
+        assert (to_scipy(a.pair_counts) != to_scipy(b.pair_counts)).nnz == 0
 
     def test_pair_count_bounded_by_item_counts(self, rng):
         for _ in range(30):
             counts = cooccurrence_counts(random_clicks(rng))
-            coo = counts.pair_counts.tocoo()
+            coo = to_scipy(counts.pair_counts).tocoo()
             for i, j, c in zip(coo.row, coo.col, coo.data):
                 assert c <= min(counts.item_counts[i], counts.item_counts[j])
 
@@ -68,8 +67,8 @@ class TestCooccurrenceCounts:
         base = make_clicks([(0, 0), (0, 1), (1, 0)], n_users=3, n_items=2)
         more = make_clicks([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)],
                            n_users=3, n_items=2)
-        c_base = cooccurrence_counts(base).pair_counts.todok()[0, 1]
-        c_more = cooccurrence_counts(more).pair_counts.todok()[0, 1]
+        c_base = to_scipy(cooccurrence_counts(base).pair_counts).todok()[0, 1]
+        c_more = to_scipy(cooccurrence_counts(more).pair_counts).todok()[0, 1]
         assert c_more >= c_base
 
 
@@ -77,14 +76,14 @@ class TestBuildPpmi:
     def test_hand_example_values(self):
         clicks = make_clicks([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
         result = build_ppmi(cooccurrence_counts(clicks))
-        dok = result.matrix.todok()
+        dok = to_scipy(result.matrix).todok()
         assert dok[0, 1] == pytest.approx(math.log(2), abs=1e-12)
         assert dok[0, 2] == pytest.approx(math.log(2), abs=1e-12)
         assert dok[1, 2] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_zero_pmi_not_stored(self):
         # 1 * 4 / (2 * 2) = 1 -> PMI exactly 0 -> omitted
-        pair = sp.csr_matrix(([1], ([0], [1])), shape=(2, 2), dtype=np.int64)
+        pair = from_scipy(np.array([[0, 1], [0, 0]], dtype=np.int64))
         counts = CoCounts(n_items=2, item_counts=np.array([2, 2]),
                           pair_counts=pair, total_pairs=4)
         assert build_ppmi(counts).matrix.nnz == 0
@@ -92,7 +91,7 @@ class TestBuildPpmi:
     def test_never_co_clicked_absent(self):
         clicks = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3)])
         result = build_ppmi(cooccurrence_counts(clicks))
-        dok = result.matrix.todok()
+        dok = to_scipy(result.matrix).todok()
         assert (0, 2) not in dok and (0, 3) not in dok
 
     def test_no_signal_error(self):
@@ -106,7 +105,7 @@ class TestBuildPpmi:
             counts = cooccurrence_counts(clicks)
             if counts.total_pairs == 0:
                 continue
-            matrix = build_ppmi(counts).matrix
+            matrix = to_scipy(build_ppmi(counts).matrix)
             assert (abs(matrix - matrix.T) > 0).nnz == 0
             assert (matrix.data > 0).all()
             assert matrix.diagonal().sum() == 0
@@ -119,10 +118,50 @@ class TestBuildPpmi:
             if counts.total_pairs == 0:
                 continue
             expected = brute_force_ppmi(clicks_to_user_sets(clicks))
-            got = build_ppmi(counts).matrix.todok()
+            got = to_scipy(build_ppmi(counts).matrix).todok()
             upper = {(i, j): v for (i, j), v in got.items() if i < j}
             assert set(upper) == set(expected)
             for key, value in expected.items():
                 assert upper[key] == pytest.approx(value, abs=1e-12)
             checked += 1
         assert checked > 30
+
+
+def messy_clicks(rng) -> ClickDataset:
+    """Random clicks in shuffled order with repeated clicks, a user with one
+    click (user 0), a user with none (user 1) and two items nobody clicked."""
+    n_users, n_items = int(rng.integers(3, 40)), int(rng.integers(4, 50))
+    n = int(rng.integers(0, 6 * n_users))
+    users = rng.integers(2, n_users, n)
+    items = rng.integers(0, n_items - 2, n)
+    users = np.concatenate([users, [0], users[:n // 3]])
+    items = np.concatenate([items, rng.integers(0, n_items - 2, 1), items[:n // 3]])
+    order = rng.permutation(len(users))
+    return ClickDataset(n_users, n_items, users[order].astype(np.int64),
+                        items[order].astype(np.int64))
+
+
+class TestMatchesScipyOracle:
+    def test_counts_and_ppmi_bit_identical(self, rng):
+        n_ppmi = 0
+        for _ in range(200):
+            clicks = messy_clicks(rng)
+            counts = cooccurrence_counts(clicks)
+            item_counts, pair_counts, total_pairs = cooccurrence_reference(
+                clicks.users, clicks.items, clicks.n_users, clicks.n_items)
+            assert counts.item_counts.dtype == item_counts.dtype
+            np.testing.assert_array_equal(counts.item_counts, item_counts)
+            assert counts.total_pairs == total_pairs
+            assert_same_csr(counts.pair_counts, pair_counts)
+            if total_pairs > 0:
+                assert_same_csr(build_ppmi(counts).matrix,
+                                ppmi_reference(item_counts, pair_counts, total_pairs))
+                n_ppmi += 1
+        assert n_ppmi > 150
+
+    @pytest.mark.parametrize("field, value", [("users", -1), ("users", 5), ("items", 4)])
+    def test_click_index_outside_rejected(self, field, value):
+        clicks = make_clicks([(0, 0), (0, 1), (1, 0)], n_users=5, n_items=4)
+        getattr(clicks, field)[1] = value
+        with pytest.raises(ValidationError, match="index is outside"):
+            cooccurrence_counts(clicks)

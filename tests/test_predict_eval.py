@@ -11,6 +11,7 @@ from cofactor.factor import Hyperparams, ModelState, TrainData, train
 from cofactor.predict_eval import (EvalReport, evaluate, rmse, sweep_lambda_s,
                                    write_trace_csv)
 
+from conftest import from_scipy, to_scipy
 from test_factor import synthetic_train_data
 
 
@@ -93,9 +94,9 @@ class TestEvaluate:
 
     def test_missing_text_counted(self):
         ratings, docs, state = _true_state_split()
-        blank = docs.rows.tolil()
+        blank = to_scipy(docs.rows).tolil()
         blank[3, :] = 0
-        docs_blank = dataclasses.replace(docs, rows=blank.tocsr())
+        docs_blank = dataclasses.replace(docs, rows=from_scipy(blank.tocsr()))
         mask = ratings.items == 3
         test_ds = ratings.replace_entries(ratings.users[mask], ratings.items[mask],
                                           ratings.ratings[mask])

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from scipy.special import expit
 
 from cofactor.errors import ValidationError
-from cofactor.sdae import (SdaeConfig, SdaeParams, corrupt, encode,
+from cofactor.sdae import (SdaeConfig, SdaeParams, _sigmoid, corrupt, encode,
                            forward_activations, init_params, pretrain,
                            reconstruct, sdae_forward, sdae_gradients)
+from cofactor.sparse import CsrMatrix
 
-from oracles import numeric_gradient, pretrain_reference
+from conftest import assert_same_csr, from_scipy, to_scipy
+from oracles import masked_reference, numeric_gradient, pretrain_reference
 
 
 def tiny_net():
@@ -52,15 +56,42 @@ class TestCorrupt:
 
     def test_sparse_matches_masking_semantics(self, rng):
         dense = (rng.random((10, 8)) < 0.5) * rng.random((10, 8))
-        sparse = sp.csr_matrix(dense)
+        sparse = from_scipy(dense)
         out = corrupt(sparse, 0.4, 11)
-        assert sp.issparse(out)
+        assert isinstance(out, CsrMatrix)
         back = out.toarray()
         assert ((back == 0) | (back == dense)).all()
 
     def test_bad_rate(self):
         with pytest.raises(ValidationError):
             corrupt(np.ones(3), 1.0, 0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
+    def test_sparse_mask_equals_oracle(self, rng, rate):
+        for seed in range(5):
+            dense = (rng.random((40, 25)) < 0.3) * rng.random((40, 25))
+            dense[3] = 0.0
+            got = corrupt(from_scipy(dense), rate, seed)
+            assert_same_csr(got, masked_reference(to_scipy(from_scipy(dense)), rate,
+                                                  np.random.default_rng(seed)))
+
+
+class TestSigmoid:
+    def test_within_two_ulps_of_expit(self, rng):
+        # expit is the same formula on the C library's exp; numpy's vectorized
+        # exp may differ from that by 1 ulp, which reaches the result as up to 2
+        x = np.concatenate([10 * rng.standard_normal(200_000),
+                            rng.uniform(-700, 700, 20_000), [0.0, -0.0]])
+        got, want = _sigmoid(x), expit(x)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))  # both positive
+        assert ulps.max() <= 2
+        assert (ulps > 0).mean() < 0.05
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-800.0, 800.0, -1e308, 1e308]))
+        assert out.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 class TestForward:
@@ -98,7 +129,7 @@ class TestForward:
     def test_sparse_input_equals_dense(self, rng):
         params = random_net(rng, [8, 4, 2, 4, 8])
         x = (rng.random((5, 8)) < 0.4) * rng.random((5, 8))
-        np.testing.assert_allclose(encode(sp.csr_matrix(x), params),
+        np.testing.assert_allclose(encode(from_scipy(x), params),
                                    encode(x, params), atol=1e-14)
 
     def test_shape_mismatch(self, rng):
@@ -173,7 +204,7 @@ class TestGradients:
         beta = rng.standard_normal((5, 2))
         dense_w, dense_b = sdae_gradients(params, x0, xc, beta, lambda_anchor=1.0,
                                           lambda_recon=1.0, lambda_decay=0.1)
-        sparse_w, sparse_b = sdae_gradients(params, sp.csr_matrix(x0), sp.csr_matrix(xc),
+        sparse_w, sparse_b = sdae_gradients(params, from_scipy(x0), from_scipy(xc),
                                             beta, lambda_anchor=1.0, lambda_recon=1.0,
                                             lambda_decay=0.1)
         for a, b in zip(dense_w, sparse_w):
@@ -243,7 +274,7 @@ class TestPretrain:
             np.testing.assert_array_equal(w_a, w_b)
 
     def test_accepts_sparse_rows(self, rng):
-        rows = sp.csr_matrix(self._rows(rng))
+        rows = from_scipy(self._rows(rng))
         config = SdaeConfig(layer_widths=[12, 4, 12], pretrain_epochs=3)
         params = pretrain(rows, config, seed=1)
         assert params.n_layers == 2
@@ -256,7 +287,7 @@ class TestPretrain:
 
 def _text_rows(rng, sparse, n=30, v=12):
     rows = (rng.random((n, v)) < 0.3) * rng.random((n, v))
-    return sp.csr_matrix(rows) if sparse else rows
+    return from_scipy(rows) if sparse else rows
 
 
 class TestSdaeForward:
@@ -280,7 +311,8 @@ class TestPretrainMatchesReference:
         config = SdaeConfig(layer_widths=widths, noise_rate=0.3, pretrain_epochs=6,
                             learning_rate=0.5)
         got = pretrain(rows, config, seed=13)
-        ref_weights, ref_biases = pretrain_reference(rows, widths, 0.3, 6, 0.5, seed=13)
+        ref_weights, ref_biases = pretrain_reference(to_scipy(rows) if sparse else rows,
+                                                     widths, 0.3, 6, 0.5, seed=13)
         initial = init_params(widths, np.random.default_rng(13))
         for layer, (w, ref) in enumerate(zip(got.weights, ref_weights)):
             assert not np.array_equal(ref, initial.weights[layer])
