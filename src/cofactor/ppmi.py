@@ -44,7 +44,7 @@ def cooccurrence_counts(clicks: ClickDataset) -> CoCounts:
     mat = from_coo((clicks.n_users, m), pairs // m, pairs % m,
                    np.ones(len(pairs), dtype=np.int64))
     item_counts = np.bincount(mat.indices, minlength=m)
-    per_user = np.diff(mat.indptr).astype(np.int64)
+    per_user = np.diff(mat.indptr).astype(np.int64)  # c_u² would overflow int32
     total_pairs = int((per_user * (per_user - 1) // 2).sum())
     co = mat.gram()
     pair_counts = co.select(co.row_ids() < co.indices)

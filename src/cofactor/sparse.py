@@ -7,8 +7,9 @@ densifying are numpy. Three products run in scipy.sparse on a zero-copy view:
 the co-click count product XᵀX (`gram`), sparse × dense (`@`) and
 sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS thread, the
 first took 3.7× and sparse × dense 7–17× as long. scipy is imported only
-where that view is made: loading scipy.sparse costs a process about 0.15 s,
-so a command that runs none of the three never pays it.
+where that view is made: importing scipy.sparse adds about 0.2 s to a
+process's start (2-vCPU Xeon), which a command that runs none of the three
+never pays.
 """
 
 from __future__ import annotations

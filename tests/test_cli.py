@@ -548,7 +548,7 @@ class TestCorruptCacheArrays:
     @pytest.mark.parametrize("case", sorted(BAD_CACHE_ARRAYS))
     def test_train_exits_1_naming_file_and_array(self, workspace, case):
         # a child interpreter, so that a crash inside a compiled product fails
-        # this test instead of ending the test session
+        # this test instead of ending the whole pytest run
         tmp_path, config = workspace
         assert main(["ingest", "--config", str(config)]) == 0
         name, array, edit = BAD_CACHE_ARRAYS[case]
