@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -218,6 +220,14 @@ def cmd_ingest(cfg: dict) -> int:
     return _write_ingest(cfg, ratings, clicks, docs, **extra)
 
 
+def _check_lengths(path: Path, arrays: dict, names: tuple[str, ...]) -> None:
+    """The named arrays of a cache are parallel: they have one length."""
+    lengths = [len(arrays[name]) for name in names]
+    if len(set(lengths)) > 1:
+        listed = ", ".join(f"{name!r} ({n})" for name, n in zip(names, lengths))
+        raise CheckpointError(f"{path}: arrays {listed} differ in length")
+
+
 def _check_indices(path: Path, arrays: dict, bounds: dict[str, int]) -> None:
     """Each named array of a cache holds indices in [0, its bound)."""
     for name, bound in bounds.items():
@@ -231,6 +241,7 @@ def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
     if not path.exists():
         raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
     meta, arrays = read_container(path)
+    _check_lengths(path, arrays, ("users", "items", "values"))
     _check_indices(path, arrays, {"users": len(meta["user_ids"]),
                                   "items": len(meta["item_ids"])})
     return corpus.RatingDataset(
@@ -244,6 +255,7 @@ def _load_cached_clicks(cache: Path) -> corpus.ClickDataset | None:
     if not path.exists():
         return None
     meta, arrays = read_container(path)
+    _check_lengths(path, arrays, ("users", "items"))
     _check_indices(path, arrays, {"users": meta["n_users"], "items": meta["n_items"]})
     return corpus.ClickDataset(meta["n_users"], meta["n_items"],
                                arrays["users"], arrays["items"])
@@ -280,10 +292,26 @@ def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
     return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
 
 
+def _click_ppmi(clicks: corpus.ClickDataset) -> ppmi.PpmiMatrix:
+    return ppmi.build_ppmi(ppmi.cooccurrence_counts(clicks))
+
+
+def _ingested_click_ppmi(cache: Path) -> Callable[[], ppmi.PpmiMatrix] | None:
+    """None without an ingested clicks.bin, else a function returning the PPMI
+    of those clicks. It builds the matrix on its first call and returns the
+    same one after: no subsample or split changes it."""
+    clicks = _load_cached_clicks(cache)
+    if clicks is None:
+        return None
+    return functools.cache(lambda: _click_ppmi(clicks))
+
+
 def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
-                  cached_clicks: corpus.ClickDataset | None,
+                  ingested_ppmi: Callable[[], ppmi.PpmiMatrix] | None,
                   docs: corpus.DocTermMatrix | None,
                   lambda_s: float) -> TrainData:
+    """Subsample and split the ratings; with lambda_s > 0 add the PPMI of the
+    ingested clicks, or of clicks binarized from the ratings without them."""
     if cfg["subsample_fraction"] < 1.0:
         ratings = corpus.subsample_ratings(ratings, cfg["subsample_fraction"], cfg["seed"])
     split = corpus.make_split(ratings, cfg["split"]["mode"],
@@ -291,14 +319,12 @@ def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
                               cfg["split"]["validation_fraction"], cfg["seed"])
     ppmi_matrix = None
     if lambda_s > 0:
-        if cached_clicks is not None:
-            clicks = cached_clicks
+        if ingested_ppmi is not None:
+            ppmi_matrix = ingested_ppmi()
         elif cfg["flags"]["clicks_from_all"]:
-            clicks = corpus.binarize_ratings(ratings)
+            ppmi_matrix = _click_ppmi(corpus.binarize_ratings(ratings))
         else:
-            clicks = corpus.binarize_ratings(split.train)
-        counts = ppmi.cooccurrence_counts(clicks)
-        ppmi_matrix = ppmi.build_ppmi(counts)
+            ppmi_matrix = _click_ppmi(corpus.binarize_ratings(split.train))
     return TrainData(split=split, ppmi=ppmi_matrix, docs=docs)
 
 
@@ -320,7 +346,7 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
               f"n_ratings={ratings.n_entries} n_factors={hyper.n_factors} "
               f"layer_widths={widths} run={run_label(hyper)}")
         return 0
-    data = _prepare_data(cfg, ratings, _load_cached_clicks(cache), docs, hyper.lambda_s)
+    data = _prepare_data(cfg, ratings, _ingested_click_ppmi(cache), docs, hyper.lambda_s)
     state, trace = train(data, hyper)
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
@@ -387,13 +413,13 @@ def cmd_sweep(cfg: dict) -> int:
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
     docs = _load_cached_docs(cache) if cfg["text"]["enabled"] else None
-    cached_clicks = _load_cached_clicks(cache)
+    ingested_ppmi = _ingested_click_ppmi(cache)
     hyper = _build_hyper(cfg, docs)
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
 
     if cfg["sweep"]["lambda_s_grid"]:
-        points = sweep_lambda_s(_prepare_data(cfg, ratings, cached_clicks, docs, lambda_s=1.0),
+        points = sweep_lambda_s(_prepare_data(cfg, ratings, ingested_ppmi, docs, lambda_s=1.0),
                                 hyper, cfg["sweep"]["lambda_s_grid"])
         with open(out / "sweep_lambda_s.csv", "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(points, fh, fp)
@@ -405,7 +431,7 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["sweep"]["sparsity_grid"]:
         def subsampled(fraction: float) -> TrainData:
             return _prepare_data({**cfg, "subsample_fraction": fraction}, ratings,
-                                 cached_clicks, docs, hyper.lambda_s)
+                                 ingested_ppmi, docs, hyper.lambda_s)
 
         label = cfg["dataset_label"]
         points = sweep_sparsity(subsampled, hyper, cfg["sweep"]["sparsity_grid"])

@@ -133,9 +133,11 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K).
 
     A non-finite system yields a NaN row, which train()'s loss check after the
-    block reports as TrainingDivergedError. A Cholesky pass gates the LU solve,
-    so a finite system that is not positive definite (a rank-deficient Gram
-    with no ridge) raises ValidationError instead of returning a huge x.
+    block reports as TrainingDivergedError. Each system is factored once, as
+    L Lᵀ: a finite system that is not positive definite (a rank-deficient Gram
+    with no ridge) has no Cholesky factor and raises ValidationError instead
+    of returning a huge x, and the others are solved from L by forward and
+    back substitution, one column at a time across the whole stack.
     """
     finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
     if not finite.all():
@@ -143,10 +145,20 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out[finite] = _solve_spd(gram[finite], rhs[finite])
         return out
     try:
-        np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"singular block system: {exc}") from None
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    k = rhs.shape[-1]
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    y = np.empty(rhs.shape)
+    for j in range(k):          # L y = rhs
+        y[..., j] = (rhs[..., j] - np.einsum("...m,...m->...", chol[..., j, :j],
+                                             y[..., :j])) / diag[..., j]
+    x = np.empty(rhs.shape)
+    for j in range(k - 1, -1, -1):  # Lᵀ x = y
+        x[..., j] = (y[..., j] - np.einsum("...m,...m->...", chol[..., j + 1:, j],
+                                           x[..., j + 1:])) / diag[..., j]
+    return x
 
 
 # Rows per chunk. It bounds the (rows, K, K) Gram stack of each stacked solve in
@@ -267,36 +279,56 @@ def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) ->
     return total
 
 
+def _sum_sq(array: np.ndarray) -> float:
+    return float((array * array).sum())
+
+
 def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
                encoding: np.ndarray | None, recon_sq: float | None,
-               hyper: Hyperparams) -> float:
+               hyper: Hyperparams, *, known: dict[str, float] | None = None) -> float:
     """Full joint loss; rating values are centered by the state's offset.
     With the text model on, `(encoding, recon_sq)` is sdae_forward's output
-    for the state's autoencoder; without it both are None."""
+    for the state's autoencoder; without it both are None.
+
+    `known` maps term names to values already computed for this same state.
+    A term found there is reused, and every other term is computed, checked
+    finite and added to it. The terms are summed in one fixed order, so the
+    total does not depend on which of them were reused.
+    """
+    known = {} if known is None else known
     theta, beta, alpha = state.user_factors, state.item_factors, state.context_factors
-    resid = (ratings.ratings - state.rating_offset
-             - np.einsum("ij,ij->i", theta[ratings.users], beta[ratings.items]))
-    loss = _check_finite(0.5 * float(resid @ resid), "rating")
+
+    def term(name: str, compute) -> float:
+        if name not in known:
+            known[name] = _check_finite(compute(), name)
+        return known[name]
+
+    def rating() -> float:
+        resid = (ratings.ratings - state.rating_offset
+                 - np.einsum("ij,ij->i", theta[ratings.users], beta[ratings.items]))
+        return 0.5 * float(resid @ resid)
+
+    loss = term("rating", rating)
     if hyper.lambda_s > 0 and ppmi is not None:
         n_items = beta.shape[0]
         if ppmi.matrix.shape != (n_items, n_items):
             raise ValidationError(f"PPMI matrix of shape {ppmi.matrix.shape} does not "
                                   f"match the {n_items} items of the item factors")
-        loss += _check_finite(0.5 * hyper.lambda_s * _pair_residual_sq(ppmi.matrix, beta, alpha),
-                              "pair")
-    loss += _check_finite(0.5 * hyper.lambda_user * float((theta * theta).sum()), "user_reg")
-    loss += _check_finite(0.5 * hyper.lambda_context * float((alpha * alpha).sum()),
-                          "context_reg")
+        loss += term("pair", lambda: 0.5 * hyper.lambda_s
+                     * _pair_residual_sq(ppmi.matrix, beta, alpha))
+    loss += term("user_reg", lambda: 0.5 * hyper.lambda_user * _sum_sq(theta))
+    loss += term("context_reg", lambda: 0.5 * hyper.lambda_context * _sum_sq(alpha))
     if state.sdae is not None:
-        anchor = beta - encoding
-        loss += _check_finite(0.5 * hyper.lambda_item * float((anchor * anchor).sum()),
-                              "item_anchor")
-        loss += _check_finite(0.5 * hyper.lambda_recon * recon_sq, "reconstruction")
-        loss += _check_finite(0.5 * hyper.lambda_decay * state.sdae.squared_norm(), "decay")
+        loss += term("item_anchor", lambda: 0.5 * hyper.lambda_item * _sum_sq(beta - encoding))
+        loss += term("reconstruction", lambda: 0.5 * hyper.lambda_recon * recon_sq)
+        loss += term("decay", lambda: 0.5 * hyper.lambda_decay * state.sdae.squared_norm())
     else:
-        loss += _check_finite(0.5 * hyper.lambda_item * float((beta * beta).sum()),
-                              "item_reg")
+        loss += term("item_reg", lambda: 0.5 * hyper.lambda_item * _sum_sq(beta))
     return _check_finite(loss, "total")
+
+
+# the loss terms that read the autoencoder's weights or its forward pass
+_AUTOENCODER_TERMS = ("item_anchor", "reconstruction", "decay")
 
 
 def _group_by(keys: np.ndarray, companions: list[np.ndarray], n_groups: int):
@@ -367,10 +399,15 @@ def train(data: TrainData, hyper: Hyperparams,
     sdae_lr = hyper.sdae.learning_rate if sdae_on else 0.0
     encoding = recon_sq = None
     stale = 0
+    known: dict[str, float] = {}    # loss terms of the current state
 
-    def loss_now(epoch: int) -> float:
+    def loss_now(epoch: int, changed: tuple[str, ...]) -> float:
+        """total_loss, recomputing only the `changed` terms and any not yet known."""
+        for name in changed:
+            known.pop(name, None)
         try:
-            return total_loss(state, train_ds, data.ppmi, encoding, recon_sq, hyper)
+            return total_loss(state, train_ds, data.ppmi, encoding, recon_sq, hyper,
+                              known=known)
         except NonFiniteLossError as exc:
             raise TrainingDivergedError(epoch, exc.term) from None
 
@@ -382,17 +419,18 @@ def train(data: TrainData, hyper: Hyperparams,
             encoding, recon_sq = sdae_forward(params, x0, xc)
 
         _solve_rows(theta, hyper.lambda_user, [(1.0, u_indptr, u_items, u_values, beta)])
-        loss_users = loss_now(epoch)
+        # the forward pass above moved the autoencoder terms too
+        loss_users = loss_now(epoch, ("rating", "user_reg", *_AUTOENCODER_TERMS))
         _solve_rows(beta, hyper.lambda_item,
                     [(1.0, i_indptr, i_users, i_values, theta),
                      (hyper.lambda_s, *s_view, alpha)],
                     encoding)
-        loss_items = loss_now(epoch)
+        loss_items = loss_now(epoch, ("rating", "pair", "item_anchor", "item_reg"))
         if hyper.lambda_s > 0:
             _solve_rows(alpha, hyper.lambda_context, [(hyper.lambda_s, *s_view, beta)])
         else:
             alpha[:] = 0.0
-        loss_contexts = loss_now(epoch)
+        loss_contexts = loss_now(epoch, ("pair", "context_reg"))
 
         if sdae_on:
             grads_w, grads_b = sdae_gradients(
@@ -402,7 +440,7 @@ def train(data: TrainData, hyper: Hyperparams,
                 params.weights[layer] -= sdae_lr * grads_w[layer]
                 params.biases[layer] -= sdae_lr * grads_b[layer]
             encoding, recon_sq = sdae_forward(params, x0, xc)
-        loss_end = loss_now(epoch)
+        loss_end = loss_now(epoch, _AUTOENCODER_TERMS)
         if sdae_on and loss_end > loss_contexts:
             sdae_lr *= 0.5
 

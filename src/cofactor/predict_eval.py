@@ -126,12 +126,17 @@ def sweep_sparsity(make_data: Callable[[float], TrainData], hyper: Hyperparams,
                    percents: Sequence[float]) -> list[SparsityPoint]:
     """Per rating percentage, the test RMSE of the joint and of the ratings-only
     model on one subsample. `make_data(fraction)` is called as each point is
-    reached, so only one split and one PPMI matrix are alive at a time."""
+    reached, so only one split and one PPMI matrix are alive at a time. When
+    the joint run already is the ratings-only run (same hyperparameters, and
+    data with no PPMI and no documents), it is trained once and scored for both."""
     pmf_hyper = dataclasses.replace(hyper, lambda_s=0.0, sdae=None)
 
     def point(pct: float) -> SparsityPoint:
         data = make_data(pct / 100.0)
-        return SparsityPoint(pct, _train_and_score(data, hyper)[1],
+        joint = _train_and_score(data, hyper)[1]
+        if pmf_hyper == hyper and data.ppmi is None and data.docs is None:
+            return SparsityPoint(pct, joint, joint)
+        return SparsityPoint(pct, joint,
                              _train_and_score(TrainData(split=data.split), pmf_hyper)[1])
 
     return _sweep("sparsity_percent", percents, point)

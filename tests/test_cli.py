@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cofactor import ppmi, predict_eval
 from cofactor.cli import main
 from cofactor.container import read_container, write_container
+from cofactor.factor import train
+from cofactor.ppmi import cooccurrence_counts
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
          "hotel", "india", "juliet", "kilo", "lima"]
@@ -342,6 +345,61 @@ class TestSweep:
         assert lines[1].startswith("MT-50,0.5,")
         assert lines[2].startswith("MT-80,0.8,")
 
+    def test_ratings_only_sweep_trains_each_point_once(self, tmp_path, monkeypatch):
+        # each row is the test RMSE of `cofactor train` + `eval` on that subsample
+        paths = write_fixture(tmp_path)
+        tweaks = {"hyper.lambda_s": 0.0, "text.enabled": False, "dataset_label": "MT"}
+        expected = []
+        for percent in (50, 100):
+            config = write_config(tmp_path, paths, subsample_fraction=percent / 100, **tweaks)
+            ckpt = str(train_checkpoint(config))
+            assert main(["eval", "--config", str(config), "--checkpoint", ckpt]) == 0
+            rmse = (tmp_path / "out" / "report.csv").read_text().splitlines()[1].split(",")[3]
+            expected.append(f"MT-{percent},{percent / 100:g},{rmse},{rmse}")
+        config = write_config(tmp_path, paths, **tweaks, **{
+            "sweep.lambda_s_grid": [], "sweep.sparsity_grid": [50, 100]})
+        assert main(["ingest", "--config", str(config)]) == 0
+        trained = []
+
+        def counting_train(data, hyper):
+            trained.append(hyper)
+            return train(data, hyper)
+
+        monkeypatch.setattr(predict_eval, "train", counting_train)
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert len(trained) == 2
+        lines = (tmp_path / "out" / "sparsity.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == expected
+
+    def test_ingested_click_ppmi_built_once_per_sweep(self, workspace, monkeypatch):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        counted = []
+
+        def counting_counts(clicks):
+            counted.append(clicks.n_entries)
+            return cooccurrence_counts(clicks)
+
+        monkeypatch.setattr(ppmi, "cooccurrence_counts", counting_counts)
+
+        def sweep(lambda_grid, sparsity_grid) -> list[list[str]]:
+            cfg = json.loads(config.read_text())
+            cfg["sweep"] = {"lambda_s_grid": lambda_grid, "sparsity_grid": sparsity_grid}
+            config.write_text(json.dumps(cfg))
+            counted.clear()
+            assert main(["sweep", "--config", str(config)]) == 0
+            # the last column is the config fingerprint, which names the grids
+            return [(tmp_path / "out" / name).read_text().splitlines() for name in
+                    ("sweep_lambda_s.csv", "sparsity.csv")]
+
+        both = sweep([0.1, 1.0], [50])
+        assert len(counted) == 1
+        lambda_only = sweep([0.1, 1.0], [])
+        sparsity_only = sweep([], [50])
+        strip = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
+        assert strip(both[0]) == strip(lambda_only[0])
+        assert strip(both[1]) == strip(sparsity_only[1])
+
     def test_grid_flag_override(self, workspace):
         tmp_path, config = workspace
         main(["ingest", "--config", str(config)])
@@ -541,6 +599,10 @@ BAD_CACHE_ARRAYS = {
     "ratings_item_past_end": ("ratings.bin", "items", set_entry(3, 100000)),
     "clicks_item_past_end": ("clicks.bin", "items", set_entry(3, 100000)),
     "clicks_negative_user": ("clicks.bin", "users", set_entry(3, -1)),
+    # parallel arrays of different lengths: ratings or clicks silently dropped
+    "ratings_values_short": ("ratings.bin", "values", lambda array: array[:-5]),
+    "ratings_users_long": ("ratings.bin", "users", lambda array: np.append(array, 0)),
+    "clicks_items_short": ("clicks.bin", "items", lambda array: array[:-5]),
 }
 
 

@@ -268,6 +268,30 @@ class TestSolveRows:
         assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
 
 
+class TestSolveSpd:
+    """The solve from the Cholesky factor against numpy's LU solve."""
+
+    @staticmethod
+    def assert_matches_lu(grams, rhs):
+        want = np.linalg.solve(grams, rhs[..., None])[..., 0]
+        got = _solve_spd(grams, rhs)
+        assert got.shape == rhs.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    def test_matches_numpy_solve_on_a_stack(self, rng, k):
+        factors = rng.standard_normal((_CHUNK_ROWS + 5, 3 * k, k))
+        grams = factors.transpose(0, 2, 1) @ factors + np.eye(k)
+        self.assert_matches_lu(grams, rng.standard_normal((_CHUNK_ROWS + 5, k)))
+
+    def test_single_system(self, rng):
+        factor = rng.standard_normal((9, 4))
+        self.assert_matches_lu(factor.T @ factor + 0.5 * np.eye(4), rng.standard_normal(4))
+
+    def test_empty_stack(self):
+        assert _solve_spd(np.empty((0, 5, 5)), np.empty((0, 5))).shape == (0, 5)
+
+
 def _state_and_inputs(theta, beta, alpha, users, items, values):
     ratings = make_ratings(list(zip(users.tolist(), items.tolist(), values.tolist())),
                            n_users=theta.shape[0], n_items=beta.shape[0])
@@ -547,6 +571,34 @@ class TestTrain:
                             max_epochs=4, patience=0, seed=4, center_ratings=True)
         state, _ = train(data, hyper)
         assert state.rating_offset == pytest.approx(data.split.train.ratings.mean())
+
+    @pytest.mark.parametrize("text", [True, False])
+    def test_trace_losses_equal_from_scratch_losses(self, monkeypatch, text):
+        # train() passes total_loss the terms no block has changed since they
+        # were computed; each traced loss must still equal a full evaluation
+        import cofactor.factor as factor
+        original = factor.total_loss
+        from_scratch, reused = [], []
+
+        def spy(state, ratings, ppmi, encoding, recon_sq, hyper, *, known):
+            from_scratch.append(original(state, ratings, ppmi, encoding, recon_sq, hyper))
+            reused.append(len(known))
+            return original(state, ratings, ppmi, encoding, recon_sq, hyper, known=known)
+
+        monkeypatch.setattr(factor, "total_loss", spy)
+        data = synthetic_train_data(with_text=text, with_clicks=text)
+        sdae = SdaeConfig(layer_widths=[12, 6, 3, 6, 12], pretrain_epochs=3,
+                          learning_rate=0.5) if text else None
+        hyper = Hyperparams(n_factors=3, lambda_s=0.5 if text else 0.0, lambda_user=0.05,
+                            lambda_item=1.0, lambda_context=0.05, lambda_recon=1.0,
+                            lambda_decay=1e-4, sdae=sdae, max_epochs=4, patience=0, seed=3)
+        _, trace = train(data, hyper)
+        traced = [loss for e in trace.epochs
+                  for loss in (e.loss_after_users, e.loss_after_items,
+                               e.loss_after_contexts, e.loss_epoch_end)]
+        assert len(traced) == 16
+        assert traced == from_scratch
+        assert reused[0] == 0 and min(reused[1:]) > 0
 
     def test_out_of_matrix_requires_text(self):
         config = SyntheticConfig(n_users=30, n_items=25, n_factors=3,

@@ -6,10 +6,11 @@ import pytest
 
 from cofactor.corpus import (EvalSplit, SyntheticConfig, generate_synthetic,
                              make_split)
+from cofactor import predict_eval
 from cofactor.errors import ValidationError
 from cofactor.factor import Hyperparams, ModelState, TrainData, train
 from cofactor.predict_eval import (EvalReport, evaluate, rmse, sweep_lambda_s,
-                                   write_trace_csv)
+                                   sweep_sparsity, write_trace_csv)
 
 from conftest import from_scipy, to_scipy
 from test_factor import synthetic_train_data
@@ -165,6 +166,30 @@ class TestSweep:
         state, _ = train(data, degenerate)
         direct = evaluate(state, data.split, data.docs)
         assert points[0].test_rmse == pytest.approx(direct.rmse, rel=1e-12)
+
+    @pytest.mark.parametrize("lambda_s, with_clicks, trains", [
+        (0.0, False, 1),    # the joint model is the ratings-only model
+        (0.0, True, 2),     # data with a PPMI
+        (0.4, False, 2),    # another model
+    ])
+    def test_sparsity_trains_ratings_only_model_once_when_it_is_the_joint_one(
+            self, monkeypatch, lambda_s, with_clicks, trains):
+        data = synthetic_train_data(seed=25, with_text=False, with_clicks=with_clicks)
+        hyper = Hyperparams(n_factors=3, lambda_s=lambda_s, lambda_user=0.05,
+                            lambda_item=0.5, lambda_context=0.05, sdae=None,
+                            max_epochs=3, patience=0, seed=25)
+        counted = []
+
+        def counting_train(*args):
+            counted.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(predict_eval, "train", counting_train)
+        points = sweep_sparsity(lambda fraction: data, hyper, [100])
+        assert len(counted) == trains
+        pmf_hyper = dataclasses.replace(hyper, lambda_s=0.0)
+        state, _ = train(TrainData(split=data.split), pmf_hyper)
+        assert points[0].pmf_test_rmse == evaluate(state, data.split).rmse
 
     def test_empty_grid_rejected(self):
         data = synthetic_train_data(seed=23)
