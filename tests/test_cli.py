@@ -386,19 +386,21 @@ class TestSweep:
             cfg = json.loads(config.read_text())
             cfg["sweep"] = {"lambda_s_grid": lambda_grid, "sparsity_grid": sparsity_grid}
             config.write_text(json.dumps(cfg))
+            paths = [tmp_path / "out" / name for name in ("sweep_lambda_s.csv", "sparsity.csv")]
+            for path in paths:
+                path.unlink(missing_ok=True)
             counted.clear()
             assert main(["sweep", "--config", str(config)]) == 0
-            # the last column is the config fingerprint, which names the grids
-            return [(tmp_path / "out" / name).read_text().splitlines() for name in
-                    ("sweep_lambda_s.csv", "sparsity.csv")]
+            # without the last column, the config fingerprint, which names the grids
+            return [[line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                    if path.exists() else None for path in paths]
 
         both = sweep([0.1, 1.0], [50])
         assert len(counted) == 1
-        lambda_only = sweep([0.1, 1.0], [])
-        sparsity_only = sweep([], [50])
-        strip = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
-        assert strip(both[0]) == strip(lambda_only[0])
-        assert strip(both[1]) == strip(sparsity_only[1])
+        lambda_only, no_sparsity = sweep([0.1, 1.0], [])
+        no_lambda, sparsity_only = sweep([], [50])
+        assert no_sparsity is None and no_lambda is None
+        assert both == [lambda_only, sparsity_only]
 
     def test_grid_flag_override(self, workspace):
         tmp_path, config = workspace
