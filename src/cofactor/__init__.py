@@ -8,8 +8,7 @@ from .errors import (CheckpointError, CofactorError, ParseError, SplitError,
                      TrainingDivergedError, ValidationError)
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
                      load_checkpoint, predict_ratings, save_checkpoint,
-                     total_loss, train, update_item_context,
-                     update_item_feature, update_user)
+                     total_loss, train)
 from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
 from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse,
                            sweep_lambda_s, sweep_sparsity)

@@ -45,8 +45,7 @@ DEFAULT_CONFIG = {
              "learning_rate": 0.01},
     "sweep": {"lambda_s_grid": [0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
               "sparsity_grid": [10, 20, 50, 80]},
-    "flags": {"clicks_from_all": False, "clamp": None, "threads": 1,
-              "deterministic": False},
+    "flags": {"clicks_from_all": False, "clamp": None, "deterministic": False},
 }
 
 
@@ -55,7 +54,7 @@ class ConfigError(CofactorError):
 
 
 # flags that change neither results nor speed, so not part of the fingerprint
-NON_RESULT_FLAGS = ("threads", "deterministic")
+NON_RESULT_FLAGS = ("deterministic",)
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -92,6 +91,37 @@ def _merge(base: dict, override: dict, context: str = "") -> dict:
     return out
 
 
+def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
+    """Reject values of the right type that no run can use. The error names the
+    flag that set the key (`set_by` maps keys to flags), else the config key."""
+    clamp = cfg["flags"]["clamp"]
+    for key, ok, requirement in (
+            ("seed", cfg["seed"] >= 0, "a nonnegative integer"),
+            ("subsample_fraction", 0 < cfg["subsample_fraction"] <= 1, "a number in (0, 1]"),
+            ("text.hidden_widths",
+             all(isinstance(w, int) and w > 0 for w in cfg["text"]["hidden_widths"]),
+             "a list of positive integers"),
+            ("sweep.sparsity_grid", all(0 < p <= 100 for p in cfg["sweep"]["sparsity_grid"]),
+             "a list of percentages in (0, 100]"),
+            ("flags.clamp",
+             clamp is None or (isinstance(clamp, list) and len(clamp) == 2
+                               and all(map(_is_number, clamp)) and clamp[0] < clamp[1]),
+             "two numbers lo < hi")):
+        if not ok:
+            section, _, field = key.rpartition(".")
+            value = (cfg[section] if section else cfg)[field]
+            name = set_by.get(key, f"config key {key!r}")
+            raise ConfigError(f"{name} must be {requirement}, got {json.dumps(value)}")
+
+
+def _numbers(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated flag value."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,23 +133,25 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     if not isinstance(user_cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     cfg = _merge(DEFAULT_CONFIG, user_cfg)
+    set_by = {}
     if getattr(overrides, "seed", None) is not None:
         cfg["seed"] = overrides.seed
-    if getattr(overrides, "threads", None) is not None:
-        cfg["flags"]["threads"] = overrides.threads
+        set_by["seed"] = "--seed"
     if getattr(overrides, "deterministic", False):
         cfg["flags"]["deterministic"] = True
     if getattr(overrides, "mode", None) is not None:
         cfg["split"]["mode"] = {"in": "in_matrix", "out": "out_of_matrix"}[overrides.mode]
     if getattr(overrides, "lambda_s_grid", None) is not None:
-        cfg["sweep"]["lambda_s_grid"] = [float(x) for x in overrides.lambda_s_grid.split(",")]
+        cfg["sweep"]["lambda_s_grid"] = _numbers(overrides.lambda_s_grid, "--lambda-s-grid")
     if getattr(overrides, "sparsity_grid", None) is not None:
-        cfg["sweep"]["sparsity_grid"] = [float(x) for x in overrides.sparsity_grid.split(",")]
+        cfg["sweep"]["sparsity_grid"] = _numbers(overrides.sparsity_grid, "--sparsity-grid")
+        set_by["sweep.sparsity_grid"] = "--sparsity-grid"
     if getattr(overrides, "clamp", None) is not None:
-        lo, hi = (float(x) for x in overrides.clamp.split(","))
-        cfg["flags"]["clamp"] = [lo, hi]
+        cfg["flags"]["clamp"] = _numbers(overrides.clamp, "--clamp")
+        set_by["flags.clamp"] = "--clamp"
     if getattr(overrides, "clicks_from_all", False):
         cfg["flags"]["clicks_from_all"] = True
+    _check_values(cfg, set_by)
     return cfg
 
 
@@ -449,9 +481,6 @@ def cmd_sweep(cfg: dict) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--threads", type=int,
-                        help="accepted, no effect: block solves are batched in one "
-                             "thread; BLAS threads follow OPENBLAS_NUM_THREADS")
     parser.add_argument("--deterministic", action="store_true",
                         help="accepted, no effect: every run is deterministic")
 

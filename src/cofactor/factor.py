@@ -29,7 +29,7 @@ from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
 from .ppmi import PpmiMatrix
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, pretrain,
                    sdae_forward, sdae_gradients)
-from .sparse import CsrMatrix, from_coo
+from .sparse import CsrMatrix
 
 CHECKPOINT_VERSION = 1
 
@@ -172,12 +172,15 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
 
         (Σ_b w_b Σ_{j∈N_b(r)} B_j B_jᵀ + ridge·I) x = Σ_b w_b Σ_{j∈N_b(r)} v_j B_j + ridge·anchor_r
 
-    where each term b is (w_b, indptr, indices, values, B), a CSR view whose
-    row r lists N_b(r) and the v_j. Terms of zero weight are left out. Rows are
-    solved in chunks of _CHUNK_ROWS, one stacked solve per chunk.
+    where each term b is (w_b, S_b, B): S_b is a CsrMatrix whose row r stores
+    the neighbours N_b(r) as column indices with values v_j, and the rows of
+    the dense matrix B are the vectors B_j those columns index. Without an
+    anchor the ridge pulls toward zero. Rows are solved in chunks of
+    _CHUNK_ROWS, one stacked solve per chunk.
     """
     n_rows, k = out.shape
-    terms = [term for term in terms if term[0] != 0]
+    terms = [(weight, matrix.indptr, matrix.indices, matrix.data, basis)
+             for weight, matrix, basis in terms]
     for start in range(0, n_rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n_rows)
         gram = np.repeat(ridge * np.eye(k)[None], stop - start, axis=0)
@@ -190,45 +193,6 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                     gram[r] += weight * (rows.T @ rows)
                     rhs[r] += weight * (rows.T @ values[lo:hi])
         out[start:stop] = _solve_spd(gram, rhs)
-
-
-def _solve_one(ridge: float, terms: list, anchor=None) -> np.ndarray:
-    """_solve_rows for a single row; each term is (w_b, indices, values, B)."""
-    out = np.empty((1, terms[0][3].shape[1]))
-    _solve_rows(out, ridge, [(w, np.array([0, len(idx)]), idx, vals, basis)
-                             for w, idx, vals, basis in terms],
-                None if anchor is None else np.asarray(anchor)[None])
-    return out[0]
-
-
-def update_user(rated_items: np.ndarray, rated_values: np.ndarray,
-                item_factors: np.ndarray, lambda_user: float) -> np.ndarray:
-    """Exact minimizer over one user's factor vector, all else fixed."""
-    return _solve_one(lambda_user, [(1.0, rated_items, rated_values, item_factors)])
-
-
-def update_item_feature(rater_users: np.ndarray, rater_values: np.ndarray,
-                        user_factors: np.ndarray, context_factors: np.ndarray,
-                        neighbor_items: np.ndarray, neighbor_values: np.ndarray,
-                        lambda_s: float, lambda_item: float,
-                        text_anchor: np.ndarray | None) -> np.ndarray:
-    """Exact minimizer over one item's feature vector.
-
-    With no raters and no stored neighbors the solution collapses to the text
-    anchor (or zero without one): the cold-start value.
-    """
-    return _solve_one(lambda_item,
-                      [(1.0, rater_users, rater_values, user_factors),
-                       (lambda_s, neighbor_items, neighbor_values, context_factors)],
-                      text_anchor)
-
-
-def update_item_context(neighbor_items: np.ndarray, neighbor_values: np.ndarray,
-                        item_factors: np.ndarray, lambda_s: float,
-                        lambda_context: float) -> np.ndarray:
-    """Exact minimizer over one item's context vector."""
-    return _solve_one(lambda_context,
-                      [(lambda_s, neighbor_items, neighbor_values, item_factors)])
 
 
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
@@ -331,20 +295,19 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
 _AUTOENCODER_TERMS = ("item_anchor", "reconstruction", "decay")
 
 
-def _group_by(keys: np.ndarray, companions: list[np.ndarray], n_groups: int):
-    """CSR-style grouping: returns (indptr, sorted companion arrays)."""
+def _group_by(keys: np.ndarray, columns: np.ndarray, values: np.ndarray,
+             shape: tuple[int, int]) -> CsrMatrix:
+    """CSR with the entry (keys[e], columns[e], values[e]) for each e; a row's
+    entries keep their input order."""
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    indptr = np.searchsorted(sorted_keys, np.arange(n_groups + 1))
-    return indptr, [c[order] for c in companions]
+    indptr = np.searchsorted(keys[order], np.arange(shape[0] + 1))
+    return CsrMatrix(shape, indptr, columns[order], values[order])
 
 
-def train(data: TrainData, hyper: Hyperparams,
-          threads: int = 1) -> tuple[ModelState, TrainingTrace]:
+def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrace]:
     """Alternate user / item-feature / item-context solves and one autoencoder
     gradient step per epoch; stop on stale validation RMSE; return the state
-    of the best validation epoch plus the per-epoch trace. `threads` is
-    accepted and ignored: each block is one batched solve.
+    of the best validation epoch plus the per-epoch trace.
 
     With the text model on, an epoch runs three autoencoder passes: a forward
     pass (item anchor, per-block losses), the gradient pass, and a forward pass
@@ -382,17 +345,17 @@ def train(data: TrainData, hyper: Hyperparams,
         beta = 0.01 * rng.standard_normal((n_items, k))
     alpha = 0.01 * rng.standard_normal((n_items, k))
 
-    u_indptr, (u_items, u_values) = _group_by(train_ds.users, [train_ds.items, values],
-                                              n_users)
-    i_indptr, (i_users, i_values) = _group_by(train_ds.items, [train_ds.users, values],
-                                              n_items)
+    by_user = _group_by(train_ds.users, train_ds.items, values, (n_users, n_items))
+    by_item = _group_by(train_ds.items, train_ds.users, values, (n_items, n_users))
+    # each block's terms; the factor matrices in them are solved in place
+    user_terms = [(1.0, by_user, beta)]
+    item_terms = [(1.0, by_item, theta)]
+    context_terms = []
     if hyper.lambda_s > 0 and data.ppmi is not None:
         if data.ppmi.n_items != n_items:
             raise ValidationError("PPMI matrix size does not match item count")
-        s_matrix = data.ppmi.matrix
-    else:
-        s_matrix = from_coo((n_items, n_items), [], [], [])
-    s_view = (s_matrix.indptr, s_matrix.indices, s_matrix.data)
+        item_terms.append((hyper.lambda_s, data.ppmi.matrix, alpha))
+        context_terms.append((hyper.lambda_s, data.ppmi.matrix, beta))
 
     state = ModelState(theta, beta, alpha, params, 0, offset)
     trace = TrainingTrace(label=run_label(hyper))
@@ -418,16 +381,13 @@ def train(data: TrainData, hyper: Hyperparams,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
             encoding, recon_sq = sdae_forward(params, x0, xc)
 
-        _solve_rows(theta, hyper.lambda_user, [(1.0, u_indptr, u_items, u_values, beta)])
+        _solve_rows(theta, hyper.lambda_user, user_terms)
         # the forward pass above moved the autoencoder terms too
         loss_users = loss_now(epoch, ("rating", "user_reg", *_AUTOENCODER_TERMS))
-        _solve_rows(beta, hyper.lambda_item,
-                    [(1.0, i_indptr, i_users, i_values, theta),
-                     (hyper.lambda_s, *s_view, alpha)],
-                    encoding)
+        _solve_rows(beta, hyper.lambda_item, item_terms, encoding)
         loss_items = loss_now(epoch, ("rating", "pair", "item_anchor", "item_reg"))
-        if hyper.lambda_s > 0:
-            _solve_rows(alpha, hyper.lambda_context, [(hyper.lambda_s, *s_view, beta)])
+        if context_terms:
+            _solve_rows(alpha, hyper.lambda_context, context_terms)
         else:
             alpha[:] = 0.0
         loss_contexts = loss_now(epoch, ("pair", "context_reg"))

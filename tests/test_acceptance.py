@@ -20,6 +20,7 @@ from conftest import make_clicks, to_scipy
 from oracles import (block_gradients, brute_force_ppmi, joint_loss_reference,
                      numeric_gradient, pmf_als_reference)
 from test_cli import write_config, write_fixture
+from test_factor import solve_block
 from test_ppmi import clicks_to_user_sets
 from cofactor.cli import main as cli_main
 
@@ -58,10 +59,9 @@ def test_criterion_1_ppmi_matches_brute_force():
 
 
 def test_criterion_2_als_block_stationarity():
-    """100 random instances, K in {1,3,8}: block gradient <= 1e-8 and no
-    perturbation of the solved row attains lower loss."""
-    from cofactor.factor import (update_item_context, update_item_feature,
-                                 update_user)
+    """100 random instances, K in {1,3,8}: after each whole-block solve the
+    gradient of every row of the block is <= 1e-8, and no perturbation of a
+    solved row attains lower loss."""
     rng = np.random.default_rng(202)
     for trial in range(100):
         k = (1, 3, 8)[trial % 3]
@@ -88,7 +88,7 @@ def test_criterion_2_als_block_stationarity():
                    lambda_context=float(rng.random() + 0.05))
 
         # each block is the exact minimizer GIVEN the state it solved against,
-        # so check stationarity and perturbations right after each update
+        # so check stationarity and perturbations right after each block solve
         def loss_now():
             return joint_loss_reference(theta, beta, alpha, users, items, values,
                                         s_rows, s_cols, s_vals, anchor, **lam)
@@ -101,35 +101,17 @@ def test_criterion_2_als_block_stationarity():
                 assert loss_now() >= base - 1e-12
                 block[row] -= bump
 
-        u = int(rng.integers(0, n_users))
-        mask = users == u
-        theta[u] = update_user(items[mask], values[mask], beta, lam["lambda_user"])
-        g_theta, _, _ = block_gradients(theta, beta, alpha, users, items, values,
-                                        s_rows, s_cols, s_vals, anchor, **lam)
-        assert np.linalg.norm(g_theta[u]) <= 1e-8
-        assert_perturbations_worse(theta, u)
-
-        i = int(rng.integers(0, n_items))
-        mask = items == i
-        s_mask = s_rows == i
-        beta[i] = update_item_feature(users[mask], values[mask], theta, alpha,
-                                      s_cols[s_mask], s_vals[s_mask],
-                                      lam["lambda_s"], lam["lambda_item"], anchor[i])
-        _, g_beta, _ = block_gradients(theta, beta, alpha, users, items, values,
-                                       s_rows, s_cols, s_vals, anchor, **lam)
-        assert np.linalg.norm(g_beta[i]) <= 1e-8
-        assert_perturbations_worse(beta, i)
-
-        j = int(rng.integers(0, n_items))
-        s_mask = s_cols == j
-        alpha[j] = update_item_context(s_rows[s_mask], s_vals[s_mask], beta,
-                                       lam["lambda_s"], lam["lambda_context"])
-        _, _, g_alpha = block_gradients(theta, beta, alpha, users, items, values,
-                                        s_rows, s_cols, s_vals, anchor, **lam)
-        assert np.linalg.norm(g_alpha[j]) <= 1e-8
-        assert_perturbations_worse(alpha, j)
-    _announce(2, "100 instances: block gradients <= 1e-8, 21 perturbations per "
-                 "instance all worse")
+        for index, (name, block, n_rows) in enumerate(
+                [("user", theta, n_users), ("item", beta, n_items), ("context", alpha, n_items)]):
+            row = int(rng.integers(0, n_rows))
+            solve_block(name, theta, beta, alpha, users, items, values,
+                        s_rows, s_cols, s_vals, anchor, **lam)
+            grad = block_gradients(theta, beta, alpha, users, items, values,
+                                   s_rows, s_cols, s_vals, anchor, **lam)[index]
+            assert np.linalg.norm(grad, axis=1).max() <= 1e-8
+            assert_perturbations_worse(block, row)
+    _announce(2, "100 instances: every row's block gradient <= 1e-8, 21 perturbations "
+                 "per instance all worse")
 
 
 def test_criterion_3_sdae_gradients_match_finite_differences():

@@ -63,7 +63,7 @@ def write_config(tmp_path: Path, paths: dict, **tweaks) -> Path:
                  "hidden_widths": [6], "noise_rate": 0.2, "pretrain_epochs": 3,
                  "learning_rate": 0.05},
         "sweep": {"lambda_s_grid": [0.1, 1.0, 10.0], "sparsity_grid": []},
-        "flags": {"threads": 1, "deterministic": True},
+        "flags": {"deterministic": True},
     }
     for key, value in tweaks.items():
         section, _, field = key.partition(".")
@@ -205,19 +205,18 @@ class TestTrain:
         assert base != reseeded
 
 
-    def test_threads_and_deterministic_leave_fingerprint(self, tmp_path):
-        # both flags have no effect on the model, so none on its fingerprint
+    def test_deterministic_leaves_fingerprint(self, tmp_path):
+        # the flag has no effect on the model, so none on its fingerprint
         paths = write_fixture(tmp_path)
-        config = write_config(tmp_path, paths,
-                              flags={"threads": 1, "deterministic": False})
+        config = write_config(tmp_path, paths, flags={"deterministic": False})
         main(["ingest", "--config", str(config)])
         runs = []
-        for extra in ([], ["--threads", "2"], ["--deterministic"]):
+        for extra in ([], ["--deterministic"]):
             assert main(["train", "--config", str(config), *extra]) == 0
             out = tmp_path / "out"
             runs.append(((out / "trace.csv").read_text().splitlines()[0],
                          (out / "checkpoint.bin").read_bytes()))
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("key,value", [("hyper.lambda_user", "0.1"),
                                            ("hyper.max_epochs", 2.5),
@@ -494,6 +493,56 @@ def edit_config(config: Path, section: str, field: str, value) -> None:
     else:
         cfg[field] = value
     config.write_text(json.dumps(cfg))
+
+
+def config_error(capsys, argv: list[str]) -> str:
+    """Run the CLI, require exit 2 and a single `error:` line, return that line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    return err
+
+
+# command lines whose flag value no run can use; CKPT stands for a trained checkpoint
+BAD_FLAG_VALUES = [
+    ["sweep", "--lambda-s-grid", "1,abc"],
+    ["sweep", "--sparsity-grid", "10,"],
+    ["sweep", "--sparsity-grid", "50,150"],
+    ["eval", "--checkpoint", "CKPT", "--clamp", "1"],
+    ["eval", "--checkpoint", "CKPT", "--clamp", "1,x"],
+    ["eval", "--checkpoint", "CKPT", "--clamp", "5,1"],
+    ["eval", "--checkpoint", "CKPT", "--clamp", "1,2,3"],
+    ["train", "--seed", "-1"],
+]
+
+# config values of the right type that no run can use
+BAD_CONFIG_VALUES = [("flags.clamp", [5, 1]), ("flags.clamp", [1]), ("flags.clamp", "1,10"),
+                     ("seed", -1), ("text.hidden_widths", [4.5]), ("text.hidden_widths", [0]),
+                     ("subsample_fraction", 1.5), ("subsample_fraction", 0),
+                     ("sweep.sparsity_grid", [50, 150])]
+
+
+class TestUnusableValuesExit2:
+    @pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=" ".join)
+    def test_flag_value(self, workspace, capsys, argv):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        ckpt = str(tmp_path / "out" / "checkpoint.bin")
+        err = config_error(capsys, [ckpt if arg == "CKPT" else arg for arg in argv]
+                           + ["--config", str(config)])
+        assert err.startswith(f"error: {argv[-2]} must be")
+
+    @pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES,
+                             ids=[f"{key}={json.dumps(value)}" for key, value in BAD_CONFIG_VALUES])
+    def test_config_value(self, workspace, capsys, key, value):
+        _, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        section, _, field = key.rpartition(".")
+        edit_config(config, section, field, value)
+        err = config_error(capsys, ["train", "--config", str(config)])
+        assert err.startswith(f"error: config key {key!r} must be")
 
 
 class TestEvalRefusesOtherSplit:

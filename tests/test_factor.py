@@ -9,11 +9,10 @@ from cofactor.errors import TrainingDivergedError, ValidationError
 from cofactor.factor import (_CHUNK_ROWS, Hyperparams, ModelState,
                              NonFiniteLossError, TrainData, _solve_rows,
                              _solve_spd, load_checkpoint, run_label,
-                             save_checkpoint, total_loss, train,
-                             update_item_context, update_item_feature,
-                             update_user)
+                             save_checkpoint, total_loss, train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
 from cofactor.sdae import SdaeConfig, encode
+from cofactor.sparse import CsrMatrix, from_coo
 
 from conftest import from_scipy, make_ratings, to_scipy
 from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
@@ -49,50 +48,83 @@ def random_instance(rng, n_users=6, n_items=8, k=3, with_anchor=True):
             np.array(s_rows), np.array(s_cols), np.array(s_values), anchor, lambdas)
 
 
+def solve_block(block, theta, beta, alpha, users, items, values, s_rows, s_cols,
+                s_values, anchor, lambda_s, lambda_user, lambda_item, lambda_context):
+    """Solve one whole factor block in place with _solve_rows, as train() does:
+    the ratings and the ordered pairs (s_rows[e], s_cols[e]) are its CSR terms."""
+    n_users, n_items = theta.shape[0], beta.shape[0]
+    if block == "user":
+        _solve_rows(theta, lambda_user,
+                    [(1.0, from_coo((n_users, n_items), users, items, values), beta)])
+    elif block == "item":
+        _solve_rows(beta, lambda_item,
+                    [(1.0, from_coo((n_items, n_users), items, users, values), theta),
+                     (lambda_s, from_coo((n_items, n_items), s_rows, s_cols, s_values), alpha)],
+                    anchor)
+    else:
+        _solve_rows(alpha, lambda_context,
+                    [(lambda_s, from_coo((n_items, n_items), s_cols, s_rows, s_values), beta)])
+
+
+def one_row(indices, values, n_cols) -> CsrMatrix:
+    """A one-row CsrMatrix: `values` at the columns `indices`."""
+    return from_coo((1, n_cols), np.zeros(len(indices), dtype=np.int64), indices, values)
+
+
+def assert_block_stationary(rng, block):
+    """After a block solve, the joint-loss gradient of every row of the block is zero."""
+    for _ in range(20):
+        theta, beta, alpha, users, items, values, sr, sc, sv, anchor, lam = random_instance(rng)
+        solve_block(block, theta, beta, alpha, users, items, values, sr, sc, sv, anchor, **lam)
+        grads = block_gradients(theta, beta, alpha, users, items, values,
+                                sr, sc, sv, anchor, **lam)
+        grad = grads[("user", "item", "context").index(block)]
+        assert np.linalg.norm(grad, axis=1).max() <= 1e-8
+
+
 class TestUpdateUser:
+    """The user block: each user's ratings are the one term of _solve_rows."""
+
     def test_no_ratings_gives_zero(self):
-        out = update_user(np.array([], dtype=np.int64), np.array([]),
-                          np.zeros((4, 3)), lambda_user=0.5)
-        np.testing.assert_array_equal(out, np.zeros(3))
+        # user 1 rates nothing
+        theta = np.full((2, 3), 7.0)
+        ratings = from_coo((2, 4), [0], [1], [2.0])
+        _solve_rows(theta, 0.5, [(1.0, ratings, np.ones((4, 3)))])
+        np.testing.assert_array_equal(theta[1], np.zeros(3))
+        assert (theta[0] != 0).all()
 
     def test_scalar_closed_form(self):
         # one rating r=4 on an item with factor 2, ridge 1 -> 8 / 5
-        out = update_user(np.array([0]), np.array([4.0]),
-                          np.array([[2.0]]), lambda_user=1.0)
-        assert out[0] == pytest.approx(1.6, abs=1e-12)
+        out = np.empty((1, 1))
+        _solve_rows(out, 1.0, [(1.0, one_row([0], [4.0], 1), np.array([[2.0]]))])
+        assert out[0, 0] == pytest.approx(1.6, abs=1e-12)
 
     def test_stationary_point(self, rng):
-        for _ in range(20):
-            inst = random_instance(rng)
-            theta, beta, alpha, users, items, values, sr, sc, sv, anchor, lam = inst
-            u = int(rng.integers(0, theta.shape[0]))
-            mask = users == u
-            theta = theta.copy()
-            theta[u] = update_user(items[mask], values[mask], beta, lam["lambda_user"])
-            g_theta, _, _ = block_gradients(theta, beta, alpha, users, items, values,
-                                            sr, sc, sv, anchor, **lam)
-            assert np.linalg.norm(g_theta[u]) <= 1e-8
+        assert_block_stationary(rng, "user")
 
 
 class TestUpdateItemFeature:
+    """The item-feature block: raters, weighted co-click neighbours and the anchor."""
+
     def test_isolated_item_collapses_to_anchor(self, rng):
-        anchor = rng.standard_normal(3)
-        out = update_item_feature(np.array([], dtype=np.int64), np.array([]),
-                                  np.zeros((2, 3)), np.zeros((4, 3)),
-                                  np.array([], dtype=np.int64), np.array([]),
-                                  lambda_s=1.0, lambda_item=2.5, text_anchor=anchor)
-        np.testing.assert_allclose(out, anchor, atol=1e-12)
+        # item 1 has no rater and no neighbour
+        anchor = rng.standard_normal((2, 3))
+        beta = np.empty((2, 3))
+        _solve_rows(beta, 2.5, [(1.0, from_coo((2, 2), [0], [1], [3.0]), np.ones((2, 3))),
+                                (1.0, from_coo((2, 4), [0], [2], [0.5]), np.ones((4, 3)))],
+                    anchor)
+        np.testing.assert_allclose(beta[1], anchor[1], atol=1e-12)
 
     def test_reduces_to_plain_ridge_without_clicks_or_text(self, rng):
+        # without clicks or text, train() passes the raters alone and no anchor
         theta = rng.standard_normal((5, 3))
         raters = np.array([0, 2, 4])
         values = rng.standard_normal(3)
-        out = update_item_feature(raters, values, theta, np.zeros((6, 3)),
-                                  np.array([], dtype=np.int64), np.array([]),
-                                  lambda_s=0.0, lambda_item=0.3, text_anchor=None)
+        out = np.empty((1, 3))
+        _solve_rows(out, 0.3, [(1.0, one_row(raters, values, 5), theta)])
         basis = theta[raters]
         expected = np.linalg.solve(basis.T @ basis + 0.3 * np.eye(3), basis.T @ values)
-        np.testing.assert_allclose(out, expected, atol=1e-10)
+        np.testing.assert_allclose(out[0], expected, atol=1e-10)
 
     def test_matches_stacked_ridge_solver(self, rng):
         # stack rating rows, sqrt(lambda_s)-scaled context rows, and the
@@ -104,101 +136,82 @@ class TestUpdateItemFeature:
         s_values = rng.random(2) + 0.1
         anchor = rng.standard_normal(k)
         lam_s, lam_b = 0.7, 0.4
-        out = update_item_feature(np.array([0, 1]), r_values, theta, alpha,
-                                  np.array([0, 1]), s_values,
-                                  lambda_s=lam_s, lambda_item=lam_b,
-                                  text_anchor=anchor)
+        out = np.empty((1, k))
+        _solve_rows(out, lam_b, [(1.0, one_row([0, 1], r_values, 2), theta),
+                                 (lam_s, one_row([0, 1], s_values, 2), alpha)],
+                    anchor[None])
         design = np.vstack([theta, math.sqrt(lam_s) * alpha,
                             math.sqrt(lam_b) * np.eye(k)])
         target = np.concatenate([r_values, math.sqrt(lam_s) * s_values,
                                  math.sqrt(lam_b) * anchor])
         expected, *_ = np.linalg.lstsq(design, target, rcond=None)
-        np.testing.assert_allclose(out, expected, atol=1e-10)
+        np.testing.assert_allclose(out[0], expected, atol=1e-10)
 
     def test_stationary_point(self, rng):
-        for _ in range(20):
-            inst = random_instance(rng)
-            theta, beta, alpha, users, items, values, sr, sc, sv, anchor, lam = inst
-            i = int(rng.integers(0, beta.shape[0]))
-            mask = items == i
-            s_mask = sr == i
-            beta = beta.copy()
-            beta[i] = update_item_feature(users[mask], values[mask], theta, alpha,
-                                          sc[s_mask], sv[s_mask], lam["lambda_s"],
-                                          lam["lambda_item"], anchor[i])
-            _, g_beta, _ = block_gradients(theta, beta, alpha, users, items, values,
-                                           sr, sc, sv, anchor, **lam)
-            assert np.linalg.norm(g_beta[i]) <= 1e-8
+        assert_block_stationary(rng, "item")
 
     def test_singular_system_rejected(self):
+        out = np.empty((1, 3))
         with pytest.raises(ValidationError, match="singular"):
-            update_item_feature(np.array([], dtype=np.int64), np.array([]),
-                                np.zeros((2, 3)), np.zeros((2, 3)),
-                                np.array([], dtype=np.int64), np.array([]),
-                                lambda_s=0.0, lambda_item=0.0, text_anchor=None)
+            _solve_rows(out, 0.0, [(1.0, one_row([], [], 2), np.zeros((2, 3)))])
 
     def test_non_finite_system_not_reported_singular(self):
         # a non-finite Gram goes on as a non-finite result for the loss check
         gram = np.array([[1.0, np.inf], [np.inf, 1.0]])
         out = _solve_spd(gram, np.ones(2))
         assert not np.isfinite(out).any()
-        out = update_user(np.array([0]), np.array([np.nan]), np.ones((1, 2)), 0.5)
+        out = np.empty((1, 2))
+        _solve_rows(out, 0.5, [(1.0, one_row([0], [np.nan], 1), np.ones((1, 2)))])
         assert not np.isfinite(out).any()
 
 
 class TestUpdateItemContext:
+    """The item-context block: weighted co-click neighbours alone."""
+
     def test_no_neighbors_gives_zero(self):
-        out = update_item_context(np.array([], dtype=np.int64), np.array([]),
-                                  np.zeros((3, 2)), lambda_s=1.0, lambda_context=0.5)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        # item 1 has no neighbour
+        alpha = np.full((2, 2), 7.0)
+        _solve_rows(alpha, 0.5, [(1.0, from_coo((2, 3), [0], [2], [1.0]), np.ones((3, 2)))])
+        np.testing.assert_array_equal(alpha[1], np.zeros(2))
 
     def test_scalar_closed_form(self):
         # one neighbor with factor 1, value ln 2, weights 1 -> ln2 / 2
-        out = update_item_context(np.array([0]), np.array([math.log(2.0)]),
-                                  np.array([[1.0]]), lambda_s=1.0, lambda_context=1.0)
-        assert out[0] == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
+        out = np.empty((1, 1))
+        _solve_rows(out, 1.0, [(1.0, one_row([0], [math.log(2.0)], 1), np.array([[1.0]]))])
+        assert out[0, 0] == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
 
     def test_stationary_point(self, rng):
-        for _ in range(20):
-            inst = random_instance(rng)
-            theta, beta, alpha, users, items, values, sr, sc, sv, anchor, lam = inst
-            j = int(rng.integers(0, alpha.shape[0]))
-            s_mask = sc == j
-            alpha = alpha.copy()
-            alpha[j] = update_item_context(sr[s_mask], sv[s_mask], beta,
-                                           lam["lambda_s"], lam["lambda_context"])
-            _, _, g_alpha = block_gradients(theta, beta, alpha, users, items, values,
-                                            sr, sc, sv, anchor, **lam)
-            assert np.linalg.norm(g_alpha[j]) <= 1e-8
+        assert_block_stationary(rng, "context")
 
 
-def random_csr(rng, n_rows, n_cols, density):
-    """CSR view (indptr, indices, values) with empty rows and stored exact zeros."""
+def random_csr(rng, n_rows, n_cols, density) -> CsrMatrix:
+    """CsrMatrix with empty rows and stored exact zeros."""
     mask = rng.random((n_rows, n_cols)) < density
     mask[rng.random(n_rows) < 0.2] = False
     rows, cols = np.nonzero(mask)
     values = rng.standard_normal(len(rows))
     values[rng.random(len(rows)) < 0.1] = 0.0
-    return np.searchsorted(rows, np.arange(n_rows + 1)), cols, values
+    return CsrMatrix((n_rows, n_cols), np.searchsorted(rows, np.arange(n_rows + 1)),
+                     cols, values)
 
 
 def dense_ridge_rows(ridge, terms, anchor, n_rows, k):
     """Reference for _solve_rows from dense masks: one np.linalg.solve per row."""
     gram = np.repeat(ridge * np.eye(k)[None], n_rows, axis=0)
     rhs = np.zeros((n_rows, k)) if anchor is None else ridge * anchor
-    for weight, indptr, indices, values, basis in terms:
-        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+    for weight, matrix, basis in terms:
+        rows = matrix.row_ids()
         mask = np.zeros((n_rows, basis.shape[0]))
-        mask[rows, indices] = 1.0
+        mask[rows, matrix.indices] = 1.0
         dense = np.zeros((n_rows, basis.shape[0]))
-        dense[rows, indices] = values
+        dense[rows, matrix.indices] = matrix.data
         gram += weight * np.einsum("rj,jk,jl->rkl", mask, basis, basis)
         rhs += weight * dense @ basis
     return np.array([np.linalg.solve(g, b) for g, b in zip(gram, rhs)])
 
 
 class TestSolveRows:
-    """The batched block solver against the one-row updates and a dense reference."""
+    """The batched block solver against a dense reference that solves each row alone."""
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("block", ["user", "item", "context"])
@@ -208,32 +221,19 @@ class TestSolveRows:
         theta = rng.standard_normal((n_other, k))
         alpha = rng.standard_normal((n_rows, k))
         anchor = rng.standard_normal((n_rows, k))
-        r_view = random_csr(rng, n_rows, n_other, 0.1)
-        s_view = random_csr(rng, n_rows, n_rows, 0.03)
+        ratings = random_csr(rng, n_rows, n_other, 0.1)
+        pairs = random_csr(rng, n_rows, n_rows, 0.03)
         lam_s, ridge = 0.7, 0.4
-
-        def row(view, r):
-            lo, hi = view[0][r], view[0][r + 1]
-            return view[1][lo:hi], view[2][lo:hi]
-
         if block == "user":
-            terms, row_anchor = [(1.0, *r_view, theta)], None
-            want = [update_user(*row(r_view, r), theta, ridge) for r in range(n_rows)]
+            terms, row_anchor = [(1.0, ratings, theta)], None
         elif block == "item":
-            terms = [(1.0, *r_view, theta), (lam_s, *s_view, alpha)]
-            row_anchor = anchor
-            want = [update_item_feature(*row(r_view, r), theta, alpha, *row(s_view, r),
-                                        lam_s, ridge, anchor[r]) for r in range(n_rows)]
+            terms, row_anchor = [(1.0, ratings, theta), (lam_s, pairs, alpha)], anchor
         else:
-            terms, row_anchor = [(lam_s, *s_view, alpha)], None
-            want = [update_item_context(*row(s_view, r), alpha, lam_s, ridge)
-                    for r in range(n_rows)]
-        want = np.array(want)
+            terms, row_anchor = [(lam_s, pairs, alpha)], None
         got = np.empty((n_rows, k))
         _solve_rows(got, ridge, terms, row_anchor)
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
         reference = dense_ridge_rows(ridge, terms, row_anchor, n_rows, k)
+        scale = np.abs(reference).max()
         np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * scale)
 
     def test_lone_rank_deficient_system_in_stack_rejected(self, rng):
@@ -244,7 +244,7 @@ class TestSolveRows:
         values = rng.standard_normal(len(indices))
         out = np.empty((5, 3))
         with pytest.raises(ValidationError, match="singular"):
-            _solve_rows(out, 0.0, [(1.0, indptr, indices, values, basis)])
+            _solve_rows(out, 0.0, [(1.0, CsrMatrix((5, 6), indptr, indices, values), basis)])
         grams = np.repeat(np.eye(3)[None], 4, axis=0)
         grams[2] = np.outer(basis[0], basis[0])
         with pytest.raises(ValidationError, match="singular"):
@@ -263,8 +263,8 @@ class TestSolveRows:
         values = np.array([1.0, bad, 2.0])
         out = np.empty((3, 2))
         with np.errstate(invalid="ignore"):  # inf * 0.0 in the right-hand side
-            _solve_rows(out, 0.5, [(1.0, np.array([0, 1, 2, 3]), np.array([0, 1, 0]),
-                                    values, np.eye(2))])
+            _solve_rows(out, 0.5, [(1.0, CsrMatrix((3, 2), np.array([0, 1, 2, 3]),
+                                                   np.array([0, 1, 0]), values), np.eye(2))])
         assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
 
 
@@ -374,9 +374,9 @@ class TestTotalLoss:
         for _ in range(10):
             theta, beta, alpha, users, items, values, sr, sc, sv, anchor, lam = \
                 random_instance(rng)
+            solve_block("user", theta, beta, alpha, users, items, values, sr, sc, sv,
+                        anchor, **lam)
             u = int(rng.integers(0, theta.shape[0]))
-            mask = users == u
-            theta[u] = update_user(items[mask], values[mask], beta, lam["lambda_user"])
             base = joint_loss_reference(theta, beta, alpha, users, items, values,
                                         sr, sc, sv, anchor, **lam)
             for _ in range(20):
@@ -513,17 +513,6 @@ class TestTrain:
         np.testing.assert_allclose(state.user_factors, theta_ref, atol=1e-8)
         np.testing.assert_allclose(state.item_factors, beta_ref, atol=1e-8)
         assert run_label(hyper) == "pmf-degenerate"
-
-    def test_item_block_order_independent(self):
-        data = synthetic_train_data()
-        hyper = Hyperparams(n_factors=3, lambda_s=0.5, lambda_user=0.05,
-                            lambda_item=0.5, lambda_context=0.05, sdae=None,
-                            max_epochs=3, patience=0, seed=5)
-        state_a, _ = train(data, hyper, threads=1)
-        state_b, _ = train(data, hyper, threads=3)
-        np.testing.assert_array_equal(state_a.user_factors, state_b.user_factors)
-        np.testing.assert_array_equal(state_a.item_factors, state_b.item_factors)
-        np.testing.assert_array_equal(state_a.context_factors, state_b.context_factors)
 
     def test_returns_best_validation_state(self):
         data = synthetic_train_data()

@@ -1,12 +1,16 @@
-"""Static checks on the package source, using only the standard library."""
+"""Checks on the package source and its README. All but the flag check are
+static and use only the standard library."""
 
+import argparse
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cofactor").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "cofactor").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +104,25 @@ def test_check_finds_scipy_references():
               "from .scipy import x\nimport numpy\n\n"
               "def view():\n    import scipy.sparse\n    return scipy.sparse\n")
     assert scipy_references(source) == (["line 1", "line 2"], ["line 7", "line 8"])
+
+
+def readme_flags(readme: str) -> set[str]:
+    """The flags named in the README paragraph that starts with `Flags:`."""
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Flags:"))
+    return set(re.findall(r"`(--[\w-]+)", paragraph))
+
+
+def test_readme_lists_every_cli_flag():
+    from cofactor.cli import build_parser
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    flags = {option for command in commands.values() for action in command._actions
+             if not isinstance(action, argparse._HelpAction)
+             for option in action.option_strings}
+    assert readme_flags((ROOT / "README.md").read_text(encoding="utf-8")) == flags
+
+
+def test_check_reads_the_flags_paragraph():
+    readme = "Run `--not-a-flag`.\n\nFlags: `--config PATH`, `--mode in|out`,\n`--dry-run`.\n\nMore."
+    assert readme_flags(readme) == {"--config", "--mode", "--dry-run"}
