@@ -26,7 +26,7 @@ from .factor import (Hyperparams, TrainData, load_checkpoint, run_label,
                      save_checkpoint, train)
 from .predict_eval import (evaluate, sweep_lambda_s, sweep_sparsity,
                            write_sparsity_csv, write_sweep_csv, write_trace_csv)
-from .sdae import SdaeConfig
+from .sdae import SdaeConfig, stack_widths
 from .sparse import CsrMatrix
 
 DEFAULT_CONFIG = {
@@ -45,16 +45,13 @@ DEFAULT_CONFIG = {
              "learning_rate": 0.01},
     "sweep": {"lambda_s_grid": [0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
               "sparsity_grid": [10, 20, 50, 80]},
-    "flags": {"clicks_from_all": False, "clamp": None, "deterministic": False},
+    "flags": {"clicks_from_all": False, "clamp": None},
 }
 
 
 class ConfigError(CofactorError):
     """Unusable run configuration (maps to exit code 2)."""
 
-
-# flags that change neither results nor speed, so not part of the fingerprint
-NON_RESULT_FLAGS = ("deterministic",)
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -137,8 +134,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     if getattr(overrides, "seed", None) is not None:
         cfg["seed"] = overrides.seed
         set_by["seed"] = "--seed"
-    if getattr(overrides, "deterministic", False):
-        cfg["flags"]["deterministic"] = True
     if getattr(overrides, "mode", None) is not None:
         cfg["split"]["mode"] = {"in": "in_matrix", "out": "out_of_matrix"}[overrides.mode]
     if getattr(overrides, "lambda_s_grid", None) is not None:
@@ -156,10 +151,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
 
 
 def fingerprint(cfg: dict) -> str:
-    """Hash of the resolved config without NON_RESULT_FLAGS."""
-    flags = {k: v for k, v in cfg["flags"].items() if k not in NON_RESULT_FLAGS}
-    blob = json.dumps({**cfg, "flags": flags}, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    """Hash of the resolved config."""
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -315,10 +308,8 @@ def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
     if text["enabled"]:
         if docs is None:
             raise ConfigError("text.enabled is true but no documents were ingested")
-        hidden = list(text["hidden_widths"])
-        k = cfg["hyper"]["n_factors"]
-        widths = [docs.vocab_size, *hidden, k, *reversed(hidden), docs.vocab_size]
-        sdae = SdaeConfig(layer_widths=widths, noise_rate=text["noise_rate"],
+        sdae = SdaeConfig(hidden_widths=list(text["hidden_widths"]),
+                          noise_rate=text["noise_rate"],
                           pretrain_epochs=text["pretrain_epochs"],
                           learning_rate=text["learning_rate"])
     return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
@@ -373,7 +364,8 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
     hyper = _build_hyper(cfg, docs)
     if dry_run:
         print(json.dumps(cfg, sort_keys=True, indent=2))
-        widths = hyper.sdae.layer_widths if hyper.sdae else []
+        widths = (stack_widths(docs.vocab_size, hyper.sdae.hidden_widths, hyper.n_factors)
+                  if hyper.sdae else [])
         print(f"planned: n_users={ratings.n_users} n_items={ratings.n_items} "
               f"n_ratings={ratings.n_entries} n_factors={hyper.n_factors} "
               f"layer_widths={widths} run={run_label(hyper)}")

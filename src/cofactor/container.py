@@ -61,7 +61,8 @@ class _Entries(dict):
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by write_container; returns (meta, arrays).
-    A truncated or malformed file raises CheckpointError."""
+    A truncated or malformed file, or an array holding a NaN or an infinity,
+    raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
@@ -79,6 +80,8 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(payload, dtype=dtype, count=count, offset=info["offset"])
             arrays[name] = arr.reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
         return _Entries(path, header["meta"]), _Entries(path, arrays)
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: truncated or corrupt container ({exc})") from None

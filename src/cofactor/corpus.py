@@ -379,7 +379,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     non-positive values; real-scale configs keep the offset well above zero).
     """
     from .factor import ModelState  # deferred: factor imports this module
-    from .sdae import SdaeParams, encode
+    from .sdae import SdaeParams, encode, stack_widths
 
     config.validate()
     rng = np.random.default_rng(seed)
@@ -398,7 +398,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     doc_rows = from_coo((m, v), rows_idx, cols_idx, np.asarray(data, dtype=np.float64))
     docs = DocTermMatrix(n_items=m, vocab=vocab, rows=doc_rows)
 
-    widths = [v, *config.encoder_hidden, k, *reversed(config.encoder_hidden), v]
+    widths = stack_widths(v, config.encoder_hidden, k)
     weights, biases = [], []
     for d_in, d_out in zip(widths[:-1], widths[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))

@@ -75,9 +75,6 @@ class Hyperparams:
             raise ValidationError("patience must be nonnegative")
         if self.sdae is not None:
             self.sdae.validate()
-            if self.sdae.latent_dim != self.n_factors:
-                raise ValidationError(
-                    f"autoencoder latent width {self.sdae.latent_dim} != n_factors {self.n_factors}")
 
 
 @dataclass
@@ -323,10 +320,6 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     if sdae_on:
         if docs is None:
             raise ValidationError("autoencoder enabled but no document matrix supplied")
-        if hyper.sdae.layer_widths[0] != docs.vocab_size:
-            raise ValidationError(
-                f"autoencoder input width {hyper.sdae.layer_widths[0]} != vocabulary size "
-                f"{docs.vocab_size}")
         if docs.n_items != n_items:
             raise ValidationError("document matrix rows do not match item count")
     if split.mode == "out_of_matrix" and not sdae_on:
@@ -338,7 +331,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     rng = np.random.default_rng(hyper.seed)
     theta = 0.01 * rng.standard_normal((n_users, k))
     if sdae_on:
-        params = pretrain(docs.rows, hyper.sdae, seed=hyper.seed)
+        params = pretrain(docs.rows, hyper.sdae, k, seed=hyper.seed)
         beta = np.asarray(encode(docs.rows, params))
     else:
         params = None
@@ -425,12 +418,16 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
 
 
 def _hyper_from_dict(blob: dict) -> Hyperparams:
-    """Inverse of dataclasses.asdict(hyper). An `activation` key, which older
-    checkpoints store and which was always "sigmoid", is dropped."""
+    """Inverse of dataclasses.asdict(hyper). Older checkpoints store the full
+    symmetric `layer_widths` stack, read as its hidden widths, and an
+    `activation` key, which was always "sigmoid" and is dropped."""
     blob = dict(blob)
     sdae_blob = blob.pop("sdae", None)
     if sdae_blob is not None:
         sdae_blob = {k: v for k, v in sdae_blob.items() if k != "activation"}
+        if "layer_widths" in sdae_blob:
+            widths = sdae_blob.pop("layer_widths")
+            sdae_blob["hidden_widths"] = widths[1:len(widths) // 2]
     return Hyperparams(sdae=SdaeConfig(**sdae_blob) if sdae_blob is not None else None,
                        **blob)
 

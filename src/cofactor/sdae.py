@@ -1,9 +1,12 @@
 """Stacked denoising autoencoder over bag-of-words rows.
 
-Sigmoid activations on every layer. The encoder is the first half of the
-layer stack; the reconstruction is the full stack. Gradients cover the three
-joint-loss terms that touch the net: the item-anchor pull toward the middle
-layer, the clean-row reconstruction error, and weight decay.
+The layer stack is symmetric: input → hidden… → latent → mirrored hidden… →
+input, built by stack_widths from the input width, the hidden widths and the
+latent width. Sigmoid activations on every layer. The encoder is the first
+half of the stack and its output, the middle layer, is the latent vector; the
+reconstruction is the full stack. Gradients cover the three joint-loss terms
+that touch the net: the item-anchor pull toward the middle layer, the
+clean-row reconstruction error, and weight decay.
 """
 
 from __future__ import annotations
@@ -21,38 +24,34 @@ from .sparse import CsrMatrix
 class SdaeConfig:
     """Architecture and training knobs.
 
-    layer_widths runs input → … → latent → … → output and must be symmetric
-    with an even number of layers; the middle width is the latent dimension
-    shared with the factor model.
+    hidden_widths are the encoder's layers between the input and the latent
+    layer, outermost first; the decoder mirrors them. The input width (the
+    vocabulary size) and the latent width (the factor model's K) come from
+    the data and the model, so stack_widths derives the full stack and checks
+    that every width is positive.
     """
 
-    layer_widths: list[int]
+    hidden_widths: list[int]
     noise_rate: float = 0.3
     pretrain_epochs: int = 20
     learning_rate: float = 0.01
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
-    @property
-    def latent_dim(self) -> int:
-        return self.layer_widths[len(self.layer_widths) // 2]
-
     def validate(self) -> None:
-        widths = self.layer_widths
-        if len(widths) < 3 or self.n_layers % 2 != 0:
-            raise ValidationError("layer_widths must describe an even, nonzero layer count")
-        if widths != widths[::-1]:
-            raise ValidationError("layer_widths must be symmetric around the middle")
-        if any(w < 1 for w in widths):
-            raise ValidationError("layer widths must be positive")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must be in [0, 1)")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
         if self.pretrain_epochs < 0:
             raise ValidationError("pretrain_epochs must be nonnegative")
+
+
+def stack_widths(n_inputs: int, hidden_widths, latent: int) -> list[int]:
+    """The symmetric layer stack input → hidden → latent → mirrored hidden →
+    input, whose middle layer is the latent vector."""
+    widths = [n_inputs, *hidden_widths, latent, *reversed(hidden_widths), n_inputs]
+    if min(widths) < 1:
+        raise ValidationError(f"layer widths must be positive, got {widths}")
+    return widths
 
 
 @dataclass
@@ -196,8 +195,9 @@ def sdae_gradients(params: SdaeParams, x0, xc, beta: np.ndarray, *,
     return grads_w, grads_b
 
 
-def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
-    """Greedy layer-wise denoising pretraining of the full symmetric stack.
+def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaeParams:
+    """Greedy layer-wise denoising pretraining of the full symmetric stack,
+    stack_widths(width of the rows, config.hidden_widths, latent).
 
     Each encoder depth trains a one-hidden-layer denoising autoencoder on the
     clean propagation of the rows so far; its decoder initializes the mirror
@@ -206,11 +206,8 @@ def pretrain(clean_rows, config: SdaeConfig, seed: int) -> SdaeParams:
     config.validate()
     if not isinstance(clean_rows, CsrMatrix):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)
-    if clean_rows.shape[1] != config.layer_widths[0]:
-        raise ValidationError(
-            f"rows have width {clean_rows.shape[1]}, config expects {config.layer_widths[0]}")
     rng = np.random.default_rng(seed)
-    params = init_params(config.layer_widths, rng)
+    params = init_params(stack_widths(clean_rows.shape[1], config.hidden_widths, latent), rng)
     if config.pretrain_epochs == 0:
         return params
     n_layers = params.n_layers

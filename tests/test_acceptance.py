@@ -179,7 +179,7 @@ def test_criterion_4_loss_monotone_across_blocks():
     """N=200, M=300, K=16: within every epoch the loss sampled after each
     exact block is non-increasing, tolerance 1e-9."""
     split, ppmi, docs = _recovery_world()
-    sdae = SdaeConfig(layer_widths=[30, 12, 16, 12, 30], pretrain_epochs=5)
+    sdae = SdaeConfig(hidden_widths=[12], pretrain_epochs=5)
     hyper = Hyperparams(n_factors=16, lambda_s=0.1, lambda_user=0.05,
                         lambda_item=1.0, lambda_context=0.05, lambda_recon=1.0,
                         lambda_decay=1e-4, sdae=sdae, max_epochs=10, patience=0,
@@ -232,7 +232,7 @@ def test_criterion_6_synthetic_recovery():
     """Generative-process data with sigma_R=0.1: held-out in-matrix RMSE <= 0.2
     within 50 epochs, for both the text-anchored joint run and the degenerate one."""
     split, ppmi, docs = _recovery_world()
-    sdae = SdaeConfig(layer_widths=[30, 12, 16, 12, 30], pretrain_epochs=5)
+    sdae = SdaeConfig(hidden_widths=[12], pretrain_epochs=5)
     joint = Hyperparams(n_factors=16, lambda_s=0.001, lambda_user=0.05,
                         lambda_item=0.05, lambda_context=0.05, lambda_recon=1.0,
                         lambda_decay=1e-4, sdae=sdae, max_epochs=50, patience=5,
@@ -285,7 +285,7 @@ def test_criterion_8_sparsity_trend_and_gap():
                              encoder_hidden=(12,))
     ratings, clicks, docs, _ = generate_synthetic(config, seed=11)
     ppmi = build_ppmi(cooccurrence_counts(clicks))
-    sdae = SdaeConfig(layer_widths=[30, 12, 8, 12, 30], pretrain_epochs=5)
+    sdae = SdaeConfig(hidden_widths=[12], pretrain_epochs=5)
     joint_h = Hyperparams(n_factors=8, lambda_s=0.5, lambda_user=0.05,
                           lambda_item=1.0, lambda_context=0.05, lambda_recon=1.0,
                           lambda_decay=1e-4, sdae=sdae, max_epochs=30,
@@ -318,15 +318,16 @@ def test_criterion_8_sparsity_trend_and_gap():
 
 
 def test_criterion_9_out_of_matrix_reads_only_user_and_text(tmp_path):
-    """Held-out item predictions are bit-identical whether the checkpoint's
-    item/context rows are intact, zeroed, or poisoned."""
+    """Held-out item predictions are bit-identical whether the item/context
+    rows of the model reloaded from its checkpoint are intact or poisoned.
+    A checkpoint cannot hold the NaN poison itself: loading rejects it."""
     config = SyntheticConfig(n_users=60, n_items=50, n_factors=4, vocab_size=16,
                              rating_density=0.3, rating_offset=5.0,
                              encoder_hidden=(8,))
     ratings, clicks, docs, _ = generate_synthetic(config, seed=14)
     split = make_split(ratings, "out_of_matrix", 0.2, 0.1, seed=14)
     ppmi = build_ppmi(cooccurrence_counts(clicks))
-    sdae = SdaeConfig(layer_widths=[16, 8, 4, 8, 16], pretrain_epochs=5)
+    sdae = SdaeConfig(hidden_widths=[8], pretrain_epochs=5)
     hyper = Hyperparams(n_factors=4, lambda_s=0.2, lambda_user=0.05,
                         lambda_item=1.0, lambda_context=0.05, lambda_recon=1.0,
                         lambda_decay=1e-4, sdae=sdae, max_epochs=8, patience=0,
@@ -340,13 +341,12 @@ def test_criterion_9_out_of_matrix_reads_only_user_and_text(tmp_path):
         return predict_ratings(model, first_pairs, "out_of_matrix", docs)
 
     base = predictions(state)
-    poisoned = state.copy()
-    poisoned.item_factors[held_out] = np.nan
-    poisoned.context_factors[held_out] = np.nan
-    path = tmp_path / "poisoned.bin"
-    save_checkpoint(path, poisoned, hyper, user_ids=ratings.user_ids,
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, state, hyper, user_ids=ratings.user_ids,
                     item_ids=ratings.item_ids, vocab=docs.vocab)
     reloaded, _, _ = load_checkpoint(path)
+    reloaded.item_factors[held_out] = np.nan
+    reloaded.context_factors[held_out] = np.nan
     assert np.array_equal(base, predictions(reloaded))
     report_base = evaluate(state, split, docs)
     report_poisoned = evaluate(reloaded, split, docs)

@@ -9,7 +9,7 @@ import pytest
 from cofactor import ppmi, predict_eval
 from cofactor.cli import main
 from cofactor.container import read_container, write_container
-from cofactor.factor import train
+from cofactor.factor import load_checkpoint, train
 from cofactor.ppmi import cooccurrence_counts
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -63,7 +63,6 @@ def write_config(tmp_path: Path, paths: dict, **tweaks) -> Path:
                  "hidden_widths": [6], "noise_rate": 0.2, "pretrain_epochs": 3,
                  "learning_rate": 0.05},
         "sweep": {"lambda_s_grid": [0.1, 1.0, 10.0], "sparsity_grid": []},
-        "flags": {"deterministic": True},
     }
     for key, value in tweaks.items():
         section, _, field = key.partition(".")
@@ -208,7 +207,7 @@ class TestTrain:
     def test_deterministic_leaves_fingerprint(self, tmp_path):
         # the flag has no effect on the model, so none on its fingerprint
         paths = write_fixture(tmp_path)
-        config = write_config(tmp_path, paths, flags={"deterministic": False})
+        config = write_config(tmp_path, paths)
         main(["ingest", "--config", str(config)])
         runs = []
         for extra in ([], ["--deterministic"]):
@@ -489,7 +488,7 @@ def eval_error(capsys, config: Path, ckpt: Path, *flags: str) -> str:
 def edit_config(config: Path, section: str, field: str, value) -> None:
     cfg = json.loads(config.read_text())
     if section:
-        cfg[section][field] = value
+        cfg.setdefault(section, {})[field] = value
     else:
         cfg[field] = value
     config.write_text(json.dumps(cfg))
@@ -618,6 +617,35 @@ class TestCorruptFiles:
             activation="sigmoid"))
         assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
 
+    @pytest.mark.parametrize("extra", [{}, {"activation": "sigmoid"}],
+                             ids=["plain", "with-activation"])
+    def test_stored_layer_widths_load_to_the_same_report(self, workspace, extra):
+        # earlier checkpoints store the autoencoder's whole symmetric stack
+        # (vocabulary 12, hidden 6, latent 3) where they now store hidden_widths
+        tmp_path, config = workspace
+        ckpt = train_checkpoint(config)
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        reports = [(out / name).read_bytes() for name in ("report.csv", "report.txt")]
+        sdae = load_checkpoint(ckpt)[1].sdae
+
+        def store_stack(header):
+            stored = header["meta"]["hyper"]["sdae"]
+            assert stored.pop("hidden_widths") == [6]
+            stored.update(layer_widths=[12, 6, 3, 6, 12], **extra)
+
+        rewrite_header(ckpt, store_stack)
+        assert load_checkpoint(ckpt)[1].sdae == sdae
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert [(out / name).read_bytes() for name in ("report.csv", "report.txt")] == reports
+
+    def test_checkpoint_holding_nan_exits_1(self, workspace, capsys):
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        rewrite_array(ckpt, "item_factors", set_entry(2, np.nan))
+        err = eval_error(capsys, config, ckpt)
+        assert str(ckpt) in err and "'item_factors'" in err
+
 
 def rewrite_array(path: Path, name: str, edit) -> None:
     """Replace one array of a container by `edit` applied to a copy of it."""
@@ -654,6 +682,9 @@ BAD_CACHE_ARRAYS = {
     "ratings_values_short": ("ratings.bin", "values", lambda array: array[:-5]),
     "ratings_users_long": ("ratings.bin", "users", lambda array: np.append(array, 0)),
     "clicks_items_short": ("clicks.bin", "items", lambda array: array[:-5]),
+    # non-finite values: scored or trained on as if they were numbers
+    "ratings_nan_value": ("ratings.bin", "values", set_entry(3, np.nan)),
+    "docs_inf_data": ("docs.bin", "data", set_entry(0, np.inf)),
 }
 
 
@@ -671,7 +702,7 @@ class TestCorruptCacheArrays:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert name in proc.stderr
-        if name != "docs.bin":
+        if name != "docs.bin" or case == "docs_inf_data":
             assert repr(array) in proc.stderr
 
 

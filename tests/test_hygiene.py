@@ -1,8 +1,9 @@
-"""Checks on the package source and its README. All but the flag check are
-static and use only the standard library."""
+"""Checks on the package source and its README. All but the flag and default
+checks are static and use only the standard library."""
 
 import argparse
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -126,3 +127,17 @@ def test_readme_lists_every_cli_flag():
 def test_check_reads_the_flags_paragraph():
     readme = "Run `--not-a-flag`.\n\nFlags: `--config PATH`, `--mode in|out`,\n`--dry-run`.\n\nMore."
     assert readme_flags(readme) == {"--config", "--mode", "--dry-run"}
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # each default is written twice: in the CLI's config and in the dataclass
+    from cofactor.cli import DEFAULT_CONFIG
+    from cofactor.factor import Hyperparams
+    from cofactor.sdae import SdaeConfig
+    hyper = dataclasses.asdict(Hyperparams())
+    del hyper["sdae"], hyper["seed"]    # set by the text section and the top-level seed
+    assert DEFAULT_CONFIG["hyper"] == hyper
+    sdae = {f.name: f.default for f in dataclasses.fields(SdaeConfig)
+            if f.default is not dataclasses.MISSING}
+    text = DEFAULT_CONFIG["text"]
+    assert sdae == {key: text[key] for key in ("noise_rate", "pretrain_epochs", "learning_rate")}

@@ -67,7 +67,7 @@ class TestEvaluate:
         hyper = Hyperparams(n_factors=3, lambda_s=0.0, lambda_user=0.05,
                             lambda_item=1.0, lambda_context=0.05,
                             lambda_recon=1.0,
-                            sdae=SdaeConfig(layer_widths=[12, 6, 3, 6, 12],
+                            sdae=SdaeConfig(hidden_widths=[6],
                                             pretrain_epochs=3),
                             max_epochs=3, patience=0, seed=12)
         state, _ = train(TrainData(split=split, docs=docs), hyper)

@@ -7,7 +7,8 @@ from scipy.special import expit
 from cofactor.errors import ValidationError
 from cofactor.sdae import (SdaeConfig, SdaeParams, _sigmoid, corrupt, encode,
                            forward_activations, init_params, pretrain,
-                           reconstruct, sdae_forward, sdae_gradients)
+                           reconstruct, sdae_forward, sdae_gradients,
+                           stack_widths)
 from cofactor.sparse import CsrMatrix
 
 from conftest import assert_same_csr, from_scipy, to_scipy
@@ -222,23 +223,28 @@ class TestGradients:
 
 class TestConfig:
     def test_valid(self):
-        SdaeConfig(layer_widths=[10, 4, 2, 4, 10]).validate()
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValidationError):
-            SdaeConfig(layer_widths=[10, 4, 2, 5, 10]).validate()
-
-    def test_odd_layer_count_rejected(self):
-        with pytest.raises(ValidationError):
-            SdaeConfig(layer_widths=[10, 2, 10, 10]).validate()
+        SdaeConfig(hidden_widths=[4]).validate()
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
     def test_bad_learning_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="learning_rate"):
-            SdaeConfig(layer_widths=[10, 2, 10], learning_rate=rate).validate()
+            SdaeConfig(hidden_widths=[], learning_rate=rate).validate()
 
-    def test_latent_dim(self):
-        assert SdaeConfig(layer_widths=[10, 4, 2, 4, 10]).latent_dim == 2
+
+class TestStackWidths:
+    @pytest.mark.parametrize("hidden,expected", [
+        ([], [10, 2, 10]),
+        ([4], [10, 4, 2, 4, 10]),
+        ((6, 4), [10, 6, 4, 2, 4, 6, 10]),
+    ])
+    def test_symmetric_around_the_latent_layer(self, hidden, expected):
+        assert stack_widths(10, hidden, 2) == expected
+
+    @pytest.mark.parametrize("n_inputs,hidden,latent", [(0, [4], 2), (10, [4, 0], 2),
+                                                        (10, [-1], 2), (10, [4], 0)])
+    def test_nonpositive_width_rejected(self, n_inputs, hidden, latent):
+        with pytest.raises(ValidationError, match="positive"):
+            stack_widths(n_inputs, hidden, latent)
 
 
 class TestPretrain:
@@ -247,9 +253,9 @@ class TestPretrain:
 
     def test_zero_epochs_returns_initialization(self, rng):
         rows = self._rows(rng)
-        config = SdaeConfig(layer_widths=[12, 6, 3, 6, 12], pretrain_epochs=0)
-        params = pretrain(rows, config, seed=3)
-        reference = init_params(config.layer_widths, np.random.default_rng(3))
+        config = SdaeConfig(hidden_widths=[6], pretrain_epochs=0)
+        params = pretrain(rows, config, 3, seed=3)
+        reference = init_params([12, 6, 3, 6, 12], np.random.default_rng(3))
         for a, b in zip(params.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
         for b_got, b_ref in zip(params.biases, reference.biases):
@@ -257,32 +263,27 @@ class TestPretrain:
 
     def test_reconstruction_improves(self, rng):
         rows = self._rows(rng)
-        config = SdaeConfig(layer_widths=[12, 6, 3, 6, 12], pretrain_epochs=40,
+        config = SdaeConfig(hidden_widths=[6], pretrain_epochs=40,
                             learning_rate=0.5, noise_rate=0.2)
-        before = init_params(config.layer_widths, np.random.default_rng(11))
-        after = pretrain(rows, config, seed=11)
+        before = init_params([12, 6, 3, 6, 12], np.random.default_rng(11))
+        after = pretrain(rows, config, 3, seed=11)
         loss_before = float(((rows - reconstruct(rows, before)) ** 2).sum())
         loss_after = float(((rows - reconstruct(rows, after)) ** 2).sum())
         assert loss_after <= loss_before
 
     def test_deterministic(self, rng):
         rows = self._rows(rng)
-        config = SdaeConfig(layer_widths=[12, 4, 12], pretrain_epochs=5)
-        a = pretrain(rows, config, seed=21)
-        b = pretrain(rows, config, seed=21)
+        config = SdaeConfig(hidden_widths=[], pretrain_epochs=5)
+        a = pretrain(rows, config, 4, seed=21)
+        b = pretrain(rows, config, 4, seed=21)
         for w_a, w_b in zip(a.weights, b.weights):
             np.testing.assert_array_equal(w_a, w_b)
 
     def test_accepts_sparse_rows(self, rng):
         rows = from_scipy(self._rows(rng))
-        config = SdaeConfig(layer_widths=[12, 4, 12], pretrain_epochs=3)
-        params = pretrain(rows, config, seed=1)
+        config = SdaeConfig(hidden_widths=[], pretrain_epochs=3)
+        params = pretrain(rows, config, 4, seed=1)
         assert params.n_layers == 2
-
-    def test_width_mismatch(self, rng):
-        config = SdaeConfig(layer_widths=[10, 4, 10], pretrain_epochs=1)
-        with pytest.raises(ValidationError):
-            pretrain(self._rows(rng, v=12), config, seed=0)
 
 
 def _text_rows(rng, sparse, n=30, v=12):
@@ -304,13 +305,14 @@ class TestSdaeForward:
 
 class TestPretrainMatchesReference:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    @pytest.mark.parametrize("widths", [[12, 5, 12], [12, 6, 3, 6, 12]],
+    @pytest.mark.parametrize("hidden,latent", [([], 5), ([6], 3)],
                              ids=["one-depth", "two-depths"])
-    def test_within_1e12_relative(self, rng, sparse, widths):
+    def test_within_1e12_relative(self, rng, sparse, hidden, latent):
         rows = _text_rows(rng, sparse)
-        config = SdaeConfig(layer_widths=widths, noise_rate=0.3, pretrain_epochs=6,
+        config = SdaeConfig(hidden_widths=hidden, noise_rate=0.3, pretrain_epochs=6,
                             learning_rate=0.5)
-        got = pretrain(rows, config, seed=13)
+        got = pretrain(rows, config, latent, seed=13)
+        widths = stack_widths(rows.shape[1], hidden, latent)
         ref_weights, ref_biases = pretrain_reference(to_scipy(rows) if sparse else rows,
                                                      widths, 0.3, 6, 0.5, seed=13)
         initial = init_params(widths, np.random.default_rng(13))
