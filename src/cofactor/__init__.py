@@ -12,8 +12,7 @@ from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
 from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
 from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse,
                            sweep_lambda_s, sweep_sparsity)
-from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, forward_activations,
-                   pretrain, reconstruct, sdae_forward, sdae_gradients)
+from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass
 from .sparse import CsrMatrix
 
 __version__ = "0.1.0"

@@ -95,6 +95,7 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
     for key, ok, requirement in (
             ("seed", cfg["seed"] >= 0, "a nonnegative integer"),
             ("subsample_fraction", 0 < cfg["subsample_fraction"] <= 1, "a number in (0, 1]"),
+            ("text.vocab_size", cfg["text"]["vocab_size"] >= 1, "a positive integer"),
             ("text.hidden_widths",
              all(isinstance(w, int) and w > 0 for w in cfg["text"]["hidden_widths"]),
              "a list of positive integers"),

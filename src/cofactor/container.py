@@ -30,6 +30,8 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
         arr = np.asarray(arr)
         if arr.dtype.kind == "f":
             arr = np.ascontiguousarray(arr, dtype="<f8")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
         elif arr.dtype.kind in "iu":
             arr = np.ascontiguousarray(arr, dtype="<i8")
         else:

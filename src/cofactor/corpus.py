@@ -50,9 +50,6 @@ class RatingDataset:
     def item_index_map(self) -> dict[str, int]:
         return {iid: k for k, iid in enumerate(self.item_ids)}
 
-    def pair_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.users.tolist(), self.items.tolist()))
-
     def replace_entries(self, users: np.ndarray, items: np.ndarray,
                         ratings: np.ndarray) -> "RatingDataset":
         """Same index universe, different entry set."""
@@ -91,9 +88,6 @@ class DocTermMatrix:
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    def dense_row(self, item: int) -> np.ndarray:
-        return self.rows[[item]].toarray()[0]
 
 
 @dataclass
@@ -276,6 +270,8 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     """
     if scheme not in ("tfidf", "count"):
         raise ValidationError(f"unknown bag-of-words scheme {scheme!r}")
+    if vocab_size < 1:
+        raise ValidationError(f"vocab_size must be positive, got {vocab_size}")
     doc_counts: dict[int, dict[str, int]] = {}
     total_count: dict[str, int] = {}
     doc_freq: dict[str, int] = {}

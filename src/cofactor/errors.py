@@ -24,12 +24,15 @@ class SplitError(CofactorError):
 
 
 class TrainingDivergedError(CofactorError):
-    """The joint loss became non-finite during training."""
+    """Training blew up at `epoch`: the loss term `term` became non-finite or,
+    with `block`, the ridge systems of the block `term` grew too large to factor."""
 
-    def __init__(self, epoch: int, term: str):
+    def __init__(self, epoch: int, term: str, *, block: bool = False):
         self.epoch = epoch
         self.term = term
-        super().__init__(f"non-finite loss at epoch {epoch} (term: {term})")
+        super().__init__(
+            f"diverged at epoch {epoch}: the {term} block's systems grew too large to factor"
+            if block else f"non-finite loss at epoch {epoch} (term: {term})")
 
 
 class CheckpointError(CofactorError):

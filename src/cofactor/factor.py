@@ -27,9 +27,8 @@ from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
-from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, pretrain,
-                   sdae_forward, sdae_gradients)
-from .sparse import CsrMatrix
+from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass
+from .sparse import CHUNK_ROWS, CsrMatrix
 
 CHECKPOINT_VERSION = 1
 
@@ -126,24 +125,28 @@ def run_label(hyper: Hyperparams) -> str:
     return "pmf-degenerate" if hyper.lambda_s == 0 and hyper.sdae is None else "joint"
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K).
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K), whose
+    Grams include `ridge`·I.
 
     A non-finite system yields a NaN row, which train()'s loss check after the
     block reports as TrainingDivergedError. Each system is factored once, as
-    L Lᵀ: a finite system that is not positive definite (a rank-deficient Gram
-    with no ridge) has no Cholesky factor and raises ValidationError instead
-    of returning a huge x, and the others are solved from L by forward and
-    back substitution, one column at a time across the whole stack.
+    L Lᵀ, and solved from L by forward and back substitution, one column at a
+    time across the whole stack. A finite system with no factor is singular
+    with no ridge (ValidationError). A positive ridge makes it positive definite,
+    so entries far larger than the ridge swamped it: train() reports the
+    LinAlgError as divergence.
     """
     finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
     if not finite.all():
         out = np.full(rhs.shape, np.nan)
-        out[finite] = _solve_spd(gram[finite], rhs[finite])
+        out[finite] = _solve_spd(gram[finite], rhs[finite], ridge)
         return out
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
+        if ridge > 0:
+            raise
         raise ValidationError(f"singular block system: {exc}") from None
     k = rhs.shape[-1]
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
@@ -158,11 +161,6 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-# Rows per chunk. It bounds the (rows, K, K) Gram stack of each stacked solve in
-# _solve_rows and the (rows, n_items) product of the pair term in total_loss.
-_CHUNK_ROWS = 256
-
-
 def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                 anchor: np.ndarray | None = None) -> None:
     """Write into each row r of `out` the exact ridge solution of
@@ -173,13 +171,13 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     the neighbours N_b(r) as column indices with values v_j, and the rows of
     the dense matrix B are the vectors B_j those columns index. Without an
     anchor the ridge pulls toward zero. Rows are solved in chunks of
-    _CHUNK_ROWS, one stacked solve per chunk.
+    CHUNK_ROWS, one stacked solve per chunk.
     """
     n_rows, k = out.shape
     terms = [(weight, matrix.indptr, matrix.indices, matrix.data, basis)
              for weight, matrix, basis in terms]
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n_rows)
+    for start in range(0, n_rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_rows)
         gram = np.repeat(ridge * np.eye(k)[None], stop - start, axis=0)
         rhs = np.zeros((stop - start, k)) if anchor is None else ridge * anchor[start:stop]
         for weight, indptr, indices, values, basis in terms:
@@ -189,7 +187,7 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                     rows = basis[indices[lo:hi]]
                     gram[r] += weight * (rows.T @ rows)
                     rhs[r] += weight * (rows.T @ values[lo:hi])
-        out[start:stop] = _solve_spd(gram, rhs)
+        out[start:stop] = _solve_spd(gram, rhs, ridge)
 
 
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
@@ -218,9 +216,9 @@ def _check_finite(value: float, term: str) -> float:
 def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) -> float:
     """Σ (s_ij − β_i·α_j)² over the stored entries of `matrix`, stored zeros included.
 
-    Each chunk of _CHUNK_ROWS rows forms beta[chunk] @ alpha.T and reads its
+    Each chunk of CHUNK_ROWS rows forms beta[chunk] @ alpha.T and reads its
     stored entries out of that product, so no factor row is gathered per entry:
-    temporary memory is a few _CHUNK_ROWS·n_items arrays, not 2·nnz·K floats.
+    temporary memory is a few CHUNK_ROWS·n_items arrays, not 2·nnz·K floats.
     The product costs n_items²·K flops at BLAS speed whatever the density.
     Against the per-entry gather of β_i and α_j (K=32, one BLAS thread) it
     breaks even near 1% density and is 16× faster on a full matrix; the
@@ -229,8 +227,8 @@ def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) ->
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     total = 0.0
-    for start in range(0, matrix.shape[0], _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, matrix.shape[0])
+    for start in range(0, matrix.shape[0], CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, matrix.shape[0])
         lo, hi = indptr[start], indptr[stop]
         if lo == hi:
             continue
@@ -248,8 +246,8 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
                encoding: np.ndarray | None, recon_sq: float | None,
                hyper: Hyperparams, *, known: dict[str, float] | None = None) -> float:
     """Full joint loss; rating values are centered by the state's offset.
-    With the text model on, `(encoding, recon_sq)` is sdae_forward's output
-    for the state's autoencoder; without it both are None.
+    With the text model on, `(encoding, recon_sq)` are the first two outputs
+    of sdae_pass for the state's autoencoder; without it both are None.
 
     `known` maps term names to values already computed for this same state.
     A term found there is reused, and every other term is computed, checked
@@ -367,32 +365,37 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         except NonFiniteLossError as exc:
             raise TrainingDivergedError(epoch, exc.term) from None
 
+    def solve(epoch: int, block: str, out, ridge: float, terms, anchor=None) -> None:
+        try:
+            _solve_rows(out, ridge, terms, anchor)
+        except np.linalg.LinAlgError:
+            raise TrainingDivergedError(epoch, block, block=True) from None
+
     for epoch in range(1, hyper.max_epochs + 1):
         if sdae_on:
             xc = docs.rows
             x0 = corrupt(xc, hyper.sdae.noise_rate,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
-            encoding, recon_sq = sdae_forward(params, x0, xc)
+            encoding, recon_sq, _ = sdae_pass(params, x0, xc)
 
-        _solve_rows(theta, hyper.lambda_user, user_terms)
+        solve(epoch, "user", theta, hyper.lambda_user, user_terms)
         # the forward pass above moved the autoencoder terms too
         loss_users = loss_now(epoch, ("rating", "user_reg", *_AUTOENCODER_TERMS))
-        _solve_rows(beta, hyper.lambda_item, item_terms, encoding)
+        solve(epoch, "item", beta, hyper.lambda_item, item_terms, encoding)
         loss_items = loss_now(epoch, ("rating", "pair", "item_anchor", "item_reg"))
         if context_terms:
-            _solve_rows(alpha, hyper.lambda_context, context_terms)
+            solve(epoch, "context", alpha, hyper.lambda_context, context_terms)
         else:
             alpha[:] = 0.0
         loss_contexts = loss_now(epoch, ("pair", "context_reg"))
 
         if sdae_on:
-            grads_w, grads_b = sdae_gradients(
+            _, _, (grads_w, grads_b) = sdae_pass(
                 params, x0, xc, beta, lambda_anchor=hyper.lambda_item,
                 lambda_recon=hyper.lambda_recon, lambda_decay=hyper.lambda_decay)
-            for layer in range(params.n_layers):
-                params.weights[layer] -= sdae_lr * grads_w[layer]
-                params.biases[layer] -= sdae_lr * grads_b[layer]
-            encoding, recon_sq = sdae_forward(params, x0, xc)
+            for value, grad in zip(params.weights + params.biases, grads_w + grads_b):
+                value -= sdae_lr * grad     # in place
+            encoding, recon_sq, _ = sdae_pass(params, x0, xc)
         loss_end = loss_now(epoch, _AUTOENCODER_TERMS)
         if sdae_on and loss_end > loss_contexts:
             sdae_lr *= 0.5

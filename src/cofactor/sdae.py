@@ -4,9 +4,9 @@ The layer stack is symmetric: input → hidden… → latent → mirrored hidden
 input, built by stack_widths from the input width, the hidden widths and the
 latent width. Sigmoid activations on every layer. The encoder is the first
 half of the stack and its output, the middle layer, is the latent vector; the
-reconstruction is the full stack. Gradients cover the three joint-loss terms
-that touch the net: the item-anchor pull toward the middle layer, the
-clean-row reconstruction error, and weight decay.
+reconstruction is the full stack. sdae_pass runs both in row chunks; its
+gradients cover the three joint-loss terms that touch the net: the item-anchor
+pull toward the middle layer, the clean-row reconstruction error, and weight decay.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sparse import CsrMatrix
+from .sparse import CHUNK_ROWS, CsrMatrix
 
 
 @dataclass
@@ -100,99 +100,93 @@ def corrupt(x_clean, noise_rate: float, rng_seed):
     return x * (rng.random(x.shape) >= noise_rate)
 
 
-def _check_input_width(x, params: SdaeParams) -> None:
-    width = x.shape[-1] if x.shape else 0
-    expected = params.weights[0].shape[0]
+def _check_stack(x, params: SdaeParams) -> None:
+    """The rows x fit the first layer, and the stack has a middle layer."""
+    width, expected = (x.shape[-1] if x.shape else 0), params.weights[0].shape[0]
     if width != expected:
         raise ValidationError(f"input width {width} != first layer fan-in {expected}")
+    if params.n_layers % 2 != 0:
+        raise ValidationError("an odd layer count leaves the stack no middle layer")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e^−x), as scipy.special.expit computes it but on numpy's exp:
     within 2 ulps of expit. Below x ≈ −709 e^−x overflows to inf and the
     result is exactly 0, as it should be."""
     with np.errstate(over="ignore"):
-        out = np.negative(x)
+        out = np.negative(x, out=out)
         np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
 
 
-def _dense(x) -> np.ndarray:
-    return x.toarray() if isinstance(x, CsrMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def _forward(x, params: SdaeParams, n_layers: int):
     """Activations [h_0 … h_n]; h_0 is the (possibly sparse) input."""
     acts = [x]
-    h = x
-    for layer in range(n_layers):
-        h = _sigmoid(h @ params.weights[layer] + params.biases[layer])
-        acts.append(h)
+    for w, b in zip(params.weights[:n_layers], params.biases[:n_layers]):
+        h = acts[-1] @ w
+        h += b
+        acts.append(_sigmoid(h, out=h))     # in place: fresh arrays cost page faults
     return acts
+
 
 def encode(x0, params: SdaeParams) -> np.ndarray:
     """Middle-layer activation: the latent representation of x0."""
-    _check_input_width(x0, params)
-    if params.n_layers % 2 != 0:
-        raise ValidationError("encode needs an even layer count to locate the middle layer")
+    _check_stack(x0, params)
     return _forward(x0, params, params.n_layers // 2)[-1]
 
 
-def reconstruct(x0, params: SdaeParams) -> np.ndarray:
-    """Output-layer activation: the reconstruction of x0 through all layers."""
-    return forward_activations(x0, params)[-1]
-
-
-def forward_activations(x0, params: SdaeParams) -> list:
-    """All layer activations, exposed so the encode/reconstruct split is checkable."""
-    _check_input_width(x0, params)
-    return _forward(x0, params, params.n_layers)
-
-
-def sdae_forward(params: SdaeParams, x0, xc) -> tuple[np.ndarray, float]:
-    """One full forward pass: (encode(x0), Σ‖xc − reconstruct(x0)‖²)."""
-    acts = forward_activations(x0, params)
-    recon = _dense(xc) - acts[-1]
-    return acts[params.n_layers // 2], float((recon * recon).sum())
-
-
-def sdae_gradients(params: SdaeParams, x0, xc, beta: np.ndarray, *,
-                   lambda_anchor: float, lambda_recon: float,
-                   lambda_decay: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the minimized joint-loss terms w.r.t. every weight and bias.
-
-    Covers (λ_anchor/2)·Σ‖β − encode(x0)‖² + (λ_recon/2)·Σ‖xc − reconstruct(x0)‖²
-    + (λ_decay/2)·(‖W‖² + ‖b‖²), backpropagated through the sigmoid stack with
-    the anchor residual injected at the middle layer.
+def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0.0,
+              lambda_recon: float = 0.0, lambda_decay: float = 0.0):
+    """(encode(x0), Σ‖xc − reconstruct(x0)‖², grads) for corrupted rows x0 and
+    clean rows xc, CHUNK_ROWS rows at a time: no array is taller than a chunk
+    and wider than a layer. grads is None without `beta`, else the weight and
+    bias gradient lists of (λ_anchor/2)·Σ‖β − encode(x0)‖² + (λ_recon/2)·Σ‖xc −
+    reconstruct(x0)‖² + (λ_decay/2)·(‖W‖² + ‖b‖²), with the anchor residual
+    injected at the middle layer. β broadcasts to the encoding.
     """
-    n_layers = params.n_layers
-    if n_layers % 2 != 0:
-        raise ValidationError("gradients need an even layer count")
-    mid = n_layers // 2
-    beta = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-    xc_dense = np.atleast_2d(_dense(xc))
-    if not (np.isfinite(beta).all() and np.isfinite(xc_dense).all()):
-        raise ValidationError("non-finite values in gradient inputs")
-    acts = forward_activations(x0, params)
-    grads_w: list[np.ndarray | None] = [None] * n_layers
-    grads_b: list[np.ndarray | None] = [None] * n_layers
-    out = acts[-1]
-    delta = lambda_recon * (out - xc_dense) * out * (1.0 - out)
-    for layer in range(n_layers - 1, -1, -1):
-        h_prev = acts[layer]
-        grad = (h_prev.transpose_matmul(delta) if isinstance(h_prev, CsrMatrix)
-                else h_prev.T @ delta)
-        grads_w[layer] = grad + lambda_decay * params.weights[layer]
-        grads_b[layer] = delta.sum(axis=0) + lambda_decay * params.biases[layer]
-        if layer == 0:
-            break
-        back = delta @ params.weights[layer].T
-        if layer == mid:
-            back = back + lambda_anchor * (acts[mid] - beta)
-        h = acts[layer]
-        delta = back * h * (1.0 - h)
-    return grads_w, grads_b
+    _check_stack(x0, params)
+    n_layers, n_rows, mid = params.n_layers, x0.shape[0], params.n_layers // 2
+    if xc.shape != (n_rows, params.layer_widths[-1]):
+        raise ValidationError(f"clean rows of shape {xc.shape} do not fit the pass")
+    encoding = np.empty((n_rows, params.layer_widths[mid]))
+    recon_sq, grads = 0.0, None
+    if beta is not None:
+        beta = np.broadcast_to(beta, encoding.shape)
+        if not (np.isfinite(beta).all()
+                and np.isfinite(xc.data if isinstance(xc, CsrMatrix) else xc).all()):
+            raise ValidationError("non-finite values in gradient inputs")
+        grads = ([np.zeros_like(w) for w in params.weights],
+                 [np.zeros_like(b) for b in params.biases])
+    for start in range(0, n_rows, CHUNK_ROWS):
+        rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+        acts = _forward(x0[rows], params, n_layers)
+        encoding[rows] = acts[mid]
+        out, clean = acts[-1], xc[rows]
+        # xc − out in a new array; sparse clean rows are added into −out
+        resid = clean.toarray(np.negative(out)) if isinstance(clean, CsrMatrix) else clean - out
+        recon_sq += float(np.vdot(resid, resid))
+        if grads is None:
+            continue
+        delta = np.multiply(resid, -lambda_recon, out=resid)  # λ_recon·(out − xc)·out·(1 − out)
+        delta *= out
+        delta *= np.subtract(1.0, out, out=out)
+        for layer in range(n_layers - 1, -1, -1):
+            h = acts[layer]
+            grads[0][layer] += (h.transpose_matmul(delta) if isinstance(h, CsrMatrix)
+                                else h.T @ delta)
+            grads[1][layer] += delta.sum(axis=0)
+            if layer == 0:
+                break
+            delta = delta @ params.weights[layer].T
+            if layer == mid:
+                delta += lambda_anchor * (h - beta[rows])
+            delta *= h
+            delta *= 1.0 - h
+    if grads is not None:
+        for grad, value in zip(grads[0] + grads[1], params.weights + params.biases):
+            grad += lambda_decay * value
+    return encoding, recon_sq, grads
 
 
 def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaeParams:
@@ -210,8 +204,7 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaePara
     params = init_params(stack_widths(clean_rows.shape[1], config.hidden_widths, latent), rng)
     if config.pretrain_epochs == 0:
         return params
-    n_layers = params.n_layers
-    n_rows = clean_rows.shape[0]
+    n_layers, n_rows = params.n_layers, clean_rows.shape[0]
     h = clean_rows
     for depth in range(n_layers // 2):
         enc, dec = depth, n_layers - 1 - depth
@@ -219,10 +212,8 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaePara
                           [params.biases[enc], params.biases[dec]])
         for _ in range(config.pretrain_epochs):
             noisy = corrupt(h, config.noise_rate, rng)
-            grads_w, grads_b = sdae_gradients(pair, noisy, h, 0.0, lambda_anchor=0.0,
-                                              lambda_recon=1.0 / n_rows, lambda_decay=0.0)
-            for layer in range(2):
-                pair.weights[layer] -= config.learning_rate * grads_w[layer]
-                pair.biases[layer] -= config.learning_rate * grads_b[layer]
+            grads_w, grads_b = sdae_pass(pair, noisy, h, 0.0, lambda_recon=1.0 / n_rows)[2]
+            for value, grad in zip(pair.weights + pair.biases, grads_w + grads_b):
+                value -= config.learning_rate * grad    # in place
         h = _sigmoid(h @ params.weights[enc] + params.biases[enc])
     return params

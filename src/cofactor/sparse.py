@@ -22,6 +22,8 @@ from .errors import ValidationError
 
 _INT32_MAX = np.iinfo(np.int32).max
 
+CHUNK_ROWS = 256  # rows per chunk of every row-chunked loop; bounds its scratch memory
+
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
@@ -73,8 +75,9 @@ class CsrMatrix:
         return np.repeat(np.arange(self.shape[0], dtype=self.indptr.dtype),
                          np.diff(self.indptr))
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
+    def toarray(self, base: np.ndarray | None = None) -> np.ndarray:
+        """A dense copy; with `base`, a C-contiguous array of this shape, base + self in place."""
+        out = np.zeros(self.shape, dtype=self.data.dtype) if base is None else base
         flat = self.row_ids().astype(np.int64) * self.shape[1] + self.indices
         np.add.at(out.reshape(-1), flat, self.data)
         return out

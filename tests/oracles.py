@@ -273,3 +273,33 @@ def pretrain_reference(rows, layer_widths, noise_rate, epochs, learning_rate, se
             biases[enc] -= learning_rate * grad_b_enc
         h = expit(h @ weights[enc] + biases[enc])
     return weights, biases
+
+
+def sdae_pass_reference(weights, biases, x0, xc, beta, lambda_anchor, lambda_recon,
+                        lambda_decay):
+    """The autoencoder pass over all rows at once, on dense copies of the rows.
+
+    Returns (encoding, recon_sq, grads_w, grads_b): the middle layer of the
+    sigmoid stack on x0, Σ‖xc − output‖², and the gradients of
+    (λ_anchor/2)·Σ‖β − encoding‖² + (λ_recon/2)·recon_sq + (λ_decay/2)·(‖W‖² + ‖b‖²)
+    by backpropagation through every layer with the whole batch.
+    """
+    x0 = x0.toarray() if sp.issparse(x0) else np.asarray(x0, dtype=np.float64)
+    xc = xc.toarray() if sp.issparse(xc) else np.asarray(xc, dtype=np.float64)
+    n_layers = len(weights)
+    mid = n_layers // 2
+    acts = [x0]
+    for w, b in zip(weights, biases):
+        acts.append(expit(acts[-1] @ w + b))
+    resid = acts[-1] - xc
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    grad_act = lambda_recon * resid
+    for layer in reversed(range(n_layers)):
+        out = acts[layer + 1]
+        if layer + 1 == mid:
+            grad_act = grad_act + lambda_anchor * (out - beta)
+        grad_pre = grad_act * out * (1.0 - out)
+        grads_w[layer] = acts[layer].T @ grad_pre + lambda_decay * weights[layer]
+        grads_b[layer] = grad_pre.sum(axis=0) + lambda_decay * biases[layer]
+        grad_act = grad_pre @ weights[layer].T
+    return acts[mid], float((resid ** 2).sum()), grads_w, grads_b

@@ -14,7 +14,7 @@ from cofactor.factor import (Hyperparams, TrainData, load_checkpoint,
                              predict_ratings, save_checkpoint, train)
 from cofactor.ppmi import build_ppmi, cooccurrence_counts
 from cofactor.predict_eval import evaluate, sweep_lambda_s
-from cofactor.sdae import SdaeConfig, forward_activations, sdae_gradients
+from cofactor.sdae import SdaeConfig, sdae_pass
 
 from conftest import make_clicks, to_scipy
 from oracles import (block_gradients, brute_force_ppmi, joint_loss_reference,
@@ -133,15 +133,13 @@ def test_criterion_3_sdae_gradients_match_finite_differences():
         lam_a, lam_x, lam_w = 0.8, 1.1, 0.05
 
         def scalar_loss(probe):
-            acts = forward_activations(x0, probe)
-            a = beta - acts[probe.n_layers // 2]
-            r = xc - acts[-1]
-            return (0.5 * lam_a * float((a ** 2).sum())
-                    + 0.5 * lam_x * float((r ** 2).sum())
+            encoding, recon_sq, _ = sdae_pass(probe, x0, xc)
+            a = beta - encoding
+            return (0.5 * lam_a * float((a ** 2).sum()) + 0.5 * lam_x * recon_sq
                     + 0.5 * lam_w * probe.squared_norm())
 
-        grads_w, grads_b = sdae_gradients(params, x0, xc, beta, lambda_anchor=lam_a,
-                                          lambda_recon=lam_x, lambda_decay=lam_w)
+        _, _, (grads_w, grads_b) = sdae_pass(params, x0, xc, beta, lambda_anchor=lam_a,
+                                             lambda_recon=lam_x, lambda_decay=lam_w)
         for layer in range(params.n_layers):
             def w_loss(w, layer=layer):
                 probe = params.copy()

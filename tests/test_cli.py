@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,14 @@ class TestUnusableValuesExit2:
                            + ["--config", str(config)])
         assert err.startswith(f"error: {argv[-2]} must be")
 
+    @pytest.mark.parametrize("vocab_size", [0, -1])
+    def test_vocab_size_below_one_stops_ingest(self, workspace, capsys, vocab_size):
+        _, config = workspace
+        edit_config(config, "text", "vocab_size", vocab_size)
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err.startswith(f"error: config key 'text.vocab_size' must be a positive "
+                              f"integer, got {vocab_size}")
+
     @pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES,
                              ids=[f"{key}={json.dumps(value)}" for key, value in BAD_CONFIG_VALUES])
     def test_config_value(self, workspace, capsys, key, value):
@@ -648,11 +657,21 @@ class TestCorruptFiles:
 
 
 def rewrite_array(path: Path, name: str, edit) -> None:
-    """Replace one array of a container by `edit` applied to a copy of it."""
+    """Replace one array of a container by `edit` applied to a copy of it. An
+    edit that keeps the size overwrites the array's bytes in the file, so it
+    may store what write_container refuses to write: a NaN or an infinity."""
     meta, arrays = read_container(path)
-    arrays = dict(arrays)
-    arrays[name] = edit(arrays[name].copy())
-    write_container(path, dict(meta), arrays)
+    edited = edit(arrays[name].copy())
+    if edited.size != arrays[name].size:
+        write_container(path, dict(meta), {**arrays, name: edited})
+        return
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    info = json.loads(blob[16:16 + header_len])["arrays"][name]
+    start = 16 + header_len + info["offset"]
+    raw = np.ascontiguousarray(edited, dtype=info["dtype"]).tobytes()
+    blob[start:start + len(raw)] = raw
+    path.write_bytes(bytes(blob))
 
 
 def set_entry(index: int, value: int):

@@ -112,7 +112,8 @@ class TestSubsample:
         ratings = make_ratings([(u, i, 1.0) for u in range(30) for i in range(30)])
         small = subsample_ratings(ratings, 0.2, seed=5)
         large = subsample_ratings(ratings, 0.7, seed=5)
-        assert small.pair_set() <= large.pair_set()
+        small_pairs = set(zip(small.users.tolist(), small.items.tolist()))
+        assert small_pairs <= set(zip(large.users.tolist(), large.items.tolist()))
 
     def test_subsample_clicks_subset_property(self):
         ratings = make_ratings([(u, i, 1.0) for u in range(15) for i in range(10)])
@@ -209,20 +210,20 @@ class TestMakeSplit:
 class TestParseDocuments:
     def test_count_scheme_max_normalization(self):
         docs = parse_documents(io.StringIO("i1\ta a b\n"), 10, "count", {"i1": 0})
-        row = docs.dense_row(0)
         assert docs.vocab == ("a", "b")
-        assert row.tolist() == [1.0, 0.5]
+        assert docs.rows.toarray().tolist() == [[1.0, 0.5]]
 
     def test_out_of_vocab_document_is_zero_row(self):
         stream = io.StringIO("i1\tcommon common words words\ni2\trare\n")
         docs = parse_documents(stream, 2, "count", {"i1": 0, "i2": 1})
         assert set(docs.vocab) == {"common", "words"}
-        assert docs.dense_row(1).tolist() == [0.0, 0.0]
+        assert docs.rows.toarray()[1].tolist() == [0.0, 0.0]
 
     def test_identical_documents_identical_rows(self):
         stream = io.StringIO("i1\tsame text here\ni2\tsame text here\n")
         docs = parse_documents(stream, 5, "tfidf", {"i1": 0, "i2": 1})
-        assert np.array_equal(docs.dense_row(0), docs.dense_row(1))
+        dense = docs.rows.toarray()
+        assert np.array_equal(dense[0], dense[1])
 
     def test_unknown_item_id(self):
         with pytest.raises(ValidationError, match="unknown item"):
@@ -232,6 +233,12 @@ class TestParseDocuments:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_documents(io.StringIO("i1\ta\ni1\tb\n"), 5, "count", {"i1": 0})
 
+    @pytest.mark.parametrize("vocab_size", [0, -1])
+    def test_vocab_size_below_one_rejected(self, vocab_size):
+        # -1 would slice off the lowest-ranked term and keep the rest
+        with pytest.raises(ValidationError, match="vocab_size"):
+            parse_documents(io.StringIO("i1\ta b c\n"), vocab_size, "count", {"i1": 0})
+
     def test_empty_corpus(self):
         with pytest.raises(ValidationError, match="empty"):
             parse_documents(io.StringIO(""), 5, "count", {"i1": 0})
@@ -240,7 +247,7 @@ class TestParseDocuments:
         docs = parse_documents(io.StringIO("i1\thello world\n"), 5, "count",
                                {"i1": 0, "i2": 1})
         assert docs.n_items == 2
-        assert docs.dense_row(1).sum() == 0.0
+        assert docs.rows.toarray()[1].sum() == 0.0
 
     def test_vocab_capped_and_values_in_unit_interval(self):
         lines = [f"i{k}\t" + " ".join(f"w{j}" for j in range(k + 1)) for k in range(6)]
@@ -254,7 +261,7 @@ class TestParseDocuments:
         docs = parse_documents(io.StringIO("i1\tHello, HELLO! world.\n"), 5,
                                "count", {"i1": 0})
         assert docs.vocab == ("hello", "world")
-        assert docs.dense_row(0).tolist() == [1.0, 0.5]
+        assert docs.rows.toarray().tolist() == [[1.0, 0.5]]
 
 
 def assert_rows_match_scipy_build(rows, rng) -> None:

@@ -6,13 +6,12 @@ import pytest
 
 from cofactor.corpus import SyntheticConfig, generate_synthetic, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (_CHUNK_ROWS, Hyperparams, ModelState,
-                             NonFiniteLossError, TrainData, _solve_rows,
-                             _solve_spd, load_checkpoint, run_label,
-                             save_checkpoint, total_loss, train)
+from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
+                             TrainData, _solve_rows, _solve_spd, load_checkpoint,
+                             run_label, save_checkpoint, total_loss, train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
 from cofactor.sdae import SdaeConfig, encode
-from cofactor.sparse import CsrMatrix, from_coo
+from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 from conftest import from_scipy, make_ratings, to_scipy
 from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
@@ -216,7 +215,7 @@ class TestSolveRows:
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("block", ["user", "item", "context"])
     def test_matches_per_row_updates(self, rng, k, block):
-        n_rows = _CHUNK_ROWS + 37  # crosses a chunk boundary
+        n_rows = CHUNK_ROWS + 37  # crosses a chunk boundary
         n_other = 40
         theta = rng.standard_normal((n_other, k))
         alpha = rng.standard_normal((n_rows, k))
@@ -280,9 +279,9 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("k", [1, 3, 32])
     def test_matches_numpy_solve_on_a_stack(self, rng, k):
-        factors = rng.standard_normal((_CHUNK_ROWS + 5, 3 * k, k))
+        factors = rng.standard_normal((CHUNK_ROWS + 5, 3 * k, k))
         grams = factors.transpose(0, 2, 1) @ factors + np.eye(k)
-        self.assert_matches_lu(grams, rng.standard_normal((_CHUNK_ROWS + 5, k)))
+        self.assert_matches_lu(grams, rng.standard_normal((CHUNK_ROWS + 5, k)))
 
     def test_single_system(self, rng):
         factor = rng.standard_normal((9, 4))
@@ -418,7 +417,7 @@ class TestPairTerm:
 
     @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
     def test_matches_gather_reference(self, rng, density):
-        n_items, k = _CHUNK_ROWS + 37, 5  # crosses a chunk boundary
+        n_items, k = CHUNK_ROWS + 37, 5  # crosses a chunk boundary
         ppmi = random_symmetric_ppmi(rng, n_items, density)
         assert (ppmi.matrix.data == 0.0).any()
         assert (np.diff(ppmi.matrix.indptr) == 0).any()
@@ -429,17 +428,17 @@ class TestPairTerm:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_chunks_contribute_nothing(self, rng):
-        n_items, k = _CHUNK_ROWS + 37, 3
+        n_items, k = CHUNK_ROWS + 37, 3
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
         empty = PpmiMatrix(n_items, from_scipy(sp.csr_matrix((n_items, n_items))))
         assert self.pair_only_loss(empty, beta, alpha, 1.0) == 0.0
         # entries only between items of the second chunk
         tail = random_symmetric_ppmi(rng, 37, 0.5).matrix
-        matrix = from_scipy(sp.block_diag([sp.csr_matrix((_CHUNK_ROWS, _CHUNK_ROWS)),
+        matrix = from_scipy(sp.block_diag([sp.csr_matrix((CHUNK_ROWS, CHUNK_ROWS)),
                                            to_scipy(tail)], format="csr"))
         got = self.pair_only_loss(PpmiMatrix(n_items, matrix), beta, alpha, 1.0)
-        want = 0.5 * pair_loss_reference(tail, beta[_CHUNK_ROWS:], alpha[_CHUNK_ROWS:])
+        want = 0.5 * pair_loss_reference(tail, beta[CHUNK_ROWS:], alpha[CHUNK_ROWS:])
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_ppmi", [5, 3])
@@ -553,6 +552,30 @@ class TestTrain:
             train(data, hyper)
         assert err.value.epoch == 1
 
+    def test_blow_up_reported_as_divergence_not_singular(self):
+        # ratings of 1e60: every ridge is positive, so each block system is
+        # positive definite, but the Gram entries swamp the ridge in float64
+        rng = np.random.default_rng(0)
+        ratings = make_ratings([(u, int(i), float(rng.integers(1, 6)) * 1e60)
+                                for u in range(50) for i in rng.choice(40, 10, replace=False)])
+        data = TrainData(split=make_split(ratings, "in_matrix", 0.2, 0.1, seed=0))
+        hyper = Hyperparams(n_factors=64, lambda_s=0.0, lambda_user=0.01, sdae=None,
+                            max_epochs=3, seed=0)
+        with pytest.raises(TrainingDivergedError, match="too large to factor") as err:
+            train(data, hyper)
+        assert err.value.epoch == 1 and err.value.term in ("user", "item", "context")
+        assert str(err.value).startswith(f"diverged at epoch 1: the {err.value.term} block")
+
+    def test_zero_item_ridge_still_reported_singular(self):
+        # lambda_item = 0 leaves an item with fewer ratings than K a singular system
+        ratings = make_ratings([(u, i, 1.0 + (u + i) % 5) for u in range(12)
+                                for i in range(8) if (u + i) % 3 or i == 7])
+        data = TrainData(split=make_split(ratings, "in_matrix", 0.2, 0.1, seed=0))
+        hyper = Hyperparams(n_factors=12, lambda_s=0.0, lambda_item=0.0, sdae=None,
+                            max_epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="singular"):
+            train(data, hyper)
+
     def test_centering_round_trip(self):
         data = synthetic_train_data()
         hyper = Hyperparams(n_factors=3, lambda_s=0.0, lambda_user=0.05,
@@ -646,6 +669,19 @@ class TestCheckpoint:
         from cofactor.errors import CheckpointError
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_refused_at_save(self, tmp_path, rng, bad):
+        # load_checkpoint refuses such a file, so save_checkpoint must not write one
+        from cofactor.errors import CheckpointError
+        state = ModelState(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                           rng.standard_normal((2, 2)), None)
+        state.item_factors[1, 0] = bad
+        path = tmp_path / "model.bin"
+        with pytest.raises(CheckpointError, match="'item_factors'"):
+            save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=None),
+                            user_ids=("a", "b"), item_ids=("c", "d"))
+        assert not path.exists()
 
 
 class TestScaling:

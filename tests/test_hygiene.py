@@ -71,6 +71,42 @@ def test_check_finds_an_unused_private_definition():
     assert unused_private_definitions(sources) == ["a: _unused", "a: _recursive", "a: _Orphan"]
 
 
+def unnamed_public_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """Public top-level functions and public methods of `sources` (module name →
+    source) that no module but `__init__` refers to outside their own body and
+    that `readme` does not name: public surface that only tests could call."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = sum((referenced_names(tree) for module, tree in trees.items()
+                      if module != "__init__"), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and references[fn.name] == referenced_names(fn)[fn.name]
+                        and not re.search(rf"\b{fn.name}\b", readme)):
+                    found.append(f"{module}: {fn.name}")
+    return found
+
+
+def test_every_public_definition_is_used_or_documented():
+    assert unnamed_public_definitions(
+        {path.stem: path.read_text(encoding="utf-8") for path in SOURCES},
+        (ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_an_unnamed_public_definition():
+    sources = {"a": "def used():\n    pass\n\ndef documented():\n    pass\n\n"
+                    "def orphan():\n    return orphan()\n\n"
+                    "class Box:\n    def size(self):\n        pass\n\n"
+                    "    def _hidden(self):\n        pass\n",
+               "b": "from .a import used\nused()\n",
+               "__init__": "from .a import orphan, used\n"}
+    assert unnamed_public_definitions(sources, "Call `documented()`.") == [
+        "a: orphan", "a: size"]
+
+
 def scipy_references(source: str) -> tuple[list[str], list[str]]:
     """(lines naming scipy outside a function body, lines naming it inside one).
     An import of scipy or of a scipy submodule and a bare `scipy` name count."""

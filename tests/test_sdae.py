@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,17 +7,17 @@ from scipy.special import expit
 
 from cofactor.errors import ValidationError
 from cofactor.sdae import (SdaeConfig, SdaeParams, _sigmoid, corrupt, encode,
-                           forward_activations, init_params, pretrain,
-                           reconstruct, sdae_forward, sdae_gradients,
-                           stack_widths)
-from cofactor.sparse import CsrMatrix
+                           init_params, pretrain, sdae_pass, stack_widths)
+from cofactor.sparse import CHUNK_ROWS, CsrMatrix
 
 from conftest import assert_same_csr, from_scipy, to_scipy
-from oracles import masked_reference, numeric_gradient, pretrain_reference
+from oracles import (masked_reference, numeric_gradient, pretrain_reference,
+                     sdae_pass_reference)
 
 
 def tiny_net():
-    """V=2 -> K=1 -> 1 toy chain: encode gives sigmoid(x1 + x2)."""
+    """V=2 -> K=1 -> 1 toy chain: encode gives sigmoid(x1 + x2), the output
+    sigmoid(encode)."""
     return SdaeParams(weights=[np.array([[1.0], [1.0]]), np.array([[1.0]])],
                       biases=[np.zeros(1), np.zeros(1)])
 
@@ -95,13 +96,19 @@ class TestSigmoid:
         assert out.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
+def recon_sq(x0, xc, params):
+    return sdae_pass(params, x0, xc)[1]
+
+
 class TestForward:
     def test_zero_params_give_half(self):
         params = SdaeParams(weights=[np.zeros((4, 2)), np.zeros((2, 4))],
                             biases=[np.zeros(2), np.zeros(4)])
-        x = np.array([0.3, 0.9, 0.0, 1.0])
+        x = np.array([[0.3, 0.9, 0.0, 1.0]])
         np.testing.assert_allclose(encode(x, params), 0.5)
-        np.testing.assert_allclose(reconstruct(x, params), 0.5)
+        encoding, error, grads = sdae_pass(params, x, np.full((1, 4), 0.5))
+        np.testing.assert_array_equal(encoding, encode(x, params))
+        assert error == 0.0 and grads is None  # every output is exactly 0.5
 
     def test_tiny_net_encode_value(self):
         value = encode(np.array([1.0, 1.0]), tiny_net())
@@ -109,44 +116,50 @@ class TestForward:
         assert value[0] == pytest.approx(0.8808, abs=5e-5)
 
     def test_tiny_net_reconstruct_value(self):
-        value = reconstruct(np.array([1.0, 1.0]), tiny_net())
+        # against a zero clean row the error is the squared output
+        value = np.sqrt(recon_sq(np.array([[1.0, 1.0]]), np.zeros((1, 1)), tiny_net()))
         inner = 1.0 / (1.0 + np.exp(-2.0))
-        assert value[0] == pytest.approx(1.0 / (1.0 + np.exp(-inner)), abs=1e-12)
-        assert value[0] == pytest.approx(0.7070, abs=5e-4)
+        assert value == pytest.approx(1.0 / (1.0 + np.exp(-inner)), abs=1e-12)
+        assert value == pytest.approx(0.7070, abs=5e-4)
 
     def test_sigmoid_range(self, rng):
-        params = random_net(rng, [6, 3, 2, 3, 6])
-        out = reconstruct(rng.random((7, 6)), params)
-        assert (out > 0).all() and (out < 1).all()
+        # a one-wide output o lies in (0, 1) exactly when (o − ½)² < ¼
+        params = random_net(rng, [6, 3, 2, 3, 1])
+        for row in rng.random((7, 6)):
+            assert recon_sq(row[None], np.full((1, 1), 0.5), params) < 0.25
 
     def test_encode_deterministic_and_matches_prefix(self, rng):
         params = random_net(rng, [5, 3, 2, 3, 5])
         x = rng.random((4, 5))
-        acts = forward_activations(x, params)
-        np.testing.assert_array_equal(encode(x, params), acts[2])
+        np.testing.assert_array_equal(encode(x, params), sdae_pass(params, x, x)[0])
         np.testing.assert_array_equal(encode(x, params), encode(x, params))
-        np.testing.assert_array_equal(reconstruct(x, params), acts[-1])
 
     def test_sparse_input_equals_dense(self, rng):
         params = random_net(rng, [8, 4, 2, 4, 8])
         x = (rng.random((5, 8)) < 0.4) * rng.random((5, 8))
         np.testing.assert_allclose(encode(from_scipy(x), params),
                                    encode(x, params), atol=1e-14)
+        sparse_enc, sparse_sq, _ = sdae_pass(params, from_scipy(x), from_scipy(x))
+        dense_enc, dense_sq, _ = sdae_pass(params, x, x)
+        np.testing.assert_allclose(sparse_enc, dense_enc, atol=1e-14)
+        assert sparse_sq == pytest.approx(dense_sq, rel=1e-14)
 
     def test_shape_mismatch(self, rng):
         params = random_net(rng, [5, 2, 5])
         with pytest.raises(ValidationError):
             encode(np.ones(4), params)
+        with pytest.raises(ValidationError):
+            sdae_pass(params, np.ones((2, 5)), np.ones((3, 5)))
 
 
 def _scalar_loss(params, x0, xc, beta, lam_a, lam_x, lam_w):
-    mid = params.n_layers // 2
-    acts = forward_activations(x0, params)
-    anchor = beta - acts[mid]
-    recon = xc - acts[-1]
-    return (0.5 * lam_a * float((anchor ** 2).sum())
-            + 0.5 * lam_x * float((recon ** 2).sum())
-            + 0.5 * lam_w * params.squared_norm())
+    encoding, error, _ = sdae_pass(params, x0, xc)
+    return (0.5 * lam_a * float(((beta - encoding) ** 2).sum())
+            + 0.5 * lam_x * error + 0.5 * lam_w * params.squared_norm())
+
+
+def sdae_gradients(params, x0, xc, beta, **lambdas):
+    return sdae_pass(params, x0, xc, beta, **lambdas)[2]
 
 
 class TestGradients:
@@ -267,9 +280,7 @@ class TestPretrain:
                             learning_rate=0.5, noise_rate=0.2)
         before = init_params([12, 6, 3, 6, 12], np.random.default_rng(11))
         after = pretrain(rows, config, 3, seed=11)
-        loss_before = float(((rows - reconstruct(rows, before)) ** 2).sum())
-        loss_after = float(((rows - reconstruct(rows, after)) ** 2).sum())
-        assert loss_after <= loss_before
+        assert recon_sq(rows, rows, after) <= recon_sq(rows, rows, before)
 
     def test_deterministic(self, rng):
         rows = self._rows(rng)
@@ -297,10 +308,78 @@ class TestSdaeForward:
         params = random_net(rng, [12, 6, 3, 6, 12])
         xc = _text_rows(rng, sparse)
         x0 = corrupt(xc, 0.3, 5)
-        encoding, recon_sq = sdae_forward(params, x0, xc)
-        resid = (xc.toarray() if sparse else xc) - reconstruct(x0, params)
+        encoding, error, grads = sdae_pass(params, x0, xc)
+        _, want, _, _ = sdae_pass_reference(params.weights, params.biases,
+                                            to_scipy(x0) if sparse else x0,
+                                            to_scipy(xc) if sparse else xc, 0.0, 0.0, 0.0, 0.0)
         np.testing.assert_array_equal(encoding, encode(x0, params))
-        assert recon_sq == float((resid * resid).sum())
+        assert error == pytest.approx(want, rel=1e-14)
+        assert grads is None
+
+
+def assert_within_1e12_relative(got, want):
+    assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestSdaePassMatchesReference:
+    """The row-chunked pass against a whole-batch dense backpropagation."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("widths", [[12, 5, 12], [12, 6, 3, 6, 12]],
+                             ids=["one-depth", "two-depths"])
+    def test_within_1e12_relative(self, rng, sparse, widths):
+        n_rows = 2 * CHUNK_ROWS + 37     # three chunks, the last one short
+        params = random_net(rng, widths)
+        xc = _text_rows(rng, sparse, n=n_rows, v=widths[0])
+        x0 = corrupt(xc, 0.3, 5)
+        beta = rng.random((n_rows, widths[len(widths) // 2]))
+        lam = dict(lambda_anchor=0.7, lambda_recon=1.3, lambda_decay=0.05)
+        encoding, error, (grads_w, grads_b) = sdae_pass(params, x0, xc, beta, **lam)
+        want_enc, want_sq, want_w, want_b = sdae_pass_reference(
+            params.weights, params.biases, to_scipy(x0) if sparse else x0,
+            to_scipy(xc) if sparse else xc, beta, *lam.values())
+        assert_within_1e12_relative(encoding, want_enc)
+        assert_within_1e12_relative(error, want_sq)
+        for got, want in zip(grads_w + grads_b, want_w + want_b):
+            assert_within_1e12_relative(got, want)
+        forward = sdae_pass(params, x0, xc)
+        np.testing.assert_array_equal(forward[0], encoding)
+        assert forward[1] == error and forward[2] is None
+
+    def test_non_finite_clean_row_rejected(self, rng):
+        params = random_net(rng, [4, 2, 4])
+        xc = from_scipy(np.array([[0.5, 0.0, np.inf, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            sdae_pass(params, xc, xc, 0.0, lambda_recon=1.0)
+
+
+def sparse_text_rows(rng, n_rows, vocab, terms):
+    """n_rows CsrMatrix rows of `terms` distinct columns each, values in (0, 1]."""
+    cols = np.sort(np.argsort(rng.random((n_rows, vocab)), axis=1)[:, :terms], axis=1)
+    return CsrMatrix((n_rows, vocab), np.arange(0, n_rows * terms + 1, terms),
+                     cols.ravel(), 1.0 - rng.random(n_rows * terms))
+
+
+class TestSdaePassMemory:
+    def test_each_pass_peaks_below_one_dense_copy_of_the_rows(self, rng):
+        n_rows, vocab = 2000, 4000
+        xc = sparse_text_rows(rng, n_rows, vocab, 100)
+        x0 = corrupt(xc, 0.3, 1)
+        params = init_params(stack_widths(vocab, [200], 32), rng)
+        beta = rng.random((n_rows, 32))
+        dense_bytes = n_rows * vocab * 8
+        peaks = []
+        tracemalloc.start()
+        try:
+            for args, lam in (((), {}), ((beta,), dict(lambda_anchor=1.0, lambda_recon=1.0,
+                                                       lambda_decay=0.1))):
+                tracemalloc.reset_peak()
+                result = sdae_pass(params, x0, xc, *args, **lam)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del result
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < dense_bytes, (peaks, dense_bytes)
 
 
 class TestPretrainMatchesReference:
