@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,13 +37,13 @@ DEFAULT_CONFIG = {
     "synthetic": None,
     "subsample_fraction": 1.0,
     "split": {"mode": "in_matrix", "test_fraction": 0.2, "validation_fraction": 0.08},
-    "hyper": {"n_factors": 64, "lambda_s": 1.0, "lambda_user": 0.01,
-              "lambda_item": 10.0, "lambda_context": 0.01, "lambda_recon": 10.0,
-              "lambda_decay": 1e-4, "max_epochs": 50, "patience": 5,
-              "center_ratings": False},
+    # the library's defaults; the text section and the top-level seed set sdae and seed
+    "hyper": {f.name: f.default for f in dataclasses.fields(Hyperparams)
+              if f.name not in ("sdae", "seed")},
     "text": {"enabled": True, "vocab_size": 8000, "bow_scheme": "tfidf",
-             "hidden_widths": [200], "noise_rate": 0.3, "pretrain_epochs": 20,
-             "learning_rate": 0.01},
+             "hidden_widths": [200],
+             **{f.name: f.default for f in dataclasses.fields(SdaeConfig)
+                if f.default is not dataclasses.MISSING}},
     "sweep": {"lambda_s_grid": [0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
               "sparsity_grid": [10, 20, 50, 80]},
     "flags": {"clicks_from_all": False, "clamp": None},
@@ -181,8 +182,7 @@ def _require_path(cfg: dict, key: str) -> Path:
 
 # ---------------------------------------------------------------- ingest
 
-def _write_ingest(cfg: dict, ratings: corpus.RatingDataset,
-                  clicks: corpus.ClickDataset | None,
+def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | None,
                   docs: corpus.DocTermMatrix | None, **extra) -> int:
     """Cache the parsed or generated datasets, then write and print the report.
     A clicks or docs cache this ingest does not write is deleted, so a later
@@ -197,13 +197,13 @@ def _write_ingest(cfg: dict, ratings: corpus.RatingDataset,
                     {"kind": "ratings", "user_ids": list(ratings.user_ids),
                      "item_ids": list(ratings.item_ids)},
                     {"users": ratings.users, "items": ratings.items,
-                     "values": ratings.ratings})
+                     "ratings": ratings.ratings})
     if clicks is not None:
         write_container(cache / "clicks.bin",
-                        {"kind": "clicks", "n_users": clicks.n_users,
-                         "n_items": clicks.n_items},
-                        {"users": clicks.users, "items": clicks.items})
-        report["n_clicks"] = clicks.n_entries
+                        {"kind": "clicks", "n_users": clicks.shape[0],
+                         "n_items": clicks.shape[1]},
+                        {"indptr": clicks.indptr, "indices": clicks.indices})
+        report["n_clicks"] = clicks.nnz
     if docs is not None:
         write_container(cache / "docs.bin",
                         {"kind": "docs", "vocab": list(docs.vocab),
@@ -246,59 +246,41 @@ def cmd_ingest(cfg: dict) -> int:
     return _write_ingest(cfg, ratings, clicks, docs, **extra)
 
 
-def _check_lengths(path: Path, arrays: dict, names: tuple[str, ...]) -> None:
-    """The named arrays of a cache are parallel: they have one length."""
-    lengths = [len(arrays[name]) for name in names]
-    if len(set(lengths)) > 1:
-        listed = ", ".join(f"{name!r} ({n})" for name, n in zip(names, lengths))
-        raise CheckpointError(f"{path}: arrays {listed} differ in length")
-
-
-def _check_indices(path: Path, arrays: dict, bounds: dict[str, int]) -> None:
-    """Each named array of a cache holds indices in [0, its bound)."""
-    for name, bound in bounds.items():
-        index = arrays[name]
-        if index.size and (index.min() < 0 or index.max() >= bound):
-            raise CheckpointError(f"{path}: array {name!r} has an index outside [0, {bound})")
+def _read_cache(path: Path, build: Callable):
+    """build(meta, arrays) of the cache file at `path`, None without one. The
+    datasets check themselves when built: their ValidationError names the
+    array, and the CheckpointError raised for it names the file too."""
+    if not path.exists():
+        return None
+    meta, arrays = read_container(path)
+    try:
+        return build(meta, arrays)
+    except ValidationError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
     path = cache / "ratings.bin"
-    if not path.exists():
-        raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
-    meta, arrays = read_container(path)
-    _check_lengths(path, arrays, ("users", "items", "values"))
-    _check_indices(path, arrays, {"users": len(meta["user_ids"]),
-                                  "items": len(meta["item_ids"])})
-    return corpus.RatingDataset(
+    ratings = _read_cache(path, lambda meta, arrays: corpus.RatingDataset(
         n_users=len(meta["user_ids"]), n_items=len(meta["item_ids"]),
-        users=arrays["users"], items=arrays["items"], ratings=arrays["values"],
-        user_ids=tuple(meta["user_ids"]), item_ids=tuple(meta["item_ids"]))
+        users=arrays["users"], items=arrays["items"], ratings=arrays["ratings"],
+        user_ids=tuple(meta["user_ids"]), item_ids=tuple(meta["item_ids"])))
+    if ratings is None:
+        raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
+    return ratings
 
 
-def _load_cached_clicks(cache: Path) -> corpus.ClickDataset | None:
-    path = cache / "clicks.bin"
-    if not path.exists():
-        return None
-    meta, arrays = read_container(path)
-    _check_lengths(path, arrays, ("users", "items"))
-    _check_indices(path, arrays, {"users": meta["n_users"], "items": meta["n_items"]})
-    return corpus.ClickDataset(meta["n_users"], meta["n_items"],
-                               arrays["users"], arrays["items"])
+def _load_cached_clicks(cache: Path) -> CsrMatrix | None:
+    return _read_cache(cache / "clicks.bin", lambda meta, arrays: CsrMatrix(
+        (meta["n_users"], meta["n_items"]), arrays["indptr"], arrays["indices"],
+        np.ones(len(arrays["indices"]), dtype=np.int64)))
 
 
 def _load_cached_docs(cache: Path) -> corpus.DocTermMatrix | None:
-    path = cache / "docs.bin"
-    if not path.exists():
-        return None
-    meta, arrays = read_container(path)
-    vocab = tuple(meta["vocab"])
-    try:
-        rows = CsrMatrix((meta["n_items"], len(vocab)), arrays["indptr"], arrays["indices"],
-                         arrays["data"])
-    except ValidationError as exc:
-        raise CheckpointError(f"{path}: inconsistent document rows: {exc}") from None
-    return corpus.DocTermMatrix(n_items=meta["n_items"], vocab=vocab, rows=rows)
+    return _read_cache(cache / "docs.bin", lambda meta, arrays: corpus.DocTermMatrix(
+        n_items=meta["n_items"], vocab=tuple(meta["vocab"]),
+        rows=CsrMatrix((meta["n_items"], len(meta["vocab"])), arrays["indptr"],
+                       arrays["indices"], arrays["data"])))
 
 
 # ----------------------------------------------------------------- train
@@ -316,7 +298,7 @@ def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
     return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
 
 
-def _click_ppmi(clicks: corpus.ClickDataset) -> ppmi.PpmiMatrix:
+def _click_ppmi(clicks: CsrMatrix) -> ppmi.PpmiMatrix:
     return ppmi.build_ppmi(ppmi.cooccurrence_counts(clicks))
 
 

@@ -1,8 +1,9 @@
 """Dataset ingestion, index mapping, train/validation/test splits, synthetic data.
 
 Ratings are kept as parallel arrays of dense user/item indices plus the
-external-id tables that define the indexing. All operations here are pure:
-they never mutate their inputs and are deterministic under a fixed seed.
+external-id tables that define the indexing; clicks are the users × items
+CsrMatrix holding a 1 per click. All operations here are pure: they never
+mutate their inputs and are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ class RatingDataset:
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
 
+    def __post_init__(self):
+        lengths = {name: len(getattr(self, name)) for name in ("users", "items", "ratings")}
+        if len(set(lengths.values())) > 1:
+            listed = ", ".join(f"{name!r} ({n})" for name, n in lengths.items())
+            raise ValidationError(f"arrays {listed} differ in length")
+        for name, bound in (("users", self.n_users), ("items", self.n_items)):
+            index = getattr(self, name)
+            if index.size and (index.min() < 0 or index.max() >= bound):
+                raise ValidationError(f"array {name!r} has an index outside [0, {bound})")
+
     @property
     def n_entries(self) -> int:
         return len(self.ratings)
@@ -58,20 +69,6 @@ class RatingDataset:
                              np.asarray(items, dtype=np.int64),
                              np.asarray(ratings, dtype=np.float64),
                              self.user_ids, self.item_ids)
-
-
-@dataclass
-class ClickDataset:
-    """Observed (user, item) interactions; pairs unique, values carry no weight."""
-
-    n_users: int
-    n_items: int
-    users: np.ndarray   # int64
-    items: np.ndarray   # int64
-
-    @property
-    def n_entries(self) -> int:
-        return len(self.users)
 
 
 @dataclass
@@ -147,8 +144,9 @@ def parse_ratings(source: IO[str]) -> RatingDataset:
 
 
 def parse_clicks(source: IO[str], user_index_map: dict[str, int],
-                 item_index_map: dict[str, int]) -> tuple[ClickDataset, int]:
-    """Read `user_id item_id` lines against an existing index universe.
+                 item_index_map: dict[str, int]) -> tuple[CsrMatrix, int]:
+    """Read `user_id item_id` lines against an existing index universe into
+    the users × items click matrix.
 
     Pairs naming users/items absent from the maps are dropped (returned count),
     mirroring the removal of ids that have no explicit feedback. Duplicates
@@ -163,16 +161,20 @@ def parse_clicks(source: IO[str], user_index_map: dict[str, int],
             dropped += 1
             continue
         pairs.add((u, i))
-    ordered = sorted(pairs)
-    users = np.asarray([p[0] for p in ordered], dtype=np.int64)
-    items = np.asarray([p[1] for p in ordered], dtype=np.int64)
-    return ClickDataset(len(user_index_map), len(item_index_map), users, items), dropped
+    return _click_matrix(len(user_index_map), len(item_index_map), pairs), dropped
 
 
-def binarize_ratings(ratings: RatingDataset) -> ClickDataset:
-    """One click per observed rating pair; rating values are discarded."""
-    return ClickDataset(ratings.n_users, ratings.n_items,
-                        ratings.users.copy(), ratings.items.copy())
+def _click_matrix(n_users: int, n_items: int, pairs) -> CsrMatrix:
+    """The n_users × n_items matrix with a 1 at each distinct (user, item) pair."""
+    users, items = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    return from_coo((n_users, n_items), users, items, np.ones(len(users), dtype=np.int64))
+
+
+def binarize_ratings(ratings: RatingDataset) -> CsrMatrix:
+    """The click matrix with one click per observed rating pair; rating values
+    are discarded."""
+    return from_coo((ratings.n_users, ratings.n_items), ratings.users, ratings.items,
+                    np.ones(ratings.n_entries, dtype=np.int64))
 
 
 def subsample_ratings(ratings: RatingDataset, fraction: float, seed: int) -> RatingDataset:
@@ -325,7 +327,7 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     return DocTermMatrix(n_items=n_items, vocab=vocab, rows=rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the synthetic-world generator (desk-scale experiments).
 
@@ -353,7 +355,7 @@ class SyntheticConfig:
     doc_terms_per_item: int = 8
     encoder_hidden: tuple[int, ...] = (16,)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.n_users, self.n_items, self.n_factors, self.vocab_size) < 1:
             raise ValidationError("synthetic dimensions must be positive")
         if not 0.0 < self.rating_density <= 1.0:
@@ -377,7 +379,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     from .factor import ModelState  # deferred: factor imports this module
     from .sdae import SdaeParams, encode, stack_widths
 
-    config.validate()
     rng = np.random.default_rng(seed)
     n, m, k, v = config.n_users, config.n_items, config.n_factors, config.vocab_size
 
@@ -426,10 +427,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                 click_pairs.add((u, int(i)))
     if config.clicks_include_rated:
         click_pairs.update(zip(r_users.tolist(), r_items.tolist()))
-    ordered = sorted(click_pairs)
-    clicks = ClickDataset(n, m,
-                          np.asarray([p[0] for p in ordered], dtype=np.int64),
-                          np.asarray([p[1] for p in ordered], dtype=np.int64))
+    clicks = _click_matrix(n, m, click_pairs)
 
     state = ModelState(user_factors=user_factors, item_factors=item_factors,
                        context_factors=context_factors, sdae=true_net,

@@ -41,7 +41,7 @@ class NonFiniteLossError(CofactorError):
         super().__init__(f"loss term {term!r} is non-finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     n_factors: int = 64
     lambda_s: float = 1.0           # weight of the co-click pair term
@@ -56,7 +56,7 @@ class Hyperparams:
     seed: int = 0
     center_ratings: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_factors < 1:
             raise ValidationError("n_factors must be >= 1")
         for name in ("lambda_s", "lambda_user", "lambda_item", "lambda_context",
@@ -72,8 +72,8 @@ class Hyperparams:
             raise ValidationError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ValidationError("patience must be nonnegative")
-        if self.sdae is not None:
-            self.sdae.validate()
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -309,7 +309,6 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     after the step (epoch-end loss). Only the autoencoder moves between the
     last two losses; the learning rate halves when the step raised the loss.
     """
-    hyper.validate()
     split = data.split
     train_ds = split.train
     n_users, n_items, k = train_ds.n_users, train_ds.n_items, hyper.n_factors
@@ -481,7 +480,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
             f"{path}: unsupported checkpoint version {meta.get('format_version')!r}")
     try:
         hyper = _hyper_from_dict(meta["hyper"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise CheckpointError(f"{path}: bad hyperparameters: {exc}") from None
     theta = arrays["user_factors"]
     beta = arrays["item_factors"]

@@ -1,8 +1,9 @@
 """Item-item positive pointwise mutual information from co-click counts.
 
-Two items co-occur when the same user clicked both. The pair universe size
-counts one unordered pair per user per item pair in that user's click list,
-i.e. sum over users of c_u choose 2.
+The clicks are the users × items CsrMatrix X whose stored entries are the
+clicks. Two items co-occur when the same user clicked both. The pair universe
+size counts one unordered pair per user per item pair in that user's click
+list, i.e. sum over users of c_u choose 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ClickDataset
 from .errors import ValidationError
 from .sparse import CsrMatrix, from_coo
 
@@ -34,15 +34,13 @@ class PpmiMatrix:
     matrix: CsrMatrix               # float64, symmetric, both triangles stored
 
 
-def cooccurrence_counts(clicks: ClickDataset) -> CoCounts:
-    """Count distinct-user clicks per item and co-clicks per item pair."""
-    m = clicks.n_items
-    for name, index, n in (("user", clicks.users, clicks.n_users), ("item", clicks.items, m)):
-        if index.size and (index.min() < 0 or index.max() >= n):
-            raise ValidationError(f"a click's {name} index is outside [0, {n})")
-    pairs = np.unique(clicks.users * m + clicks.items)  # duplicate clicks collapse
-    mat = from_coo((clicks.n_users, m), pairs // m, pairs % m,
-                   np.ones(len(pairs), dtype=np.int64))
+def cooccurrence_counts(clicks: CsrMatrix) -> CoCounts:
+    """Count distinct-user clicks per item and co-clicks per item pair of the
+    click matrix; only where entries are stored matters, not their values."""
+    m = clicks.shape[1]
+    # duplicate clicks collapse
+    pairs = np.unique(clicks.row_ids().astype(np.int64) * m + clicks.indices)
+    mat = from_coo(clicks.shape, pairs // m, pairs % m, np.ones(len(pairs), dtype=np.int64))
     item_counts = np.bincount(mat.indices, minlength=m)
     per_user = np.diff(mat.indptr).astype(np.int64)  # c_u² would overflow int32
     total_pairs = int((per_user * (per_user - 1) // 2).sum())

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .sparse import CHUNK_ROWS, CsrMatrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdaeConfig:
     """Architecture and training knobs.
 
@@ -36,7 +36,7 @@ class SdaeConfig:
     pretrain_epochs: int = 20
     learning_rate: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must be in [0, 1)")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -159,7 +159,7 @@ def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0
         grads = ([np.zeros_like(w) for w in params.weights],
                  [np.zeros_like(b) for b in params.biases])
     for start in range(0, n_rows, CHUNK_ROWS):
-        rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+        rows = slice(start, min(start + CHUNK_ROWS, n_rows))
         acts = _forward(x0[rows], params, n_layers)
         encoding[rows] = acts[mid]
         out, clean = acts[-1], xc[rows]
@@ -197,7 +197,6 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaePara
     clean propagation of the rows so far; its decoder initializes the mirror
     layer. pretrain_epochs=0 returns the random initialization untouched.
     """
-    config.validate()
     if not isinstance(clean_rows, CsrMatrix):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)
     rng = np.random.default_rng(seed)

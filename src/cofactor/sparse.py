@@ -47,19 +47,20 @@ class CsrMatrix:
             raise ValidationError(f"negative matrix shape {(n_rows, n_cols)}")
         for name, arr in (("indptr", indptr), ("indices", indices)):
             if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-                raise ValidationError(f"{name} must be a 1-D integer array")
+                raise ValidationError(f"array {name!r} must be a 1-D integer array")
         if data.shape != indices.shape:
-            raise ValidationError(f"data has shape {data.shape}, indices {indices.shape}")
+            raise ValidationError(f"arrays 'data' {data.shape} and 'indices' {indices.shape} "
+                                  "differ in shape")
         nnz = len(indices)
         if len(indptr) != n_rows + 1:
-            raise ValidationError(f"indptr has {len(indptr)} entries for {n_rows} rows")
+            raise ValidationError(f"array 'indptr' has {len(indptr)} entries for {n_rows} rows")
         if indptr[0] != 0 or indptr[-1] != nnz:
-            raise ValidationError(f"indptr must run from 0 to the {nnz} entries, "
-                                  f"not from {indptr[0]} to {indptr[-1]}")
+            raise ValidationError(f"array 'indptr' must run from 0 to the {nnz} entries of "
+                                  f"'indices', not from {indptr[0]} to {indptr[-1]}")
         if (np.diff(indptr) < 0).any():
-            raise ValidationError("indptr decreases")
+            raise ValidationError("array 'indptr' decreases")
         if nnz and (indices.min() < 0 or indices.max() >= n_cols):
-            raise ValidationError(f"a column index is outside [0, {n_cols})")
+            raise ValidationError(f"array 'indices' has a column index outside [0, {n_cols})")
         index_dtype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "indptr", indptr.astype(index_dtype, copy=False))
@@ -83,7 +84,16 @@ class CsrMatrix:
         return out
 
     def __getitem__(self, rows) -> "CsrMatrix":
-        """The matrix of the given rows, in the given order."""
+        """The matrix of the given rows, in the given order. A contiguous slice
+        of rows is a view: its `indices` and `data` are slices of this matrix's."""
+        if isinstance(rows, slice):
+            start, stop, step = rows.indices(self.shape[0])
+            if step != 1:
+                raise ValidationError("a row slice must be contiguous")
+            stop = max(start, stop)
+            lo, hi = self.indptr[start], self.indptr[stop]
+            return CsrMatrix((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
+                             self.indices[lo:hi], self.data[lo:hi])
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1:
             raise ValidationError("rows must be a 1-D index array")

@@ -11,8 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
-from cofactor.corpus import ClickDataset, RatingDataset
-from cofactor.sparse import CsrMatrix
+from cofactor.corpus import RatingDataset
+from cofactor.sparse import CsrMatrix, from_coo
 
 
 def to_scipy(matrix: CsrMatrix) -> sp.csr_matrix:
@@ -47,12 +47,13 @@ def make_ratings(triples, n_users=None, n_items=None) -> RatingDataset:
                          tuple(f"i{k}" for k in range(n_items)))
 
 
-def make_clicks(pairs, n_users=None, n_items=None) -> ClickDataset:
+def make_clicks(pairs, n_users=None, n_items=None) -> CsrMatrix:
+    """The click matrix with a 1 at each of the distinct (user, item) pairs."""
     users = np.asarray([p[0] for p in pairs], dtype=np.int64)
     items = np.asarray([p[1] for p in pairs], dtype=np.int64)
     n_users = n_users if n_users is not None else (int(users.max()) + 1 if len(users) else 0)
     n_items = n_items if n_items is not None else (int(items.max()) + 1 if len(items) else 0)
-    return ClickDataset(n_users, n_items, users, items)
+    return from_coo((n_users, n_items), users, items, np.ones(len(users), dtype=np.int64))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from cofactor.corpus import (SyntheticConfig, binarize_ratings,
+from cofactor.corpus import (RatingDataset, SyntheticConfig, binarize_ratings,
                              generate_synthetic, make_split, parse_clicks,
                              parse_documents, parse_ratings, subsample_ratings)
 from cofactor.errors import ParseError, SplitError, ValidationError
@@ -53,34 +53,72 @@ class TestParseRatings:
             assert ds.item_ids[idx] == iid
 
 
+class TestRatingDatasetChecked:
+    """A RatingDataset checks its arrays when it is built."""
+
+    @staticmethod
+    def build(users, items, ratings):
+        """A dataset of 3 users and 2 items."""
+        return RatingDataset(3, 2, np.asarray(users, dtype=np.int64),
+                             np.asarray(items, dtype=np.int64),
+                             np.asarray(ratings, dtype=np.float64),
+                             ("u0", "u1", "u2"), ("i0", "i1"))
+
+    def test_valid_arrays_accepted(self):
+        assert self.build([0, 2], [1, 0], [4.0, 5.0]).n_entries == 2
+
+    @pytest.mark.parametrize("arrays, name", [
+        (([0, 1], [0, 1], [4.0]), r"'ratings' \(1\)"),
+        (([0, 1, 2], [0, 1], [4.0, 5.0]), r"'users' \(3\)"),
+        (([0], [0, 1], [4.0]), r"'items' \(2\)"),
+    ], ids=["ratings_short", "users_long", "items_long"])
+    def test_parallel_arrays_of_different_lengths_rejected(self, arrays, name):
+        with pytest.raises(ValidationError, match=f"{name}.* differ in length"):
+            self.build(*arrays)
+
+    @pytest.mark.parametrize("users, items, name, bound", [
+        ([0, -1], [0, 1], "users", 3), ([0, 3], [0, 1], "users", 3),
+        ([0, 1], [-2, 1], "items", 2), ([0, 1], [0, 2], "items", 2),
+    ], ids=["negative_user", "user_past_end", "negative_item", "item_past_end"])
+    def test_index_outside_rejected(self, users, items, name, bound):
+        message = rf"'{name}' has an index outside \[0, {bound}\)"
+        with pytest.raises(ValidationError, match=message):
+            self.build(users, items, [4.0, 5.0])
+
+    def test_replaced_entries_checked(self):
+        with pytest.raises(ValidationError, match="'items'"):
+            self.build([0], [1], [4.0]).replace_entries(np.array([0]), np.array([2]),
+                                                        np.array([4.0]))
+
+
 class TestParseClicks:
     def test_unknown_ids_dropped(self):
         clicks, dropped = parse_clicks(io.StringIO("u1 i1\nu9 i1\nu1 i9\n"),
                                        {"u1": 0}, {"i1": 0})
-        assert clicks.n_entries == 1
+        assert clicks.nnz == 1
         assert dropped == 2
 
     def test_duplicates_collapse(self):
         clicks, _ = parse_clicks(io.StringIO("u1 i1\nu1 i1\n"), {"u1": 0}, {"i1": 0})
-        assert clicks.n_entries == 1
+        assert clicks.nnz == 1
 
 
 class TestBinarize:
     def test_empty(self):
         clicks = binarize_ratings(make_ratings([]))
-        assert clicks.n_entries == 0
+        assert clicks.nnz == 0
 
     def test_definition(self):
         ratings = make_ratings([(0, 0, 4), (1, 2, 9)])
         clicks = binarize_ratings(ratings)
-        assert set(zip(clicks.users.tolist(), clicks.items.tolist())) == {(0, 0), (1, 2)}
+        assert set(zip(clicks.row_ids().tolist(), clicks.indices.tolist())) == {(0, 0), (1, 2)}
 
     def test_cardinality_preserved(self, rng):
         n = 3000
         pairs = {(int(u), int(i)) for u, i in zip(rng.integers(0, 100, n),
                                                   rng.integers(0, 200, n))}
         ratings = make_ratings([(u, i, 1.0) for u, i in sorted(pairs)])
-        assert binarize_ratings(ratings).n_entries == len(pairs)
+        assert binarize_ratings(ratings).nnz == len(pairs)
 
 
 class TestSubsample:
@@ -118,11 +156,11 @@ class TestSubsample:
     def test_subsample_clicks_subset_property(self):
         ratings = make_ratings([(u, i, 1.0) for u in range(15) for i in range(10)])
         sub = subsample_ratings(ratings, 0.4, seed=2)
-        assert binarize_ratings(sub).users.shape[0] == sub.n_entries
-        sub_pairs = set(zip(binarize_ratings(sub).users.tolist(),
-                            binarize_ratings(sub).items.tolist()))
-        full_pairs = set(zip(binarize_ratings(ratings).users.tolist(),
-                             binarize_ratings(ratings).items.tolist()))
+        assert binarize_ratings(sub).nnz == sub.n_entries
+        sub_pairs = set(zip(binarize_ratings(sub).row_ids().tolist(),
+                            binarize_ratings(sub).indices.tolist()))
+        full_pairs = set(zip(binarize_ratings(ratings).row_ids().tolist(),
+                             binarize_ratings(ratings).indices.tolist()))
         assert sub_pairs <= full_pairs
 
     def test_fraction_out_of_range(self):
@@ -198,6 +236,13 @@ class TestMakeSplit:
         ratings = make_ratings([(0, 0, 1), (1, 0, 2)])
         with pytest.raises(SplitError):
             make_split(ratings, "out_of_matrix", 0.2, 0.1, seed=0)
+
+    @pytest.mark.parametrize("mode", ["in_matrix", "out_of_matrix"])
+    def test_item_past_the_end_rejected(self, mode):
+        # out_of_matrix used to end in an IndexError, in_matrix split it silently
+        triples = [(u, i, 1.0 + (u + i) % 5) for u in range(10) for i in range(10)]
+        with pytest.raises(ValidationError, match="'items' has an index outside"):
+            make_split(make_ratings(triples, n_users=10, n_items=9), mode, 0.2, 0.1, seed=0)
 
     def test_bad_fractions(self):
         ratings = _dense_ratings(10, 10, 0.5, seed=6)
@@ -305,7 +350,7 @@ class TestGenerateSynthetic:
         a = generate_synthetic(config, seed=9)
         b = generate_synthetic(config, seed=9)
         assert np.array_equal(a[0].ratings, b[0].ratings)
-        assert np.array_equal(a[1].users, b[1].users)
+        assert_same_csr(a[1], to_scipy(b[1]))
         assert (to_scipy(a[2].rows) != to_scipy(b[2].rows)).nnz == 0
         for w_a, w_b in zip(a[3].sdae.weights, b[3].sdae.weights):
             assert np.array_equal(w_a, w_b)
@@ -322,9 +367,9 @@ class TestGenerateSynthetic:
         config = SyntheticConfig(n_users=30, n_items=20, n_factors=4,
                                  click_density=0.3)
         _, clicks, _, _ = generate_synthetic(config, seed=2)
-        pairs = list(zip(clicks.users.tolist(), clicks.items.tolist()))
+        pairs = list(zip(clicks.row_ids().tolist(), clicks.indices.tolist()))
         assert len(pairs) == len(set(pairs))
-        assert clicks.users.max() < 30 and clicks.items.max() < 20
+        assert clicks.shape == (30, 20)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cofactor.container import read_container, write_container
 from cofactor.corpus import SyntheticConfig, generate_synthetic, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
 from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
@@ -407,13 +409,13 @@ class TestPairTerm:
 
     @staticmethod
     def pair_only_loss(ppmi, beta, alpha, lambda_s):
-        """total_loss with every other term zero: no ratings, no regularizers."""
+        """total_loss with every other term zero: no ratings, zero user factors,
+        and the two other regularizers given as known zeros."""
         n_items, k = beta.shape
         state = ModelState(np.zeros((1, k)), beta, alpha, None)
-        hyper = Hyperparams(n_factors=k, lambda_s=lambda_s, lambda_user=0.0,
-                            lambda_item=0.0, lambda_context=0.0, sdae=None)
+        hyper = Hyperparams(n_factors=k, lambda_s=lambda_s, sdae=None)
         return total_loss(state, make_ratings([], n_users=1, n_items=n_items), ppmi,
-                          None, None, hyper)
+                          None, None, hyper, known={"context_reg": 0.0, "item_reg": 0.0})
 
     @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
     def test_matches_gather_reference(self, rng, density):
@@ -670,6 +672,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("lambda_user", -1.0)])
+    def test_unusable_hyperparameter_names_the_file(self, tmp_path, rng, field, value):
+        from cofactor.errors import CheckpointError
+        state = ModelState(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                           rng.standard_normal((2, 2)), None)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=None),
+                        user_ids=("a", "b"), item_ids=("c", "d"))
+        meta, arrays = read_container(path)
+        write_container(path, {**meta, "hyper": {**meta["hyper"], field: value}}, arrays)
+        with pytest.raises(CheckpointError, match=f"{path}: bad hyperparameters: .*{field}"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_refused_at_save(self, tmp_path, rng, bad):
         # load_checkpoint refuses such a file, so save_checkpoint must not write one
@@ -732,16 +747,25 @@ class TestScaling:
 class TestHyperparams:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            Hyperparams(n_factors=0).validate()
+            Hyperparams(n_factors=0)
         with pytest.raises(ValidationError):
-            Hyperparams(lambda_user=0.0).validate()
+            Hyperparams(lambda_user=0.0)
         with pytest.raises(ValidationError):
-            Hyperparams(lambda_s=-1.0).validate()
+            Hyperparams(lambda_s=-1.0)
         for name in ("lambda_s", "lambda_user", "lambda_item", "lambda_context",
                      "lambda_recon", "lambda_decay"):
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValidationError, match=name):
-                    Hyperparams(**{name: bad}).validate()
+                    Hyperparams(**{name: bad})
+
+    def test_negative_seed_rejected(self):
+        # it would otherwise reach np.random.default_rng inside train()
+        with pytest.raises(ValidationError, match="seed"):
+            Hyperparams(seed=-1)
+
+    def test_checked_again_when_replaced(self):
+        with pytest.raises(ValidationError, match="lambda_s"):
+            dataclasses.replace(Hyperparams(), lambda_s=-1.0)
 
     def test_scaling_consistency(self):
         # lambda ratios are what the updates see: scaling every variance by c

@@ -1,9 +1,10 @@
-"""Checks on the package source and its README. All but the flag and default
-checks are static and use only the standard library."""
+"""Checks on the package source and its README. All but the flag, default and
+README-example checks are static and use only the standard library."""
 
 import argparse
 import ast
 import dataclasses
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -177,3 +178,34 @@ def test_cli_defaults_equal_the_library_defaults():
             if f.default is not dataclasses.MISSING}
     text = DEFAULT_CONFIG["text"]
     assert sdae == {key: text[key] for key in ("noise_rate", "pretrain_epochs", "learning_rate")}
+
+
+def library_usage_blocks(readme: str) -> list[str]:
+    """The Python code blocks of the README's "Library usage" section."""
+    section = readme.split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    # the blocks share one namespace, as a reader running them in turn would
+    blocks = library_usage_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(blocks) == 2
+    draw = random.Random(7)
+    words = [f"w{k}" for k in range(30)]
+    (tmp_path / "ratings.txt").write_text("".join(
+        f"u{u} i{i} {draw.randint(1, 5)}\n" for u in range(30) for i in range(20)
+        if draw.random() < 0.4), encoding="utf-8")
+    (tmp_path / "docs.txt").write_text("".join(
+        f"i{i}\t{' '.join(draw.choices(words, k=8))}\n" for i in range(20)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(0 < float(rmse) < 5 for rmse in printed)
+
+
+def test_library_usage_blocks_read_only_that_section():
+    readme = ("## Library usage\n\n```python\na = 1\n```\n\nText.\n\n"
+              "```python\nb = a\n```\n\n## Determinism\n\n```python\nc = 3\n```\n")
+    assert library_usage_blocks("# T\n" + readme) == ["a = 1\n", "b = a\n"]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cofactor.corpus import ClickDataset
 from cofactor.errors import ValidationError
 from cofactor.ppmi import CoCounts, build_ppmi, cooccurrence_counts
+from cofactor.sparse import CsrMatrix
 
 from conftest import assert_same_csr, from_scipy, make_clicks, to_scipy
 from oracles import brute_force_ppmi, cooccurrence_reference, ppmi_reference
@@ -22,9 +22,9 @@ def random_clicks(rng, max_users=10, max_items=10):
     return make_clicks(sorted(pairs), n_users, n_items)
 
 
-def clicks_to_user_sets(clicks: ClickDataset) -> list[set[int]]:
-    sets = [set() for _ in range(clicks.n_users)]
-    for u, i in zip(clicks.users.tolist(), clicks.items.tolist()):
+def clicks_to_user_sets(clicks: CsrMatrix) -> list[set[int]]:
+    sets = [set() for _ in range(clicks.shape[0])]
+    for u, i in zip(clicks.row_ids().tolist(), clicks.indices.tolist()):
         sets[u].add(i)
     return sets
 
@@ -49,8 +49,9 @@ class TestCooccurrenceCounts:
 
     def test_duplicate_input_pairs_do_not_change_counts(self):
         base = make_clicks([(0, 0), (0, 1), (1, 0)])
-        dup = ClickDataset(2, 2, np.array([0, 0, 1, 0, 0], dtype=np.int64),
-                           np.array([0, 1, 0, 0, 1], dtype=np.int64))
+        # user 0 clicks items 0 and 1 twice each, unsorted
+        dup = CsrMatrix((2, 2), np.array([0, 4, 5]), np.array([0, 1, 0, 1, 0]),
+                        np.ones(5, dtype=np.int64))
         a, b = cooccurrence_counts(base), cooccurrence_counts(dup)
         assert a.item_counts.tolist() == b.item_counts.tolist()
         assert a.total_pairs == b.total_pairs
@@ -127,18 +128,20 @@ class TestBuildPpmi:
         assert checked > 30
 
 
-def messy_clicks(rng) -> ClickDataset:
-    """Random clicks in shuffled order with repeated clicks, a user with one
-    click (user 0), a user with none (user 1) and two items nobody clicked."""
+def messy_clicks(rng) -> CsrMatrix:
+    """Random clicks, unsorted within each user's row, with repeated clicks, a
+    user with one click (user 0), a user with none (user 1) and two items
+    nobody clicked."""
     n_users, n_items = int(rng.integers(3, 40)), int(rng.integers(4, 50))
     n = int(rng.integers(0, 6 * n_users))
     users = rng.integers(2, n_users, n)
     items = rng.integers(0, n_items - 2, n)
     users = np.concatenate([users, [0], users[:n // 3]])
     items = np.concatenate([items, rng.integers(0, n_items - 2, 1), items[:n // 3]])
-    order = rng.permutation(len(users))
-    return ClickDataset(n_users, n_items, users[order].astype(np.int64),
-                        items[order].astype(np.int64))
+    order = np.argsort(users, kind="stable")    # by user; items keep their drawn order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(users, minlength=n_users))])
+    return CsrMatrix((n_users, n_items), indptr, items[order],
+                     np.ones(len(users), dtype=np.int64))
 
 
 class TestMatchesScipyOracle:
@@ -148,7 +151,7 @@ class TestMatchesScipyOracle:
             clicks = messy_clicks(rng)
             counts = cooccurrence_counts(clicks)
             item_counts, pair_counts, total_pairs = cooccurrence_reference(
-                clicks.users, clicks.items, clicks.n_users, clicks.n_items)
+                clicks.row_ids(), clicks.indices, *clicks.shape)
             assert counts.item_counts.dtype == item_counts.dtype
             np.testing.assert_array_equal(counts.item_counts, item_counts)
             assert counts.total_pairs == total_pairs
@@ -161,7 +164,7 @@ class TestMatchesScipyOracle:
 
     @pytest.mark.parametrize("field, value", [("users", -1), ("users", 5), ("items", 4)])
     def test_click_index_outside_rejected(self, field, value):
-        clicks = make_clicks([(0, 0), (0, 1), (1, 0)], n_users=5, n_items=4)
-        getattr(clicks, field)[1] = value
-        with pytest.raises(ValidationError, match="index is outside"):
-            cooccurrence_counts(clicks)
+        # the click matrix refuses the pair when it is built
+        pair = (value, 1) if field == "users" else (0, value)
+        with pytest.raises(ValidationError, match="index .*outside"):
+            make_clicks([(0, 0), pair, (1, 0)], n_users=5, n_items=4)

@@ -56,6 +56,15 @@ class TestEvaluate:
         assert report.rmse < 1e-6
         assert report.n_predictions == ratings.n_entries
 
+    def test_test_user_past_the_end_rejected(self):
+        # used to end in an IndexError inside the prediction
+        ratings, docs, state = _true_state_split()
+        with pytest.raises(ValidationError, match="'users' has an index outside"):
+            test = ratings.replace_entries(np.array([ratings.n_users]), np.array([0]),
+                                           np.array([4.0]))
+            evaluate(state, EvalSplit(train=ratings, validation=ratings, test=test,
+                                      mode="in_matrix", seed=0), docs)
+
     def test_out_of_matrix_ignores_item_and_context_factors(self):
         data = synthetic_train_data(seed=12)
         config = SyntheticConfig(n_users=40, n_items=30, n_factors=3,
@@ -198,10 +207,9 @@ class TestSweep:
 
     def test_errors_tagged_with_lambda(self):
         data = synthetic_train_data(seed=24)
-        bad = Hyperparams(n_factors=3, lambda_user=-1.0, sdae=None)
         from cofactor.errors import CofactorError
-        with pytest.raises(CofactorError, match="lambda_s=2.0"):
-            sweep_lambda_s(data, bad, [2.0])
+        with pytest.raises(CofactorError, match="lambda_s=-2.0"):
+            sweep_lambda_s(data, Hyperparams(n_factors=3, sdae=None), [-2.0])
 
 
 class TestTraceCsv:

@@ -236,12 +236,12 @@ class TestGradients:
 
 class TestConfig:
     def test_valid(self):
-        SdaeConfig(hidden_widths=[4]).validate()
+        SdaeConfig(hidden_widths=[4])
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
     def test_bad_learning_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="learning_rate"):
-            SdaeConfig(hidden_widths=[], learning_rate=rate).validate()
+            SdaeConfig(hidden_widths=[], learning_rate=rate)
 
 
 class TestStackWidths:
@@ -351,6 +351,38 @@ class TestSdaePassMatchesReference:
         xc = from_scipy(np.array([[0.5, 0.0, np.inf, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         with pytest.raises(ValidationError, match="non-finite"):
             sdae_pass(params, xc, xc, 0.0, lambda_recon=1.0)
+
+
+class TestSdaePassChunkViews:
+    """The pass reads each chunk of rows as a view; it equals, bit for bit, the
+    passes over the same chunks gathered by index arrays, summed in order."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_bit_identical_to_gathered_chunks(self, rng, sparse):
+        n_rows, widths = 2 * CHUNK_ROWS + 37, [12, 6, 3, 6, 12]
+        params = random_net(rng, widths)
+        xc = _text_rows(rng, sparse, n=n_rows, v=widths[0])
+        x0 = corrupt(xc, 0.3, 5)
+        beta = rng.random((n_rows, 3))
+        lam = dict(lambda_anchor=0.7, lambda_recon=1.3)
+        encoding, error, (grads_w, grads_b) = sdae_pass(params, x0, xc, beta,
+                                                        lambda_decay=0.05, **lam)
+        parts, want_sq = [], 0.0
+        want = [np.zeros_like(value) for value in params.weights + params.biases]
+        for start in range(0, n_rows, CHUNK_ROWS):
+            rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+            part, sq, (part_w, part_b) = sdae_pass(params, x0[rows], xc[rows], beta[rows],
+                                                   **lam)
+            parts.append(part)
+            want_sq += sq
+            for total, grad in zip(want, part_w + part_b):
+                total += grad
+        for total, value in zip(want, params.weights + params.biases):
+            total += 0.05 * value
+        np.testing.assert_array_equal(encoding, np.concatenate(parts))
+        assert error == want_sq
+        for got, total in zip(grads_w + grads_b, want):
+            np.testing.assert_array_equal(got, total)
 
 
 def sparse_text_rows(rng, n_rows, vocab, terms):

@@ -38,23 +38,25 @@ def valid_arrays():
     return np.array([0, 2, 2, 3]), np.array([0, 3, 1]), np.array([1.0, 2.0, 3.0])
 
 
+# each fault, with the array its error names
 BAD_STRUCTURES = {
-    "short_indptr": lambda p, i, d: (p[:-1], i, d),
-    "indptr_not_from_0": lambda p, i, d: (p + 1, i, d),
-    "indptr_not_to_nnz": lambda p, i, d: (np.array([0, 2, 2, 2]), i, d),
-    "indptr_decreases": lambda p, i, d: (np.array([0, 2, 1, 3]), i, d),
-    "negative_column": lambda p, i, d: (p, np.array([0, -1, 1]), d),
-    "column_past_width": lambda p, i, d: (p, np.array([0, 4, 1]), d),
-    "data_length": lambda p, i, d: (p, i, d[:2]),
-    "float_indices": lambda p, i, d: (p, i.astype(np.float64), d),
+    "short_indptr": ("indptr", lambda p, i, d: (p[:-1], i, d)),
+    "indptr_not_from_0": ("indptr", lambda p, i, d: (p + 1, i, d)),
+    "indptr_not_to_nnz": ("indptr", lambda p, i, d: (np.array([0, 2, 2, 2]), i, d)),
+    "indptr_decreases": ("indptr", lambda p, i, d: (np.array([0, 2, 1, 3]), i, d)),
+    "negative_column": ("indices", lambda p, i, d: (p, np.array([0, -1, 1]), d)),
+    "column_past_width": ("indices", lambda p, i, d: (p, np.array([0, 4, 1]), d)),
+    "data_length": ("data", lambda p, i, d: (p, i, d[:2])),
+    "float_indices": ("indices", lambda p, i, d: (p, i.astype(np.float64), d)),
 }
 
 
 class TestStructureChecked:
     @pytest.mark.parametrize("fault", sorted(BAD_STRUCTURES))
     def test_inconsistent_arrays_rejected(self, fault):
-        with pytest.raises(ValidationError):
-            CsrMatrix((3, 4), *BAD_STRUCTURES[fault](*valid_arrays()))
+        name, edit = BAD_STRUCTURES[fault]
+        with pytest.raises(ValidationError, match=f"'{name}'"):
+            CsrMatrix((3, 4), *edit(*valid_arrays()))
 
     def test_valid_arrays_accepted_with_int32_indices(self):
         matrix = CsrMatrix((3, 4), *valid_arrays())
@@ -69,6 +71,25 @@ class TestRowsAndEntries:
         matrix = from_coo(dense.shape, rows, cols, data)
         for pick in ([], [4], [29, 0, 4, 4], rng.integers(0, 30, 50)):
             np.testing.assert_array_equal(matrix[pick].toarray(), dense[np.asarray(pick, int)])
+
+    def test_row_slice_equals_the_gather_and_shares_memory(self, rng):
+        rows, cols, data, dense = random_triplets(rng, 30, 12, 0.3)
+        matrix = from_coo(dense.shape, rows, cols, data)
+        for start, stop in ((0, 30), (4, 17), (29, 30), (5, 5), (20, 99), (-3, None)):
+            view = matrix[start:stop]
+            gathered = matrix[np.arange(30)[start:stop]]
+            assert view.shape == gathered.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(view, name), getattr(gathered, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        view = matrix[4:17]
+        assert np.shares_memory(view.indices, matrix.indices)
+        assert np.shares_memory(view.data, matrix.data)
+
+    def test_stepped_row_slice_rejected(self, rng):
+        matrix = from_coo((30, 12), *random_triplets(rng, 30, 12, 0.3)[:3])
+        with pytest.raises(ValidationError, match="contiguous"):
+            matrix[::2]
 
     @pytest.mark.parametrize("row", [-1, 30])
     def test_row_outside_rejected(self, rng, row):
