@@ -225,7 +225,7 @@ def cmd_ingest(cfg: dict) -> int:
             blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
         try:
             config = corpus.SyntheticConfig(**blob)
-        except TypeError as exc:
+        except (TypeError, ValidationError) as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from None
         ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
         return _write_ingest(cfg, ratings, clicks, docs, synthetic=True)
@@ -287,15 +287,17 @@ def _load_cached_docs(cache: Path) -> corpus.DocTermMatrix | None:
 
 def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
     text = cfg["text"]
-    sdae = None
-    if text["enabled"]:
-        if docs is None:
-            raise ConfigError("text.enabled is true but no documents were ingested")
-        sdae = SdaeConfig(hidden_widths=list(text["hidden_widths"]),
-                          noise_rate=text["noise_rate"],
-                          pretrain_epochs=text["pretrain_epochs"],
-                          learning_rate=text["learning_rate"])
-    return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
+    if text["enabled"] and docs is None:
+        raise ConfigError("text.enabled is true but no documents were ingested")
+    try:
+        sdae = (SdaeConfig(hidden_widths=list(text["hidden_widths"]),
+                           noise_rate=text["noise_rate"],
+                           pretrain_epochs=text["pretrain_epochs"],
+                           learning_rate=text["learning_rate"])
+                if text["enabled"] else None)
+        return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
+    except ValidationError as exc:
+        raise ConfigError(f"bad hyperparameters: {exc}") from None
 
 
 def _click_ppmi(clicks: CsrMatrix) -> ppmi.PpmiMatrix:

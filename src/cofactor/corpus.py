@@ -2,8 +2,9 @@
 
 Ratings are kept as parallel arrays of dense user/item indices plus the
 external-id tables that define the indexing; clicks are the users × items
-CsrMatrix holding a 1 per click. All operations here are pure: they never
-mutate their inputs and are deterministic under a fixed seed.
+CsrMatrix holding a 1 per distinct click; `_click_matrix`, which builds every
+one, is where a repeated click collapses. All operations here are pure: they
+never mutate their inputs and are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def parse_clicks(source: IO[str], user_index_map: dict[str, int],
     mirroring the removal of ids that have no explicit feedback. Duplicates
     collapse to one click.
     """
-    pairs: set[tuple[int, int]] = set()
+    users: list[int] = []
+    items: list[int] = []
     dropped = 0
     for _, (uid, iid) in _records(source, "user item"):
         u = user_index_map.get(uid)
@@ -160,21 +162,23 @@ def parse_clicks(source: IO[str], user_index_map: dict[str, int],
         if u is None or i is None:
             dropped += 1
             continue
-        pairs.add((u, i))
-    return _click_matrix(len(user_index_map), len(item_index_map), pairs), dropped
+        users.append(u)
+        items.append(i)
+    return _click_matrix((len(user_index_map), len(item_index_map)), users, items), dropped
 
 
-def _click_matrix(n_users: int, n_items: int, pairs) -> CsrMatrix:
-    """The n_users × n_items matrix with a 1 at each distinct (user, item) pair."""
-    users, items = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2).T
-    return from_coo((n_users, n_items), users, items, np.ones(len(users), dtype=np.int64))
+def _click_matrix(shape: tuple[int, int], users, items) -> CsrMatrix:
+    """The users × items matrix with a 1 at each distinct (users[k], items[k])."""
+    n_items = shape[1]
+    pairs = np.unique(np.asarray(users, dtype=np.int64) * n_items
+                      + np.asarray(items, dtype=np.int64))
+    return from_coo(shape, pairs // n_items, pairs % n_items, np.ones_like(pairs))
 
 
 def binarize_ratings(ratings: RatingDataset) -> CsrMatrix:
     """The click matrix with one click per observed rating pair; rating values
     are discarded."""
-    return from_coo((ratings.n_users, ratings.n_items), ratings.users, ratings.items,
-                    np.ones(ratings.n_entries, dtype=np.int64))
+    return _click_matrix((ratings.n_users, ratings.n_items), ratings.users, ratings.items)
 
 
 def subsample_ratings(ratings: RatingDataset, fraction: float, seed: int) -> RatingDataset:
@@ -312,13 +316,12 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     data: list[float] = []
     rows_idx: list[int] = []
     cols_idx: list[int] = []
-    for item in sorted(doc_counts):
-        counts = doc_counts[item]
+    for item, counts in doc_counts.items():
         in_vocab = [(term_col[t], c) for t, c in counts.items() if t in term_col]
         if not in_vocab:
             continue
         peak = max(c for _, c in in_vocab)
-        for col, c in sorted(in_vocab):
+        for col, c in in_vocab:
             rows_idx.append(item)
             cols_idx.append(col)
             data.append(c / peak)
@@ -384,15 +387,13 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
 
     vocab = tuple(f"w{j:04d}" for j in range(v))
     terms_per_item = min(config.doc_terms_per_item, v)
-    rows_idx, cols_idx, data = [], [], []
-    for i in range(m):
-        cols = np.sort(rng.choice(v, size=terms_per_item, replace=False))
+    cols, data = [], []
+    for _ in range(m):
+        cols.append(np.sort(rng.choice(v, size=terms_per_item, replace=False)))
         counts = rng.integers(1, 5, size=terms_per_item).astype(np.float64)
-        peak = counts.max()
-        rows_idx.extend([i] * terms_per_item)
-        cols_idx.extend(cols.tolist())
-        data.extend((counts / peak).tolist())
-    doc_rows = from_coo((m, v), rows_idx, cols_idx, np.asarray(data, dtype=np.float64))
+        data.append(counts / counts.max())
+    doc_rows = from_coo((m, v), np.repeat(np.arange(m), terms_per_item),
+                        np.concatenate(cols), np.concatenate(data))
     docs = DocTermMatrix(n_items=m, vocab=vocab, rows=doc_rows)
 
     widths = stack_widths(v, config.encoder_hidden, k)
@@ -418,16 +419,14 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                             values, user_ids, item_ids)
 
     clicks_per_user = int(round(config.click_density * m))
-    click_pairs: set[tuple[int, int]] = set()
+    c_users = c_items = np.zeros(0, dtype=np.int64)
     if clicks_per_user > 0:
         scores = preference + config.click_noise * rng.standard_normal((n, m))
-        top = np.argsort(-scores, axis=1)[:, :clicks_per_user]
-        for u in range(n):
-            for i in top[u]:
-                click_pairs.add((u, int(i)))
+        c_users = np.repeat(np.arange(n), clicks_per_user)
+        c_items = np.argsort(-scores, axis=1)[:, :clicks_per_user].ravel()
     if config.clicks_include_rated:
-        click_pairs.update(zip(r_users.tolist(), r_items.tolist()))
-    clicks = _click_matrix(n, m, click_pairs)
+        c_users, c_items = np.concatenate([c_users, r_users]), np.concatenate([c_items, r_items])
+    clicks = _click_matrix((n, m), c_users, c_items)
 
     state = ModelState(user_factors=user_factors, item_factors=item_factors,
                        context_factors=context_factors, sdae=true_net,

@@ -28,7 +28,7 @@ from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
 from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass
-from .sparse import CHUNK_ROWS, CsrMatrix
+from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 CHECKPOINT_VERSION = 1
 
@@ -290,15 +290,6 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
 _AUTOENCODER_TERMS = ("item_anchor", "reconstruction", "decay")
 
 
-def _group_by(keys: np.ndarray, columns: np.ndarray, values: np.ndarray,
-             shape: tuple[int, int]) -> CsrMatrix:
-    """CSR with the entry (keys[e], columns[e], values[e]) for each e; a row's
-    entries keep their input order."""
-    order = np.argsort(keys, kind="stable")
-    indptr = np.searchsorted(keys[order], np.arange(shape[0] + 1))
-    return CsrMatrix(shape, indptr, columns[order], values[order])
-
-
 def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrace]:
     """Alternate user / item-feature / item-context solves and one autoencoder
     gradient step per epoch; stop on stale validation RMSE; return the state
@@ -335,8 +326,8 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         beta = 0.01 * rng.standard_normal((n_items, k))
     alpha = 0.01 * rng.standard_normal((n_items, k))
 
-    by_user = _group_by(train_ds.users, train_ds.items, values, (n_users, n_items))
-    by_item = _group_by(train_ds.items, train_ds.users, values, (n_items, n_users))
+    by_user = from_coo((n_users, n_items), train_ds.users, train_ds.items, values)
+    by_item = from_coo((n_items, n_users), train_ds.items, train_ds.users, values)
     # each block's terms; the factor matrices in them are solved in place
     user_terms = [(1.0, by_user, beta)]
     item_terms = [(1.0, by_item, theta)]

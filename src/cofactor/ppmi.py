@@ -1,14 +1,15 @@
 """Item-item positive pointwise mutual information from co-click counts.
 
 The clicks are the users × items CsrMatrix X whose stored entries are the
-clicks. Two items co-occur when the same user clicked both. The pair universe
+clicks; being canonical, a row names each item once, so counting reads X as
+given. Two items co-occur when the same user clicked both. The pair universe
 size counts one unordered pair per user per item pair in that user's click
 list, i.e. sum over users of c_u choose 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,13 +39,10 @@ def cooccurrence_counts(clicks: CsrMatrix) -> CoCounts:
     """Count distinct-user clicks per item and co-clicks per item pair of the
     click matrix; only where entries are stored matters, not their values."""
     m = clicks.shape[1]
-    # duplicate clicks collapse
-    pairs = np.unique(clicks.row_ids().astype(np.int64) * m + clicks.indices)
-    mat = from_coo(clicks.shape, pairs // m, pairs % m, np.ones(len(pairs), dtype=np.int64))
-    item_counts = np.bincount(mat.indices, minlength=m)
-    per_user = np.diff(mat.indptr).astype(np.int64)  # c_u² would overflow int32
+    item_counts = np.bincount(clicks.indices, minlength=m)
+    per_user = np.diff(clicks.indptr).astype(np.int64)  # c_u² would overflow int32
     total_pairs = int((per_user * (per_user - 1) // 2).sum())
-    co = mat.gram()
+    co = replace(clicks, data=np.ones(clicks.nnz, dtype=np.int64)).gram()
     pair_counts = co.select(co.row_ids() < co.indices)
     return CoCounts(n_items=m, item_counts=item_counts,
                     pair_counts=pair_counts, total_pairs=total_pairs)

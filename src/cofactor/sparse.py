@@ -2,14 +2,16 @@
 
 A CsrMatrix checks its structure when it is built, so inconsistent arrays (a
 corrupt cache, say) end in ValidationError, never in an out-of-bounds read
-inside a compiled product. Building, row selection, entry filtering and
-densifying are numpy. Three products run in scipy.sparse on a zero-copy view:
-the co-click count product XᵀX (`gram`), sparse × dense (`@`) and
-sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS thread, the
-first took 3.7× and sparse × dense 7–17× as long. scipy is imported only
-where that view is made: importing scipy.sparse adds about 0.2 s to a
-process's start (2-vCPU Xeon), which a command that runs none of the three
-never pays.
+inside a compiled product. Every CsrMatrix is canonical: the columns of each
+row are strictly increasing, so no reader sorts or deduplicates one again;
+`from_coo`, the one builder from entries, sorts them. Building, row selection,
+entry filtering and densifying are numpy. Three products run in scipy.sparse
+on a zero-copy view: the co-click count product XᵀX (`gram`), sparse × dense
+(`@`) and sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS
+thread, the first took 3.7× and sparse × dense 7–17× as long. scipy is
+imported only where that view is made: importing scipy.sparse adds about
+0.2 s to a process's start (2-vCPU Xeon), which a command that runs none of
+the three never pays.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ CHUNK_ROWS = 256  # rows per chunk of every row-chunked loop; bounds its scratch
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Row r holds the columns indices[indptr[r]:indptr[r+1]] with values
-    data[indptr[r]:indptr[r+1]]. A (row, column) pair stored twice counts as
-    the sum of its values, as in scipy.
+    data[indptr[r]:indptr[r+1]]. Every matrix is canonical: the columns of
+    each row are strictly increasing, so no (row, column) pair is stored twice.
 
     Index arrays are stored as int32 when every index and the entry count
     fit, else int64 (scipy's rule, so that the scipy view shares them).
@@ -61,6 +63,11 @@ class CsrMatrix:
             raise ValidationError("array 'indptr' decreases")
         if nnz and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValidationError(f"array 'indices' has a column index outside [0, {n_cols})")
+        key = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr)) * n_cols + indices
+        unordered = np.flatnonzero(np.diff(key) <= 0)  # the key increases iff canonical
+        if unordered.size:
+            raise ValidationError(f"array 'indices' repeats a column or has columns out of "
+                                  f"order in row {key[unordered[0] + 1] // n_cols}")
         index_dtype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "indptr", indptr.astype(index_dtype, copy=False))
@@ -80,7 +87,7 @@ class CsrMatrix:
         """A dense copy; with `base`, a C-contiguous array of this shape, base + self in place."""
         out = np.zeros(self.shape, dtype=self.data.dtype) if base is None else base
         flat = self.row_ids().astype(np.int64) * self.shape[1] + self.indices
-        np.add.at(out.reshape(-1), flat, self.data)
+        out.reshape(-1)[flat] += self.data  # canonical: each position occurs once
         return out
 
     def __getitem__(self, rows) -> "CsrMatrix":
@@ -135,14 +142,15 @@ class CsrMatrix:
 
 
 def from_coo(shape: tuple[int, int], rows, cols, data) -> CsrMatrix:
-    """CSR of the entries (rows[k], cols[k], data[k]) in canonical order:
-    by row, then by column. Each (row, column) pair must occur once."""
+    """CSR of the entries (rows[k], cols[k], data[k]), sorted into canonical
+    order: by row, then by column. A (row, column) pair given twice ends in the
+    ValidationError of a row that repeats a column."""
     n_rows, n_cols = shape
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
         raise ValidationError(f"a row index is outside [0, {n_rows})")
-    order = np.argsort(rows * n_cols + cols)  # keys are distinct: any sort agrees
+    order = np.argsort(rows * n_cols + cols)  # keys must be distinct: any sort agrees
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return CsrMatrix((n_rows, n_cols), indptr, cols[order], np.asarray(data)[order])

@@ -167,20 +167,27 @@ class TestTrain:
         trace = (tmp_path / "out" / "trace.csv").read_text()
         assert trace.startswith("# run: pmf-degenerate")
 
-    @pytest.mark.parametrize("key", ["hyper.lambda_user", "text.learning_rate"])
-    def test_non_finite_hyperparameter_exits_1(self, workspace, capsys, key):
-        # json accepts NaN; it must end as one error line, not a traceback
+    @pytest.mark.parametrize("key,value", [("hyper.lambda_user", float("nan")),
+                                           ("text.learning_rate", float("nan")),
+                                           ("hyper.n_factors", 0),
+                                           ("hyper.lambda_user", -1.0),
+                                           ("hyper.max_epochs", 0),
+                                           ("text.noise_rate", 1.5)])
+    def test_unusable_hyperparameter_exits_2(self, workspace, capsys, key, value):
+        # a value of the right type that no run can use is a config error; json
+        # accepts NaN, which must end as one error line, not a traceback
         tmp_path, config_path = workspace
         cfg = json.loads(config_path.read_text())
         section, field = key.split(".")
-        cfg[section][field] = float("nan")
+        cfg[section][field] = value
         config_path.write_text(json.dumps(cfg))
         main(["ingest", "--config", str(config_path)])
         capsys.readouterr()
-        assert main(["train", "--config", str(config_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [err.strip()]
-        assert err.startswith("error: ") and field in err
+        for argv in (["train", "--dry-run"], ["train"]):
+            assert main([*argv, "--config", str(config_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines() == [err.strip()]
+            assert err.startswith("error: bad hyperparameters: ") and field in err
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
     def test_clicks_from_all_changes_the_click_matrix(self, tmp_path):
@@ -446,6 +453,15 @@ class TestSyntheticIngest:
         config.write_text(json.dumps(cfg))
         assert main(["ingest", "--config", str(config)]) == 2
 
+    def test_unusable_synthetic_value_exits_2(self, tmp_path, capsys):
+        config = self._synthetic_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["synthetic"]["n_users"] = 0
+        config.write_text(json.dumps(cfg))
+        assert main(["ingest", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == ("error: bad synthetic config: "
+                                           "synthetic dimensions must be positive\n")
+
 
 class TestEntryPoint:
     def test_console_script_usage_error(self):
@@ -681,6 +697,13 @@ def set_entry(index: int, value: int):
     return edit
 
 
+def copy_entry(source: int, target: int):
+    def edit(array):
+        array[target] = array[source]
+        return array
+    return edit
+
+
 def swap_entries(a: int, b: int):
     def edit(array):
         array[[a, b]] = array[[b, a]]
@@ -697,6 +720,10 @@ BAD_CACHE_ARRAYS = {
     "ratings_item_past_end": ("ratings.bin", "items", set_entry(3, 100000)),
     "clicks_item_past_end": ("clicks.bin", "indices", set_entry(3, 100000)),
     "clicks_negative_item": ("clicks.bin", "indices", set_entry(3, -1)),
+    # a user's click stored twice, or a document's terms out of order: rows
+    # that are not canonical
+    "clicks_repeated_item": ("clicks.bin", "indices", copy_entry(3, 4)),
+    "docs_unsorted_columns": ("docs.bin", "indices", swap_entries(0, 1)),
     # parallel arrays of different lengths: ratings or clicks silently dropped
     "ratings_values_short": ("ratings.bin", "ratings", lambda array: array[:-5]),
     "ratings_users_long": ("ratings.bin", "users", lambda array: np.append(array, 0)),

@@ -554,6 +554,22 @@ class TestTrain:
             train(data, hyper)
         assert err.value.epoch == 1
 
+    def test_repeated_rating_pair_rejected(self):
+        # parse_ratings refuses a repeated (user, item) pair, but a hand-edited
+        # ratings.bin can hold one; training on both copies would weigh it twice
+        data = synthetic_train_data(with_text=False, with_clicks=False)
+        tr = data.split.train
+        k = int(np.flatnonzero(tr.users != tr.items)[0])
+        repeated = tr.replace_entries(np.append(tr.users, tr.users[k]),
+                                      np.append(tr.items, tr.items[k]),
+                                      np.append(tr.ratings, 1.0))
+        data = TrainData(split=dataclasses.replace(data.split, train=repeated))
+        hyper = Hyperparams(n_factors=3, lambda_s=0.0, sdae=None, max_epochs=1, seed=1)
+        # the row names the user, so the error comes from the ratings grouped by user
+        with pytest.raises(ValidationError,
+                           match=rf"'indices' repeats a column .* in row {tr.users[k]}$"):
+            train(data, hyper)
+
     def test_blow_up_reported_as_divergence_not_singular(self):
         # ratings of 1e60: every ridge is positive, so each block system is
         # positive definite, but the Gram entries swamp the ridge in float64

@@ -144,6 +144,41 @@ def test_check_finds_scipy_references():
     assert scipy_references(source) == (["line 1", "line 2"], ["line 7", "line 8"])
 
 
+def csr_matrix_calls(sources: dict[str, str]) -> list[str]:
+    """For each call `CsrMatrix(...)` in `sources` (module name → source) outside
+    the sparse module, `module: name` of the top-level definition holding it
+    (`<module>` at module level). Arrays passed to that call are not sorted or
+    deduplicated: they must already be canonical."""
+    found = []
+    for module, source in sources.items():
+        if module == "sparse":
+            continue
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "CsrMatrix" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{module}: {getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_csr_matrices_are_built_only_by_sparse_and_the_cache_loaders():
+    # every other CsrMatrix comes from from_coo, which sorts its entries, or
+    # from a method of a matrix; the two loaders pass arrays read from disk,
+    # which the build checks and refuses when they are not canonical
+    assert csr_matrix_calls({path.stem: path.read_text(encoding="utf-8")
+                             for path in SOURCES}) == ["cli: _load_cached_clicks",
+                                                       "cli: _load_cached_docs"]
+
+
+def test_check_finds_csr_matrix_calls():
+    sources = {"sparse": "def build():\n    return CsrMatrix(1)\n",
+               "a": "from .sparse import CsrMatrix\nEMPTY = CsrMatrix(0)\n\n"
+                    "def helper():\n    def inner():\n        return sparse.CsrMatrix(2)\n"
+                    "    return inner\n\n"
+                    "def reader(m: CsrMatrix) -> CsrMatrix:\n    return isinstance(m, CsrMatrix)\n"}
+    assert csr_matrix_calls(sources) == ["a: <module>", "a: helper"]
+
+
 def readme_flags(readme: str) -> set[str]:
     """The flags named in the README paragraph that starts with `Flags:`."""
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Flags:"))

@@ -1,13 +1,15 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from cofactor.corpus import binarize_ratings, parse_clicks
 from cofactor.errors import ValidationError
 from cofactor.ppmi import CoCounts, build_ppmi, cooccurrence_counts
 from cofactor.sparse import CsrMatrix
 
-from conftest import assert_same_csr, from_scipy, make_clicks, to_scipy
+from conftest import assert_same_csr, from_scipy, make_clicks, make_ratings, to_scipy
 from oracles import brute_force_ppmi, cooccurrence_reference, ppmi_reference
 
 
@@ -50,12 +52,17 @@ class TestCooccurrenceCounts:
     def test_duplicate_input_pairs_do_not_change_counts(self):
         base = make_clicks([(0, 0), (0, 1), (1, 0)])
         # user 0 clicks items 0 and 1 twice each, unsorted
-        dup = CsrMatrix((2, 2), np.array([0, 4, 5]), np.array([0, 1, 0, 1, 0]),
-                        np.ones(5, dtype=np.int64))
-        a, b = cooccurrence_counts(base), cooccurrence_counts(dup)
-        assert a.item_counts.tolist() == b.item_counts.tolist()
-        assert a.total_pairs == b.total_pairs
-        assert (to_scipy(a.pair_counts) != to_scipy(b.pair_counts)).nnz == 0
+        dup_log, _ = parse_clicks(io.StringIO("u0 i1\nu0 i0\nu0 i1\nu1 i0\nu0 i0\n"),
+                                  {"u0": 0, "u1": 1}, {"i0": 0, "i1": 1})
+        # the same clicks from ratings holding the pair (0, 1) twice
+        dup_ratings = binarize_ratings(make_ratings([(0, 1, 3), (0, 0, 2), (0, 1, 5),
+                                                     (1, 0, 1)]))
+        a = cooccurrence_counts(base)
+        for dup in (dup_log, dup_ratings):
+            b = cooccurrence_counts(dup)
+            assert a.item_counts.tolist() == b.item_counts.tolist()
+            assert a.total_pairs == b.total_pairs
+            assert (to_scipy(a.pair_counts) != to_scipy(b.pair_counts)).nnz == 0
 
     def test_pair_count_bounded_by_item_counts(self, rng):
         for _ in range(30):
@@ -128,30 +135,30 @@ class TestBuildPpmi:
         assert checked > 30
 
 
-def messy_clicks(rng) -> CsrMatrix:
-    """Random clicks, unsorted within each user's row, with repeated clicks, a
-    user with one click (user 0), a user with none (user 1) and two items
-    nobody clicked."""
+def messy_clicks(rng) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:
+    """A random click log parsed by `parse_clicks`, with its (user, item)
+    index pairs in log order. The log is in no order and repeats clicks; user 0
+    clicks once, user 1 never, and two items nobody clicked."""
     n_users, n_items = int(rng.integers(3, 40)), int(rng.integers(4, 50))
     n = int(rng.integers(0, 6 * n_users))
     users = rng.integers(2, n_users, n)
     items = rng.integers(0, n_items - 2, n)
     users = np.concatenate([users, [0], users[:n // 3]])
     items = np.concatenate([items, rng.integers(0, n_items - 2, 1), items[:n // 3]])
-    order = np.argsort(users, kind="stable")    # by user; items keep their drawn order
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(users, minlength=n_users))])
-    return CsrMatrix((n_users, n_items), indptr, items[order],
-                     np.ones(len(users), dtype=np.int64))
+    log = "".join(f"u{u} i{i}\n" for u, i in zip(users, items))
+    clicks, _ = parse_clicks(io.StringIO(log), {f"u{u}": u for u in range(n_users)},
+                             {f"i{i}": i for i in range(n_items)})
+    return clicks, users, items
 
 
 class TestMatchesScipyOracle:
     def test_counts_and_ppmi_bit_identical(self, rng):
         n_ppmi = 0
         for _ in range(200):
-            clicks = messy_clicks(rng)
+            clicks, users, items = messy_clicks(rng)
             counts = cooccurrence_counts(clicks)
             item_counts, pair_counts, total_pairs = cooccurrence_reference(
-                clicks.row_ids(), clicks.indices, *clicks.shape)
+                users, items, *clicks.shape)
             assert counts.item_counts.dtype == item_counts.dtype
             np.testing.assert_array_equal(counts.item_counts, item_counts)
             assert counts.total_pairs == total_pairs

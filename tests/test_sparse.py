@@ -32,6 +32,10 @@ class TestFromCoo:
         with pytest.raises(ValidationError, match="column index"):
             from_coo((2, 2), [0, 1], [0, 2], [1.0, 1.0])
 
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(ValidationError, match="'indices' repeats a column .* in row 2$"):
+            from_coo((3, 4), [2, 0, 2], [1, 3, 1], [1.0, 2.0, 3.0])
+
 
 def valid_arrays():
     """indptr, indices and data of a 3 × 4 matrix, rows of 2, 0 and 1 entries."""
@@ -48,6 +52,8 @@ BAD_STRUCTURES = {
     "column_past_width": ("indices", lambda p, i, d: (p, np.array([0, 4, 1]), d)),
     "data_length": ("data", lambda p, i, d: (p, i, d[:2])),
     "float_indices": ("indices", lambda p, i, d: (p, i.astype(np.float64), d)),
+    "unsorted_columns": ("indices", lambda p, i, d: (p, np.array([3, 0, 1]), d)),
+    "repeated_column": ("indices", lambda p, i, d: (p, np.array([0, 0, 1]), d)),
 }
 
 
