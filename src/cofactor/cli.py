@@ -100,6 +100,9 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
             ("text.hidden_widths",
              all(isinstance(w, int) and w > 0 for w in cfg["text"]["hidden_widths"]),
              "a list of positive integers"),
+            ("sweep.lambda_s_grid",
+             all(0 <= v < float("inf") for v in cfg["sweep"]["lambda_s_grid"]),
+             "a list of finite nonnegative numbers"),
             ("sweep.sparsity_grid", all(0 < p <= 100 for p in cfg["sweep"]["sparsity_grid"]),
              "a list of percentages in (0, 100]"),
             ("flags.clamp",
@@ -140,6 +143,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         cfg["split"]["mode"] = {"in": "in_matrix", "out": "out_of_matrix"}[overrides.mode]
     if getattr(overrides, "lambda_s_grid", None) is not None:
         cfg["sweep"]["lambda_s_grid"] = _numbers(overrides.lambda_s_grid, "--lambda-s-grid")
+        set_by["sweep.lambda_s_grid"] = "--lambda-s-grid"
     if getattr(overrides, "sparsity_grid", None) is not None:
         cfg["sweep"]["sparsity_grid"] = _numbers(overrides.sparsity_grid, "--sparsity-grid")
         set_by["sweep.sparsity_grid"] = "--sparsity-grid"

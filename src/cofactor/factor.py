@@ -170,23 +170,49 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     where each term b is (w_b, S_b, B): S_b is a CsrMatrix whose row r stores
     the neighbours N_b(r) as column indices with values v_j, and the rows of
     the dense matrix B are the vectors B_j those columns index. Without an
-    anchor the ridge pulls toward zero. Rows are solved in chunks of
-    CHUNK_ROWS, one stacked solve per chunk.
+    anchor the ridge pulls toward zero.
+
+    Rows are solved in chunks of CHUNK_ROWS, one stacked solve per chunk. For
+    each term the chunk's Grams and right-hand sides are assembled in place in
+    a zeroed (rows, K, K) and (rows, K) stack: per stored row, one gather of
+    its basis rows and two BLAS products written straight into the row's
+    slot. Then, once per chunk, the term's stacks are scaled by its weight
+    (skipped at 1.0); the first term's stacks take ridge on their diagonals
+    and ridge·anchor on their right-hand sides, and each later term's stacks
+    are added to them. The gather stays per row, so no more than one row's
+    neighbours of a dense PPMI are ever gathered at once.
+
+    So every system is bit-identical (up to the sign of an exact zero) to
+    adding each row's w·BᵀB and w·Bᵀv onto ridge·I and ridge·anchor term by
+    term: the additions come in the same order, and floating-point addition
+    commutes.
     """
     n_rows, k = out.shape
-    terms = [(weight, matrix.indptr, matrix.indices, matrix.data, basis)
-             for weight, matrix, basis in terms]
+    diag = np.arange(k)
     for start in range(0, n_rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n_rows)
-        gram = np.repeat(ridge * np.eye(k)[None], stop - start, axis=0)
-        rhs = np.zeros((stop - start, k)) if anchor is None else ridge * anchor[start:stop]
-        for weight, indptr, indices, values, basis in terms:
-            bounds = indptr[start:stop + 1].tolist()
+        gram = rhs = None
+        for weight, matrix, basis in terms:
+            term_gram = np.zeros((stop - start, k, k))
+            term_rhs = np.zeros((stop - start, k))
+            indices, values = matrix.indices, matrix.data
+            bounds = matrix.indptr[start:stop + 1].tolist()
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 if lo < hi:
-                    rows = basis[indices[lo:hi]]
-                    gram[r] += weight * (rows.T @ rows)
-                    rhs[r] += weight * (rows.T @ values[lo:hi])
+                    rows = basis.take(indices[lo:hi], axis=0)
+                    np.matmul(rows.T, rows, out=term_gram[r])
+                    np.matmul(values[lo:hi], rows, out=term_rhs[r])
+            if weight != 1.0:
+                term_gram *= weight
+                term_rhs *= weight
+            if gram is None:    # the ridge joins before any later term, as in a per-row sum
+                gram, rhs = term_gram, term_rhs
+                gram[:, diag, diag] += ridge
+                if anchor is not None:
+                    rhs += ridge * anchor[start:stop]
+            else:
+                gram += term_gram
+                rhs += term_rhs
         out[start:stop] = _solve_spd(gram, rhs, ridge)
 
 

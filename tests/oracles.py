@@ -81,6 +81,28 @@ def masked_reference(rows: sp.csr_matrix, noise_rate, rng) -> sp.csr_matrix:
     return noisy
 
 
+def solve_rows_reference(out, ridge, terms, anchor, solve, chunk_rows):
+    """The block solver as a per-row accumulation: each chunk of `chunk_rows`
+    rows starts from ridge·I and ridge·anchor, and every stored row adds
+    w·BᵀB and w·Bᵀv of its gathered basis rows onto them. `solve` is the
+    stacked SPD solve under test, so that only the assembly differs; `terms`
+    are (weight, matrix, basis) with a CSR matrix of indptr, indices, data.
+    """
+    n_rows, k = out.shape
+    for start in range(0, n_rows, chunk_rows):
+        stop = min(start + chunk_rows, n_rows)
+        gram = np.repeat(ridge * np.eye(k)[None], stop - start, axis=0)
+        rhs = np.zeros((stop - start, k)) if anchor is None else ridge * anchor[start:stop]
+        for weight, matrix, basis in terms:
+            bounds = matrix.indptr[start:stop + 1].tolist()
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:
+                    rows = basis[matrix.indices[lo:hi]]
+                    gram[r] += weight * (rows.T @ rows)
+                    rhs[r] += weight * (rows.T @ matrix.data[lo:hi])
+        out[start:stop] = solve(gram, rhs, ridge)
+
+
 def pmf_als_reference(users, items, values, n_users, n_items, k, lambda_user,
                       lambda_item, seed, n_epochs, val_users, val_items, val_values):
     """Plain alternating-least-squares matrix factorization, loops and LU solves.

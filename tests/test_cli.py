@@ -523,6 +523,9 @@ def config_error(capsys, argv: list[str]) -> str:
 # command lines whose flag value no run can use; CKPT stands for a trained checkpoint
 BAD_FLAG_VALUES = [
     ["sweep", "--lambda-s-grid", "1,abc"],
+    ["sweep", "--lambda-s-grid", "0.1,-1"],
+    ["sweep", "--lambda-s-grid", "nan"],
+    ["sweep", "--lambda-s-grid", "inf"],
     ["sweep", "--sparsity-grid", "10,"],
     ["sweep", "--sparsity-grid", "50,150"],
     ["eval", "--checkpoint", "CKPT", "--clamp", "1"],
@@ -536,7 +539,8 @@ BAD_FLAG_VALUES = [
 BAD_CONFIG_VALUES = [("flags.clamp", [5, 1]), ("flags.clamp", [1]), ("flags.clamp", "1,10"),
                      ("seed", -1), ("text.hidden_widths", [4.5]), ("text.hidden_widths", [0]),
                      ("subsample_fraction", 1.5), ("subsample_fraction", 0),
-                     ("sweep.sparsity_grid", [50, 150])]
+                     ("sweep.sparsity_grid", [50, 150]), ("sweep.lambda_s_grid", [0.1, -1]),
+                     ("sweep.lambda_s_grid", [float("nan")])]
 
 
 class TestUnusableValuesExit2:

@@ -17,7 +17,7 @@ from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 from conftest import from_scipy, make_ratings, to_scipy
 from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
-                     pmf_als_reference)
+                     pmf_als_reference, solve_rows_reference)
 
 import scipy.sparse as sp
 
@@ -211,6 +211,19 @@ def dense_ridge_rows(ridge, terms, anchor, n_rows, k):
     return np.array([np.linalg.solve(g, b) for g, b in zip(gram, rhs)])
 
 
+def assert_same_as_per_row_sums(ridge, terms, anchor, n_rows, k):
+    """_solve_rows equals, bit for bit, the per-row accumulation it replaced;
+    both are solved by _solve_spd, so only the assembly of the systems differs."""
+    got, want = np.empty((n_rows, k)), np.empty((n_rows, k))
+    _solve_rows(got, ridge, terms, anchor)
+    solve_rows_reference(want, ridge, terms, anchor, _solve_spd, CHUNK_ROWS)
+    assert np.array_equal(got, want)
+
+
+# n_factors of the benchmark workloads
+BENCH_K = 32
+
+
 class TestSolveRows:
     """The batched block solver against a dense reference that solves each row alone."""
 
@@ -267,6 +280,32 @@ class TestSolveRows:
             _solve_rows(out, 0.5, [(1.0, CsrMatrix((3, 2), np.array([0, 1, 2, 3]),
                                                    np.array([0, 1, 0]), values), np.eye(2))])
         assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
+
+    @pytest.mark.parametrize("with_anchor", [False, True])
+    def test_one_term_of_weight_one_is_bit_identical(self, rng, with_anchor):
+        n_rows = CHUNK_ROWS + 37
+        anchor = rng.standard_normal((n_rows, BENCH_K)) if with_anchor else None
+        terms = [(1.0, random_csr(rng, n_rows, 90, 0.3), rng.standard_normal((90, BENCH_K)))]
+        assert_same_as_per_row_sums(0.4, terms, anchor, n_rows, BENCH_K)
+
+    def test_rows_empty_in_one_term_only(self, rng):
+        # items with co-click neighbours but no ratings, and items with ratings only
+        n_rows, n_users = CHUNK_ROWS + 37, 70
+        ratings = random_csr(rng, n_rows, n_users, 0.4)
+        pairs = random_csr(rng, n_rows, n_rows, 0.15)
+        rated, paired = np.diff(ratings.indptr) > 0, np.diff(pairs.indptr) > 0
+        assert (rated & ~paired).any() and (paired & ~rated).any()
+        terms = [(1.0, ratings, rng.standard_normal((n_users, BENCH_K))),
+                 (0.7, pairs, rng.standard_normal((n_rows, BENCH_K)))]
+        assert_same_as_per_row_sums(0.4, terms, rng.standard_normal((n_rows, BENCH_K)),
+                                    n_rows, BENCH_K)
+
+    @pytest.mark.parametrize("weight", [0.7, 3.0])
+    def test_one_term_of_other_weight(self, rng, weight):
+        n_rows = CHUNK_ROWS + 37
+        terms = [(weight, random_csr(rng, n_rows, n_rows, 0.2),
+                  rng.standard_normal((n_rows, BENCH_K)))]
+        assert_same_as_per_row_sums(0.1, terms, None, n_rows, BENCH_K)
 
 
 class TestSolveSpd:
