@@ -93,9 +93,18 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
     """Reject values of the right type that no run can use. The error names the
     flag that set the key (`set_by` maps keys to flags), else the config key."""
     clamp = cfg["flags"]["clamp"]
+    split = cfg["split"]
     for key, ok, requirement in (
             ("seed", cfg["seed"] >= 0, "a nonnegative integer"),
             ("subsample_fraction", 0 < cfg["subsample_fraction"] <= 1, "a number in (0, 1]"),
+            ("split.mode", split["mode"] in ("in_matrix", "out_of_matrix"),
+             "'in_matrix' or 'out_of_matrix'"),
+            ("split.test_fraction", 0 < split["test_fraction"] < 1, "a number in (0, 1)"),
+            ("split.validation_fraction", 0 < split["validation_fraction"] < 1,
+             "a number in (0, 1)"),
+            ("split.validation_fraction",
+             split["test_fraction"] + split["validation_fraction"] < 1,
+             "below 1 - split.test_fraction, leaving ratings to train on"),
             ("text.vocab_size", cfg["text"]["vocab_size"] >= 1, "a positive integer"),
             ("text.hidden_widths",
              all(isinstance(w, int) and w > 0 for w in cfg["text"]["hidden_widths"]),
@@ -181,7 +190,20 @@ def _require_path(cfg: dict, key: str) -> Path:
     path = Path(value)
     if not path.exists():
         raise ConfigError(f"paths.{key} does not exist: {path}")
+    if not path.is_file():
+        raise ConfigError(f"paths.{key} is not a file: {path}")
     return path
+
+
+def _parse_input(cfg: dict, key: str, parse: Callable, *args):
+    """parse(stream, *args) of the UTF-8 text file named by paths.<key>."""
+    path = _require_path(cfg, key)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh, *args)
+        except UnicodeDecodeError as exc:
+            raise CofactorError(f"paths.{key} {path} is not UTF-8 text: {exc.reason} "
+                                f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 # ---------------------------------------------------------------- ingest
@@ -233,19 +255,16 @@ def cmd_ingest(cfg: dict) -> int:
             raise ConfigError(f"bad synthetic config: {exc}") from None
         ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
         return _write_ingest(cfg, ratings, clicks, docs, synthetic=True)
-    with open(_require_path(cfg, "ratings"), "r", encoding="utf-8") as fh:
-        ratings = corpus.parse_ratings(fh)
+    ratings = _parse_input(cfg, "ratings", corpus.parse_ratings)
     clicks = docs = None
     extra = {}
     if cfg["paths"]["clicks"]:
-        with open(_require_path(cfg, "clicks"), "r", encoding="utf-8") as fh:
-            clicks, extra["n_clicks_dropped"] = corpus.parse_clicks(
-                fh, ratings.user_index_map, ratings.item_index_map)
+        clicks, extra["n_clicks_dropped"] = _parse_input(
+            cfg, "clicks", corpus.parse_clicks, ratings.user_index_map, ratings.item_index_map)
     if cfg["paths"]["documents"] and cfg["text"]["enabled"]:
-        with open(_require_path(cfg, "documents"), "r", encoding="utf-8") as fh:
-            docs = corpus.parse_documents(fh, cfg["text"]["vocab_size"],
-                                          cfg["text"]["bow_scheme"],
-                                          ratings.item_index_map)
+        docs = _parse_input(cfg, "documents", corpus.parse_documents,
+                            cfg["text"]["vocab_size"], cfg["text"]["bow_scheme"],
+                            ratings.item_index_map)
         extra["n_documents"] = int((np.diff(docs.rows.indptr) > 0).sum())
     return _write_ingest(cfg, ratings, clicks, docs, **extra)
 

@@ -5,6 +5,15 @@ external-id tables that define the indexing; clicks are the users × items
 CsrMatrix holding a 1 per distinct click; `_click_matrix`, which builds every
 one, is where a repeated click collapses. All operations here are pure: they
 never mutate their inputs and are deterministic under a fixed seed.
+
+Ratings and clicks files are read by one block reader, `_records`. It takes
+BLOCK_CHARS characters at a time, cut back to whole lines, and holds one
+block's text and fields at a time. Each block is split once with str.split(), and one
+numpy pass over the block's code points (UTF-32) counts the fields of each
+line, with whitespace exactly where str.isspace() holds and lines ending at
+"\n" only, as in file iteration. The parsers then convert, check and index
+whole columns. Errors are those of a line-by-line reading: the first bad line
+is reported, with the same type and message.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Literal
 
 import numpy as np
@@ -97,50 +107,142 @@ class EvalSplit:
     seed: int
 
 
-def _records(source: IO[str], form: str):
-    """Yield (line number, fields) per non-blank line of whitespace-separated
-    fields, which must be as many as the words of `form`."""
-    for line_no, raw in enumerate(source, start=1):
-        fields = raw.split()
-        if not fields:
+BLOCK_CHARS = 1 << 17  # characters read at a time; bounds the reader's memory
+
+# str.isspace() of each code point up to U+3001. No code point past U+3000 is
+# whitespace (a test checks every one), so those read the last entry, False.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+
+
+def _line_blocks(source: IO[str]):
+    """Yield (number of its first line, text) per block of whole lines read
+    from `source`, BLOCK_CHARS characters at a time. Lines end at "\n" only, as
+    in file iteration; the last block alone may lack a final newline."""
+    first_line, pending = 1, []
+    while chunk := source.read(BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            pending.append(chunk)
             continue
-        if len(fields) != len(form.split()):
-            raise ParseError(f"expected {form!r}, got {raw.strip()!r}", line_no)
-        yield line_no, fields
+        text = "".join([*pending, chunk[:cut]])
+        pending = [chunk[cut:]]
+        yield first_line, text
+        first_line += text.count("\n")
+    tail = "".join(pending)
+    if tail:
+        yield first_line, tail
+
+
+def _fields_per_line(text: str) -> np.ndarray:
+    """The number of str.split() fields on each line of a non-empty `text`."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    space = _IS_SPACE.take(codes, mode="clip")
+    starts = np.empty(len(codes), dtype=np.int8)  # 1 where a field starts
+    starts[0] = not space[0]
+    np.greater(space[:-1], space[1:], out=starts[1:].view(bool))
+    breaks = np.flatnonzero(codes == ord("\n"))
+    if text.endswith("\n"):
+        breaks = breaks[:-1]
+    return np.add.reduceat(starts, np.concatenate(([0], breaks + 1)), dtype=np.int64)
+
+
+def _records(source: IO[str], form: str):
+    """Yield (fields, line numbers, error) per block of whole lines of
+    whitespace-separated fields, which must be as many as the words of `form`.
+
+    `fields` is the flat list of the block's fields, as str.split() splits
+    them, and the line numbers are those of its non-blank lines. `error` is
+    None, or the ParseError of the first line with another number of fields;
+    then the block stops before that line and is the last one, so the caller
+    can report an error on an earlier line first.
+    """
+    width = len(form.split())
+    for first_line, text in _line_blocks(source):
+        counts = _fields_per_line(text)
+        bad = np.flatnonzero((counts != 0) & (counts != width))
+        stop = int(bad[0]) if bad.size else len(counts)
+        line_nos = first_line + np.flatnonzero(counts[:stop])
+        fields = text.split()[:width * len(line_nos)]
+        if not bad.size:
+            yield fields, line_nos, None
+            continue
+        raw = text.split("\n", stop + 1)[stop]
+        yield fields, line_nos, ParseError(f"expected {form!r}, got {raw.strip()!r}",
+                                           first_line + stop)
+        return
+
+
+def _index_ids(index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The dense index of each id; an id new to `index` is added to it with the
+    next free index, in first-appearance order."""
+    new = [key for key in dict.fromkeys(ids) if key not in index]
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """The first position whose key occurs at an earlier position, else None."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(keys, kind="stable")  # equal keys keep their positions' order
+    ordered = keys[order]
+    return int(order[1:][ordered[1:] == ordered[:-1]].min())
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_ratings(source: IO[str]) -> RatingDataset:
     """Read `user_id item_id rating` lines into a densely indexed dataset.
 
     Indices are assigned in first-appearance order. Duplicate (user, item)
-    pairs and non-positive ratings are rejected.
+    pairs and non-positive ratings are rejected. Of several bad lines the
+    first is reported; on one line, a wrong number of fields before a rating
+    that is not a number, before one that is not finite and > 0, before a
+    repeated pair.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    users: list[int] = []
-    items: list[int] = []
-    values: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, (uid, iid, rtext) in _records(source, "user item rating"):
+    empty = np.zeros(0, dtype=np.int64)
+    users, items, values, lines = [empty], [empty], [np.zeros(0)], [empty]
+    error = None  # the reader's, or an earlier line's found below; it ends the loop
+    for fields, line_nos, error in _records(source, "user item rating"):
+        texts = fields[2::3]
+        n = len(texts)
         try:
-            rating = float(rtext)
+            ratings = np.fromiter(map(float, texts), np.float64, n)
         except ValueError:
-            raise ParseError(f"rating {rtext!r} is not a number", line_no) from None
-        if not math.isfinite(rating) or rating <= 0:
-            raise ValidationError(f"line {line_no}: rating must be finite and > 0, got {rating}")
-        u = user_index.setdefault(uid, len(user_index))
-        i = item_index.setdefault(iid, len(item_index))
-        if (u, i) in seen:
-            raise ValidationError(f"line {line_no}: duplicate rating for pair ({uid!r}, {iid!r})")
-        seen.add((u, i))
-        users.append(u)
-        items.append(i)
-        values.append(rating)
+            n = next(k for k, text in enumerate(texts) if not _is_number(text))
+            ratings = np.fromiter(map(float, texts[:n]), np.float64, n)
+            error = ParseError(f"rating {texts[n]!r} is not a number", int(line_nos[n]))
+        bad = np.flatnonzero(~(np.isfinite(ratings) & (ratings > 0)))
+        if bad.size:
+            n = int(bad[0])
+            error = ValidationError(f"line {line_nos[n]}: rating must be finite and > 0, "
+                                    f"got {float(ratings[n])}")
+        users.append(_index_ids(user_index, fields[0:3 * n:3]))
+        items.append(_index_ids(item_index, fields[1:3 * n:3]))
+        values.append(ratings[:n])
+        lines.append(line_nos[:n])
+        if error is not None:
+            break
+    users, items, values = (np.concatenate(a) for a in (users, items, values))
+    first = _first_repeat(users * len(item_index) + items)
+    if first is not None:
+        uid, iid = list(user_index)[users[first]], list(item_index)[items[first]]
+        raise ValidationError(f"line {np.concatenate(lines)[first]}: duplicate rating "
+                              f"for pair ({uid!r}, {iid!r})")
+    if error is not None:
+        raise error
     return RatingDataset(
         n_users=len(user_index), n_items=len(item_index),
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        ratings=np.asarray(values, dtype=np.float64),
+        users=users, items=items, ratings=values,
         user_ids=tuple(user_index), item_ids=tuple(item_index))
 
 
@@ -153,25 +255,25 @@ def parse_clicks(source: IO[str], user_index_map: dict[str, int],
     mirroring the removal of ids that have no explicit feedback. Duplicates
     collapse to one click.
     """
-    users: list[int] = []
-    items: list[int] = []
-    dropped = 0
-    for _, (uid, iid) in _records(source, "user item"):
-        u = user_index_map.get(uid)
-        i = item_index_map.get(iid)
-        if u is None or i is None:
-            dropped += 1
-            continue
-        users.append(u)
-        items.append(i)
-    return _click_matrix((len(user_index_map), len(item_index_map)), users, items), dropped
+    users, items = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for fields, _, error in _records(source, "user item"):
+        if error is not None:
+            raise error
+        n = len(fields) // 2
+        users.append(np.fromiter(map(user_index_map.get, fields[0::2], repeat(-1)), np.int64, n))
+        items.append(np.fromiter(map(item_index_map.get, fields[1::2], repeat(-1)), np.int64, n))
+    users, items = np.concatenate(users), np.concatenate(items)
+    known = (users >= 0) & (items >= 0)
+    clicks = _click_matrix((len(user_index_map), len(item_index_map)), users[known], items[known])
+    return clicks, int(np.count_nonzero(~known))
 
 
 def _click_matrix(shape: tuple[int, int], users, items) -> CsrMatrix:
     """The users × items matrix with a 1 at each distinct (users[k], items[k])."""
     n_items = shape[1]
-    pairs = np.unique(np.asarray(users, dtype=np.int64) * n_items
-                      + np.asarray(items, dtype=np.int64))
+    pairs = np.sort(np.asarray(users, dtype=np.int64) * n_items
+                    + np.asarray(items, dtype=np.int64))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # sorted, a repeat follows its first
     return from_coo(shape, pairs // n_items, pairs % n_items, np.ones_like(pairs))
 
 
@@ -209,8 +311,9 @@ def make_split(ratings: RatingDataset, mode: SplitMode, test_fraction: float,
     holds out whole items: every rating of a held-out item moves together.
     Fractions are of the total (entries for in_matrix, items for out_of_matrix).
     """
-    if test_fraction <= 0 or validation_fraction <= 0:
-        raise SplitError("test and validation fractions must be positive")
+    if not all(math.isfinite(f) and f > 0 for f in (test_fraction, validation_fraction)):
+        raise SplitError(f"test and validation fractions must be finite and positive, "
+                         f"got {test_fraction} and {validation_fraction}")
     if test_fraction + validation_fraction >= 1:
         raise SplitError("test + validation fractions must leave room for train")
     rng = np.random.default_rng(seed)

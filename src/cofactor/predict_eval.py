@@ -68,12 +68,13 @@ def evaluate(state: ModelState, split: EvalSplit, docs: DocTermMatrix | None = N
     pred = predict_ratings(state, test, mode, docs)
     n_missing_text = 0
     if mode == "out_of_matrix":
-        per_item_nnz = np.diff(docs.rows.indptr)
-        n_missing_text = int((per_item_nnz[np.unique(test.items)] == 0).sum())
+        no_text = np.diff(docs.rows.indptr) == 0
+        tested = np.bincount(test.items, minlength=len(no_text)) > 0
+        n_missing_text = int(np.count_nonzero(tested & no_text))
     if clamp is not None:
         pred = np.clip(pred, clamp[0], clamp[1])
-    rated_users = np.unique(split.train.users)
-    cold = ~np.isin(test.users, rated_users)
+    rated = np.bincount(split.train.users, minlength=test.n_users) > 0
+    cold = ~rated[test.users]
     return EvalReport(mode=mode, rmse=rmse(pred, test.ratings),
                       n_predictions=test.n_entries,
                       n_cold_user_predictions=int(cold.sum()),

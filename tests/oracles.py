@@ -1,7 +1,8 @@
 """Independent oracles the tests check the production code against.
 
 Everything here is deliberately written the slow, obvious way (python sets,
-per-entry loops, finite differences) and shares no code with the package.
+per-entry loops, finite differences) and shares no code with the package; the
+line parsers raise the package's error types, whose messages they must match.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
+
+from cofactor.errors import ParseError, ValidationError
 
 
 def brute_force_ppmi(user_clicks: list[set[int]]) -> dict[tuple[int, int], float]:
@@ -220,6 +223,54 @@ def numeric_gradient(fn, x, step=1e-5):
         flat[idx] = orig
         out[idx] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def _line_records(source, form):
+    """(line number, fields) per non-blank line, iterating `source` by lines."""
+    for line_no, raw in enumerate(source, start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if len(fields) != len(form.split()):
+            raise ParseError(f"expected {form!r}, got {raw.strip()!r}", line_no)
+        yield line_no, fields
+
+
+def parse_ratings_reference(source):
+    """(users, items, ratings, user_ids, item_ids) of `user item rating` lines,
+    one line at a time: each line is checked for its field count, a rating that
+    is a number, finite and > 0, then a pair not seen before, and the first
+    failing check raises."""
+    user_index, item_index = {}, {}
+    users, items, values, seen = [], [], [], set()
+    for line_no, (uid, iid, rtext) in _line_records(source, "user item rating"):
+        try:
+            rating = float(rtext)
+        except ValueError:
+            raise ParseError(f"rating {rtext!r} is not a number", line_no) from None
+        if not math.isfinite(rating) or rating <= 0:
+            raise ValidationError(f"line {line_no}: rating must be finite and > 0, got {rating}")
+        u = user_index.setdefault(uid, len(user_index))
+        i = item_index.setdefault(iid, len(item_index))
+        if (u, i) in seen:
+            raise ValidationError(f"line {line_no}: duplicate rating for pair ({uid!r}, {iid!r})")
+        seen.add((u, i))
+        users.append(u)
+        items.append(i)
+        values.append(rating)
+    return users, items, values, tuple(user_index), tuple(item_index)
+
+
+def parse_clicks_reference(source, user_index_map, item_index_map):
+    """(sorted distinct (user, item) pairs, count of dropped lines) of
+    `user item` lines, one line at a time; a line naming an unknown id is dropped."""
+    pairs, dropped = set(), 0
+    for _, (uid, iid) in _line_records(source, "user item"):
+        if uid in user_index_map and iid in item_index_map:
+            pairs.add((user_index_map[uid], item_index_map[iid]))
+        else:
+            dropped += 1
+    return sorted(pairs), dropped
 
 
 def split_reference(items, n_items, mode, test_fraction, validation_fraction, seed):

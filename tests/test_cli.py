@@ -90,6 +90,23 @@ class TestIngest:
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
 
+    def test_ratings_path_naming_a_directory_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"ratings": tmp_path})
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err.startswith(f"error: paths.ratings is not a file: {tmp_path}")
+
+    @pytest.mark.parametrize("key", ["ratings", "clicks", "documents"])
+    def test_input_that_is_not_utf8_exits_1_naming_file(self, workspace, capsys, key):
+        tmp_path, config = workspace
+        path = tmp_path / f"{'docs' if key == 'documents' else key}.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]) + b"bad\xff" + b"".join(lines[3:]))
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: paths.{key} {path} is not UTF-8 text: "
+                       "invalid start byte (byte 0xff)\n")
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["ingest", "--config", str(tmp_path / "absent.json")])
         assert code == 2
@@ -540,7 +557,11 @@ BAD_CONFIG_VALUES = [("flags.clamp", [5, 1]), ("flags.clamp", [1]), ("flags.clam
                      ("seed", -1), ("text.hidden_widths", [4.5]), ("text.hidden_widths", [0]),
                      ("subsample_fraction", 1.5), ("subsample_fraction", 0),
                      ("sweep.sparsity_grid", [50, 150]), ("sweep.lambda_s_grid", [0.1, -1]),
-                     ("sweep.lambda_s_grid", [float("nan")])]
+                     ("sweep.lambda_s_grid", [float("nan")]), ("split.mode", "bogus"),
+                     ("split.test_fraction", float("nan")), ("split.test_fraction", 1.5),
+                     ("split.validation_fraction", float("nan")),
+                     ("split.validation_fraction", 0),
+                     ("split.validation_fraction", 0.8)]  # 0.2 + 0.8 leaves no train set
 
 
 class TestUnusableValuesExit2:

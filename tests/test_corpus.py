@@ -1,15 +1,18 @@
 import io
+import sys
 
 import numpy as np
 import pytest
 
+from cofactor import corpus
 from cofactor.corpus import (RatingDataset, SyntheticConfig, binarize_ratings,
                              generate_synthetic, make_split, parse_clicks,
                              parse_documents, parse_ratings, subsample_ratings)
-from cofactor.errors import ParseError, SplitError, ValidationError
+from cofactor.errors import CofactorError, ParseError, SplitError, ValidationError
 
 from conftest import assert_same_csr, make_ratings, to_scipy
-from oracles import csr_reference, split_reference
+from oracles import (csr_reference, parse_clicks_reference, parse_ratings_reference,
+                     split_reference)
 
 
 class TestParseRatings:
@@ -101,6 +104,140 @@ class TestParseClicks:
     def test_duplicates_collapse(self):
         clicks, _ = parse_clicks(io.StringIO("u1 i1\nu1 i1\n"), {"u1": 0}, {"i1": 0})
         assert clicks.nnz == 1
+
+
+def outcome(parse, open_source):
+    """parse(source)'s result, or the type, message and line number of the
+    CofactorError it raised."""
+    with open_source() as source:
+        try:
+            return parse(source)
+        except CofactorError as exc:
+            return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def ratings_outcome(source):
+    ds = parse_ratings(source)
+    assert (ds.users.dtype, ds.items.dtype, ds.ratings.dtype) == (np.int64, np.int64,
+                                                                   np.float64)
+    return (ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist(),
+            ds.user_ids, ds.item_ids)
+
+
+CLICK_IDS = ({"u0": 0, "u1": 1, "u2": 2}, {"i0": 0, "i1": 1, "i2": 2})
+
+
+def clicks_outcome(source):
+    clicks, dropped = parse_clicks(source, *CLICK_IDS)
+    assert clicks.shape == (3, 3) and clicks.data.tolist() == [1] * clicks.nnz
+    return list(zip(clicks.row_ids().tolist(), clicks.indices.tolist())), dropped
+
+
+# block sizes that cut lines, fields and CRLF pairs at every offset, and the default
+BLOCK_SIZES = [1, 2, 3, 5, 8, 13, corpus.BLOCK_CHARS]
+
+
+def assert_parsers_agree(monkeypatch, open_source, clicks=False):
+    """The block parser and the per-line oracle agree at every block size."""
+    if clicks:
+        expected = outcome(lambda source: parse_clicks_reference(source, *CLICK_IDS),
+                           open_source)
+    else:
+        expected = outcome(parse_ratings_reference, open_source)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(corpus, "BLOCK_CHARS", size)
+        got = outcome(clicks_outcome if clicks else ratings_outcome, open_source)
+        assert got == expected, size
+    return expected
+
+
+RATING_TEXTS = {
+    "empty": "",
+    "blank_lines": "\n  \nu1 i1 4\n\n\t\nu2 i1 5\n\n",
+    "tabs": "u1\ti1\t4\n\tu2\t\ti2 5.5\t\n",
+    "no_final_newline": "u1 i1 4\nu2 i1 5",
+    "unicode_whitespace": "u1\u3000i1\x1c4\nu\x85 i\xa0 3\n\u3000\x85\n\u2028u2 i2\u20297\n",
+    "wide_ids": "\U0001f600 \u00e9 2\n\U0001f600 i\ud800 3\n",
+    "crlf_in_string": "u1 i1 4\r\nu2 i1 5\r\n\r\n",
+    "python_float_rules": "u1 i1 1_000\nu1 i2 +2.5E1\nu1 i3 \u0663\n",
+    "wrong_width": "u1 i1 4\nu1 i2\n",
+    "not_a_number": "u1 i1 4\nu1 i2 high\n",
+    "zero": "u1 i1 0\n",
+    "negative": "u1 i1 4\nu2 i1 -3\n",
+    "infinite": "u1 i1 1e999\n",
+    "nan": "u1 i1 nan\n",
+    "duplicate": "u1 i1 4\nu2 i1 5\nu1 i1 4\n",
+    "duplicate_before_wrong_width": "u1 i1 4\nu1 i1 5\nu1\n",
+    "wrong_width_before_duplicate": "u1 i1 4\nu1\nu1 i1 5\n",
+    "nan_before_zero": "u1 i1 x\nu2 i1 0\n",
+    "zero_before_wrong_width": "u1 i1 4\nu2 i1 0\nu3\n",
+    "long_line_then_bad": "u" + "x" * 40 + " i1 4\nu2 i1 4 4\n",
+}
+
+
+class TestBlockParsersMatchLineOracle:
+    """parse_ratings and parse_clicks read blocks of whole lines; the per-line
+    oracles are the parsers they replaced. Both sides must return the same
+    arrays and ids, or raise the same error type, message and line."""
+
+    @pytest.mark.parametrize("name", list(RATING_TEXTS))
+    def test_ratings_text(self, monkeypatch, name):
+        text = RATING_TEXTS[name]
+        assert_parsers_agree(monkeypatch, lambda: io.StringIO(text))
+
+    def test_ratings_file_in_text_mode(self, monkeypatch, tmp_path):
+        # universal newlines turn "\r\n" and a lone "\r" into line ends
+        path = tmp_path / "ratings.txt"
+        path.write_bytes("u1 i1 4\r\n\r\nu2\xa0i1 5\ru3 i2 1\r\nu1 i2 2".encode("utf-8"))
+        expected = assert_parsers_agree(
+            monkeypatch, lambda: open(path, "r", encoding="utf-8"))
+        assert expected[3:] == (("u1", "u2", "u3"), ("i1", "i2"))
+
+    def test_clicks_file_in_text_mode(self, monkeypatch, tmp_path):
+        path = tmp_path / "clicks.txt"
+        path.write_bytes(b"u0 i1\r\nu9 i1\r\n\r\nu0\ti1\ru2 i2")
+        expected = assert_parsers_agree(
+            monkeypatch, lambda: open(path, "r", encoding="utf-8"), clicks=True)
+        assert expected == ([(0, 1), (2, 2)], 1)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "u0 i1\nu0 i1\nu1 i0", "u0\u3000i2\x85\n",
+                                      "u0 i1\nu2 i0 x\nu1\n", "u0\n"])
+    def test_clicks_text(self, monkeypatch, text):
+        assert_parsers_agree(monkeypatch, lambda: io.StringIO(text), clicks=True)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_rating_logs(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        seps = [" ", "\t", "  ", "\u3000", "\x1c", "\x85", "\xa0"]
+        lines = []
+        for pair in rng.choice(100, size=int(rng.integers(5, 40)), replace=False):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", " ", "\t\x85"])))
+            fields = [f"u{pair // 10}", f"i{pair % 10}",
+                      str(rng.choice(["1", "2.5", "7", "3e0", "10"]))]
+            lines.append(str(rng.choice(seps)).join(fields) + str(rng.choice(["", " "])))
+        for _ in range(int(rng.integers(0, 4))):  # bad lines; the earliest must win
+            kind = rng.integers(4)
+            bad = (str(rng.choice(["u1 i1", "u1 i1 2 3", "u1"])) if kind == 0
+                   else f"u9 i9 {rng.choice(['x', '4..', 'one'])}" if kind == 1
+                   else f"u8 i8 {rng.choice(['0', '-1', 'inf', '-0.0', 'nan'])}" if kind == 2
+                   else lines[rng.integers(len(lines))].strip() or "u0 i0 1\nu0 i0 2")
+            lines.insert(int(rng.integers(len(lines) + 1)), bad)
+        text = "\n".join(lines) + str(rng.choice(["", "\n"]))
+        assert_parsers_agree(monkeypatch, lambda: io.StringIO(text))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_click_logs(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        lines = [f"u{rng.integers(4)}{rng.choice([' ', chr(9), chr(0x3000)])}i{rng.integers(4)}"
+                 for _ in range(int(rng.integers(5, 60)))]
+        if seed % 2:
+            lines.insert(int(rng.integers(len(lines))), "u1 i1 i2")
+        assert_parsers_agree(monkeypatch, lambda: io.StringIO("\n".join(lines)), clicks=True)
+
+    def test_whitespace_table_is_str_isspace(self):
+        spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert np.flatnonzero(corpus._IS_SPACE).tolist() == spaces
 
 
 class TestBinarize:
@@ -243,6 +380,15 @@ class TestMakeSplit:
         triples = [(u, i, 1.0 + (u + i) % 5) for u in range(10) for i in range(10)]
         with pytest.raises(ValidationError, match="'items' has an index outside"):
             make_split(make_ratings(triples, n_users=10, n_items=9), mode, 0.2, 0.1, seed=0)
+
+    @pytest.mark.parametrize("fractions", [(float("nan"), 0.1), (0.2, float("nan")),
+                                           (float("nan"), float("nan"))])
+    def test_non_finite_fractions_rejected(self, fractions):
+        # NaN passed the positivity checks and ended in a ValueError from int()
+        ratings = _dense_ratings(10, 10, 0.5, seed=6)
+        for mode in ("in_matrix", "out_of_matrix"):
+            with pytest.raises(SplitError, match="finite and positive"):
+                make_split(ratings, mode, *fractions, seed=0)
 
     def test_bad_fractions(self):
         ratings = _dense_ratings(10, 10, 0.5, seed=6)

@@ -119,6 +119,29 @@ class TestEvaluate:
         assert report.n_missing_text_items == 1
         assert np.isfinite(report.rmse)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_user_and_missing_text_counts_match_sets(self, seed):
+        # out of matrix, with users lacking a training rating, rated more than
+        # once in test, and test items without text (some tested twice or more)
+        ratings, docs, state = _true_state_split(seed)
+        rng = np.random.default_rng(seed)
+        split = make_split(ratings, "out_of_matrix", 0.3, 0.1, seed=seed)
+        cold_users = rng.choice(ratings.n_users, size=4, replace=False)
+        keep = ~np.isin(split.train.users, cold_users)
+        train_ds = split.train.replace_entries(split.train.users[keep],
+                                               split.train.items[keep],
+                                               split.train.ratings[keep])
+        no_text = rng.choice(np.unique(split.test.items), size=2, replace=False)
+        blank = to_scipy(docs.rows).tolil()
+        blank[no_text, :] = 0
+        docs_blank = dataclasses.replace(docs, rows=from_scipy(blank.tocsr()))
+        report = evaluate(state, dataclasses.replace(split, train=train_ds), docs_blank)
+        trained_users = set(train_ds.users.tolist())
+        textless = {i for i in range(docs.n_items) if docs_blank.rows[[i]].nnz == 0}
+        assert report.n_cold_user_predictions == sum(
+            u not in trained_users for u in split.test.users.tolist()) > 0
+        assert report.n_missing_text_items == len(set(split.test.items.tolist()) & textless) >= 2
+
     def test_clamping(self):
         state = ModelState(np.array([[10.0]]), np.array([[10.0]]),
                            np.zeros((1, 1)), None)
