@@ -46,7 +46,7 @@ DEFAULT_CONFIG = {
                 if f.default is not dataclasses.MISSING}},
     "sweep": {"lambda_s_grid": [0.001, 0.01, 0.1, 1.0, 10.0, 100.0],
               "sparsity_grid": [10, 20, 50, 80]},
-    "flags": {"clicks_from_all": False, "clamp": None},
+    "flags": {"clamp": None},
 }
 
 
@@ -57,15 +57,24 @@ class ConfigError(CofactorError):
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
 
+# the type of the values other than null of each key whose default is None
+_NULL_DEFAULT_TYPES = {"paths.ratings": str, "paths.clicks": str, "paths.documents": str,
+                       "synthetic": dict, "flags.clamp": list}
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_type(default, value, name: str) -> None:
-    """A key whose default is not None takes values of the default's type; an
-    integer is also a valid float, a bool is neither. Lists hold numbers."""
+    """A key takes values of its default's type; one whose default is None takes
+    null or its type in _NULL_DEFAULT_TYPES. An integer is also a valid float, a
+    bool is neither. Lists hold numbers."""
     if default is None:
+        expected = _NULL_DEFAULT_TYPES[name]
+        if value is not None and not isinstance(value, expected):
+            raise ConfigError(f"config key {name!r} must be {_TYPE_NAMES[expected]} or null, "
+                              f"got {json.dumps(value)}")
         return
     expected = (int, float) if isinstance(default, float) else type(default)
     if not isinstance(value, expected) or isinstance(value, bool) != isinstance(default, bool):
@@ -115,8 +124,8 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
             ("sweep.sparsity_grid", all(0 < p <= 100 for p in cfg["sweep"]["sparsity_grid"]),
              "a list of percentages in (0, 100]"),
             ("flags.clamp",
-             clamp is None or (isinstance(clamp, list) and len(clamp) == 2
-                               and all(map(_is_number, clamp)) and clamp[0] < clamp[1]),
+             clamp is None or (len(clamp) == 2 and all(map(_is_number, clamp))
+                               and clamp[0] < clamp[1]),
              "two numbers lo < hi")):
         if not ok:
             section, _, field = key.rpartition(".")
@@ -133,12 +142,20 @@ def _numbers(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"is not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})"
+
+
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user_cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} {_not_utf8(exc)}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(user_cfg, dict):
@@ -159,8 +176,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     if getattr(overrides, "clamp", None) is not None:
         cfg["flags"]["clamp"] = _numbers(overrides.clamp, "--clamp")
         set_by["flags.clamp"] = "--clamp"
-    if getattr(overrides, "clicks_from_all", False):
-        cfg["flags"]["clicks_from_all"] = True
     _check_values(cfg, set_by)
     return cfg
 
@@ -171,16 +186,20 @@ def fingerprint(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _make_dir(path: Path, name: str) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{name} is not a directory: {path}") from None
+    return path
+
+
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["paths"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(cfg["paths"]["output_dir"]), "paths.output_dir")
 
 
 def _cache_dir(cfg: dict) -> Path:
-    cache = _out_dir(cfg) / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    return cache
+    return _make_dir(_out_dir(cfg) / "cache", "the cache under paths.output_dir")
 
 
 def _require_path(cfg: dict, key: str) -> Path:
@@ -202,8 +221,7 @@ def _parse_input(cfg: dict, key: str, parse: Callable, *args):
         try:
             return parse(fh, *args)
         except UnicodeDecodeError as exc:
-            raise CofactorError(f"paths.{key} {path} is not UTF-8 text: {exc.reason} "
-                                f"(byte 0x{exc.object[exc.start]:02x})") from None
+            raise CofactorError(f"paths.{key} {path} {_not_utf8(exc)}") from None
 
 
 # ---------------------------------------------------------------- ingest
@@ -301,7 +319,7 @@ def _load_cached_clicks(cache: Path) -> CsrMatrix | None:
 
 def _load_cached_docs(cache: Path) -> corpus.DocTermMatrix | None:
     return _read_cache(cache / "docs.bin", lambda meta, arrays: corpus.DocTermMatrix(
-        n_items=meta["n_items"], vocab=tuple(meta["vocab"]),
+        vocab=tuple(meta["vocab"]),
         rows=CsrMatrix((meta["n_items"], len(meta["vocab"])), arrays["indptr"],
                        arrays["indices"], arrays["data"])))
 
@@ -339,23 +357,18 @@ def _ingested_click_ppmi(cache: Path) -> Callable[[], ppmi.PpmiMatrix] | None:
 
 def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
                   ingested_ppmi: Callable[[], ppmi.PpmiMatrix] | None,
-                  docs: corpus.DocTermMatrix | None,
-                  lambda_s: float) -> TrainData:
-    """Subsample and split the ratings; with lambda_s > 0 add the PPMI of the
-    ingested clicks, or of clicks binarized from the ratings without them."""
+                  docs: corpus.DocTermMatrix | None, with_ppmi: bool) -> TrainData:
+    """Subsample and split the ratings; with_ppmi adds the PPMI of the ingested
+    clicks, else of the training ratings binarized, never of held-out ones."""
     if cfg["subsample_fraction"] < 1.0:
         ratings = corpus.subsample_ratings(ratings, cfg["subsample_fraction"], cfg["seed"])
     split = corpus.make_split(ratings, cfg["split"]["mode"],
                               cfg["split"]["test_fraction"],
                               cfg["split"]["validation_fraction"], cfg["seed"])
     ppmi_matrix = None
-    if lambda_s > 0:
-        if ingested_ppmi is not None:
-            ppmi_matrix = ingested_ppmi()
-        elif cfg["flags"]["clicks_from_all"]:
-            ppmi_matrix = _click_ppmi(corpus.binarize_ratings(ratings))
-        else:
-            ppmi_matrix = _click_ppmi(corpus.binarize_ratings(split.train))
+    if with_ppmi:
+        ppmi_matrix = (ingested_ppmi() if ingested_ppmi is not None
+                       else _click_ppmi(corpus.binarize_ratings(split.train)))
     return TrainData(split=split, ppmi=ppmi_matrix, docs=docs)
 
 
@@ -378,7 +391,8 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
               f"n_ratings={ratings.n_entries} n_factors={hyper.n_factors} "
               f"layer_widths={widths} run={run_label(hyper)}")
         return 0
-    data = _prepare_data(cfg, ratings, _ingested_click_ppmi(cache), docs, hyper.lambda_s)
+    data = _prepare_data(cfg, ratings, _ingested_click_ppmi(cache), docs,
+                         with_ppmi=hyper.lambda_s > 0)
     state, trace = train(data, hyper)
     out = _out_dir(cfg)
     fp = fingerprint(cfg)
@@ -404,6 +418,8 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
     ckpt_path = Path(checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
+    if not ckpt_path.is_file():
+        raise ConfigError(f"checkpoint is not a file: {ckpt_path}")
     state, hyper, meta = load_checkpoint(ckpt_path)
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
@@ -423,7 +439,7 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
             and tuple(meta["vocab"]) != docs.vocab):
         raise CheckpointError("checkpoint vocabulary differs from the ingested documents'; "
                               "ingest with the training config")
-    data = _prepare_data(cfg, ratings, None, docs, lambda_s=0.0)  # builds no PPMI
+    data = _prepare_data(cfg, ratings, None, docs, with_ppmi=False)
     clamp = cfg["flags"]["clamp"]
     report = evaluate(state, data.split, docs,
                       clamp=tuple(clamp) if clamp else None,
@@ -451,7 +467,7 @@ def cmd_sweep(cfg: dict) -> int:
     fp = fingerprint(cfg)
 
     if cfg["sweep"]["lambda_s_grid"]:
-        points = sweep_lambda_s(_prepare_data(cfg, ratings, ingested_ppmi, docs, lambda_s=1.0),
+        points = sweep_lambda_s(_prepare_data(cfg, ratings, ingested_ppmi, docs, with_ppmi=True),
                                 hyper, cfg["sweep"]["lambda_s_grid"])
         with open(out / "sweep_lambda_s.csv", "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(points, fh, fp)
@@ -463,7 +479,7 @@ def cmd_sweep(cfg: dict) -> int:
     if cfg["sweep"]["sparsity_grid"]:
         def subsampled(fraction: float) -> TrainData:
             return _prepare_data({**cfg, "subsample_fraction": fraction}, ratings,
-                                 ingested_ppmi, docs, hyper.lambda_s)
+                                 ingested_ppmi, docs, with_ppmi=hyper.lambda_s > 0)
 
         label = cfg["dataset_label"]
         points = sweep_sparsity(subsampled, hyper, cfg["sweep"]["sparsity_grid"])
@@ -496,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_common_flags(p_train)
-    p_train.add_argument("--clicks-from-all", action="store_true",
-                         help="derive clicks from all ratings, not just the train split")
     p_train.add_argument("--dry-run", action="store_true",
                          help="print the resolved config and planned dimensions, write nothing")
 
@@ -510,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="lambda_s grid and sparsity curves")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--clicks-from-all", action="store_true")
     p_sweep.add_argument("--lambda-s-grid", help="comma-separated lambda_s values")
     p_sweep.add_argument("--sparsity-grid", help="comma-separated rating percentages")
     return parser

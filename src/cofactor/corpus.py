@@ -89,9 +89,12 @@ class DocTermMatrix:
     One row per item index; items without text keep an all-zero row.
     """
 
-    n_items: int
     vocab: tuple[str, ...]
     rows: CsrMatrix         # shape (n_items, len(vocab)), float64
+
+    @property
+    def n_items(self) -> int:
+        return self.rows.shape[0]
 
     @property
     def vocab_size(self) -> int:
@@ -104,7 +107,6 @@ class EvalSplit:
     validation: RatingDataset
     test: RatingDataset
     mode: SplitMode
-    seed: int
 
 
 BLOCK_CHARS = 1 << 17  # characters read at a time; bounds the reader's memory
@@ -357,7 +359,7 @@ def make_split(ratings: RatingDataset, mode: SplitMode, test_fraction: float,
     return EvalSplit(train=_take(ratings, train_idx),
                      validation=_take(ratings, val_idx),
                      test=_take(ratings, test_idx),
-                     mode=mode, seed=seed)
+                     mode=mode)
 
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
@@ -430,7 +432,7 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
             data.append(c / peak)
     rows = from_coo((n_items, len(vocab)), rows_idx, cols_idx,
                     np.asarray(data, dtype=np.float64))
-    return DocTermMatrix(n_items=n_items, vocab=vocab, rows=rows)
+    return DocTermMatrix(vocab=vocab, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -497,7 +499,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         data.append(counts / counts.max())
     doc_rows = from_coo((m, v), np.repeat(np.arange(m), terms_per_item),
                         np.concatenate(cols), np.concatenate(data))
-    docs = DocTermMatrix(n_items=m, vocab=vocab, rows=doc_rows)
+    docs = DocTermMatrix(vocab=vocab, rows=doc_rows)
 
     widths = stack_widths(v, config.encoder_hidden, k)
     weights, biases = [], []

@@ -21,18 +21,24 @@ from .sparse import CsrMatrix, from_coo
 class CoCounts:
     """Click counts: per-item user counts and per-pair co-click counts (i<j)."""
 
-    n_items: int
     item_counts: np.ndarray         # int64, #(i) = distinct users who clicked i
     pair_counts: CsrMatrix          # int64, strictly upper triangular, #(i,j)
     total_pairs: int                # sum_u c_u * (c_u - 1) / 2
+
+    @property
+    def n_items(self) -> int:
+        return self.pair_counts.shape[0]
 
 
 @dataclass
 class PpmiMatrix:
     """Sparse symmetric matrix of strictly positive PMI values, zero diagonal."""
 
-    n_items: int
     matrix: CsrMatrix               # float64, symmetric, both triangles stored
+
+    @property
+    def n_items(self) -> int:
+        return self.matrix.shape[0]
 
 
 def cooccurrence_counts(clicks: CsrMatrix) -> CoCounts:
@@ -44,8 +50,7 @@ def cooccurrence_counts(clicks: CsrMatrix) -> CoCounts:
     total_pairs = int((per_user * (per_user - 1) // 2).sum())
     co = replace(clicks, data=np.ones(clicks.nnz, dtype=np.int64)).gram()
     pair_counts = co.select(co.row_ids() < co.indices)
-    return CoCounts(n_items=m, item_counts=item_counts,
-                    pair_counts=pair_counts, total_pairs=total_pairs)
+    return CoCounts(item_counts=item_counts, pair_counts=pair_counts, total_pairs=total_pairs)
 
 
 def build_ppmi(counts: CoCounts) -> PpmiMatrix:
@@ -67,4 +72,4 @@ def build_ppmi(counts: CoCounts) -> PpmiMatrix:
     row, col, val = rows[keep], cols[keep], pmi[keep]
     matrix = from_coo((counts.n_items, counts.n_items), np.concatenate([row, col]),
                       np.concatenate([col, row]), np.concatenate([val, val]))
-    return PpmiMatrix(n_items=counts.n_items, matrix=matrix)
+    return PpmiMatrix(matrix=matrix)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cofactor import ppmi, predict_eval
-from cofactor.cli import main
+from cofactor.cli import _NULL_DEFAULT_TYPES, DEFAULT_CONFIG, main
 from cofactor.container import read_container, write_container
+from cofactor.corpus import binarize_ratings, make_split, parse_ratings
 from cofactor.factor import load_checkpoint, train
 from cofactor.ppmi import cooccurrence_counts
 
@@ -111,6 +112,36 @@ class TestIngest:
         code = main(["ingest", "--config", str(tmp_path / "absent.json")])
         assert code == 2
 
+    def test_config_naming_a_directory_exits_2(self, tmp_path, capsys):
+        err = config_error(capsys, ["ingest", "--config", str(tmp_path)])
+        assert err == f"error: config file {tmp_path} is a directory\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"dataset_label": "caf\xe9"}')
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err == (f"error: config file {config} is not UTF-8 text: "
+                       "invalid continuation byte (byte 0xe9)\n")
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir_naming_a_file_exits_2(self, workspace, capsys, below):
+        tmp_path, config = workspace
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        output_dir = taken / below
+        edit_config(config, "paths", "output_dir", str(output_dir))
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err == f"error: paths.output_dir is not a directory: {output_dir}\n"
+        assert taken.read_text() == "not a directory"
+
+    def test_cache_naming_a_file_exits_2(self, workspace, capsys):
+        tmp_path, config = workspace
+        cache = tmp_path / "out" / "cache"
+        cache.parent.mkdir()
+        cache.write_text("not a directory")
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err == f"error: the cache under paths.output_dir is not a directory: {cache}\n"
+
     def test_fixture_counts(self, workspace, capsys):
         tmp_path, config = workspace
         assert main(["ingest", "--config", str(config)]) == 0
@@ -207,17 +238,48 @@ class TestTrain:
             assert err.startswith("error: bad hyperparameters: ") and field in err
         assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
-    def test_clicks_from_all_changes_the_click_matrix(self, tmp_path):
-        # no clicks file: clicks derive from ratings, train-split-only by default
+    @pytest.mark.parametrize("mode", ["in_matrix", "out_of_matrix"])
+    def test_ppmi_without_clicks_file_counts_only_training_ratings(self, tmp_path,
+                                                                   monkeypatch, mode):
         paths = write_fixture(tmp_path)
         del paths["clicks"]
-        config = write_config(tmp_path, paths)
-        main(["ingest", "--config", str(config)])
-        main(["train", "--config", str(config)])
-        default_ckpt = (tmp_path / "out" / "checkpoint.bin").read_bytes()
-        main(["train", "--config", str(config), "--clicks-from-all"])
-        literal_ckpt = (tmp_path / "out" / "checkpoint.bin").read_bytes()
-        assert default_ckpt != literal_ckpt
+        config = write_config(tmp_path, paths, **{"split.mode": mode})
+        assert main(["ingest", "--config", str(config)]) == 0
+        counted = []
+
+        def capturing_counts(clicks):
+            counted.append(clicks)
+            return cooccurrence_counts(clicks)
+
+        monkeypatch.setattr(ppmi, "cooccurrence_counts", capturing_counts)
+        assert main(["train", "--config", str(config)]) == 0
+        cfg = json.loads(config.read_text())
+        with open(paths["ratings"], encoding="utf-8") as fh:
+            ratings = parse_ratings(fh)
+        split = make_split(ratings, mode, cfg["split"]["test_fraction"],
+                           cfg["split"]["validation_fraction"], cfg["seed"])
+        [clicks] = counted
+        want = binarize_ratings(split.train)
+        assert clicks.shape == want.shape
+        assert np.array_equal(clicks.indptr, want.indptr)
+        assert np.array_equal(clicks.indices, want.indices)
+        clicked = clicks.toarray() > 0
+        for held_out in (split.validation, split.test):
+            assert not clicked[held_out.users, held_out.items].any()
+
+    def test_clicks_from_all_config_key_is_unknown(self, workspace, capsys):
+        _, config = workspace
+        edit_config(config, "flags", "clicks_from_all", True)
+        err = config_error(capsys, ["train", "--config", str(config)])
+        assert err == "error: unknown config key 'flags.clicks_from_all'\n"
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_clicks_from_all_flag_is_unknown(self, workspace, capsys, command):
+        _, config = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), "--clicks-from-all"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --clicks-from-all" in capsys.readouterr().err
 
     def test_seed_override_changes_fingerprint(self, workspace):
         tmp_path, config = workspace
@@ -314,6 +376,13 @@ class TestEval:
         code = main(["eval", "--config", str(config), "--checkpoint",
                      str(tmp_path / "ghost.bin")])
         assert code == 2
+
+    def test_checkpoint_naming_a_directory_exits_2(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        err = config_error(capsys, ["eval", "--config", str(config),
+                                    "--checkpoint", str(tmp_path)])
+        assert err == f"error: checkpoint is not a file: {tmp_path}\n"
 
     def test_dimension_mismatch_exits_1(self, workspace, tmp_path_factory, capsys):
         tmp_path, config = workspace
@@ -561,7 +630,21 @@ BAD_CONFIG_VALUES = [("flags.clamp", [5, 1]), ("flags.clamp", [1]), ("flags.clam
                      ("split.test_fraction", float("nan")), ("split.test_fraction", 1.5),
                      ("split.validation_fraction", float("nan")),
                      ("split.validation_fraction", 0),
-                     ("split.validation_fraction", 0.8)]  # 0.2 + 0.8 leaves no train set
+                     ("split.validation_fraction", 0.8),  # 0.2 + 0.8 leaves no train set
+                     ("paths.ratings", 5), ("paths.clicks", True), ("paths.documents", ["a"]),
+                     ("synthetic", 5), ("synthetic", "abc")]
+
+
+def test_every_null_default_names_its_type():
+    # a key whose default is None takes null or the type _check_type looks up
+    def null_keys(section: dict, prefix: str = ""):
+        for key, value in section.items():
+            if isinstance(value, dict):
+                yield from null_keys(value, f"{prefix}{key}.")
+            elif value is None:
+                yield prefix + key
+
+    assert sorted(null_keys(DEFAULT_CONFIG)) == sorted(_NULL_DEFAULT_TYPES)
 
 
 class TestUnusableValuesExit2:

@@ -340,7 +340,7 @@ def _state_and_inputs(theta, beta, alpha, users, items, values):
 
 def _ppmi_from_arrays(n_items, s_rows, s_cols, s_values) -> PpmiMatrix:
     matrix = from_scipy(sp.csr_matrix((s_values, (s_rows, s_cols)), shape=(n_items, n_items)))
-    return PpmiMatrix(n_items=n_items, matrix=matrix)
+    return PpmiMatrix(matrix=matrix)
 
 
 class TestTotalLoss:
@@ -440,7 +440,7 @@ def random_symmetric_ppmi(rng, n_items, density):
     matrix = sp.csr_matrix((np.concatenate([values, values]),
                             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                            shape=(n_items, n_items))
-    return PpmiMatrix(n_items=n_items, matrix=from_scipy(matrix))
+    return PpmiMatrix(matrix=from_scipy(matrix))
 
 
 class TestPairTerm:
@@ -472,25 +472,25 @@ class TestPairTerm:
         n_items, k = CHUNK_ROWS + 37, 3
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
-        empty = PpmiMatrix(n_items, from_scipy(sp.csr_matrix((n_items, n_items))))
+        empty = PpmiMatrix(from_scipy(sp.csr_matrix((n_items, n_items))))
         assert self.pair_only_loss(empty, beta, alpha, 1.0) == 0.0
         # entries only between items of the second chunk
         tail = random_symmetric_ppmi(rng, 37, 0.5).matrix
         matrix = from_scipy(sp.block_diag([sp.csr_matrix((CHUNK_ROWS, CHUNK_ROWS)),
                                            to_scipy(tail)], format="csr"))
-        got = self.pair_only_loss(PpmiMatrix(n_items, matrix), beta, alpha, 1.0)
+        got = self.pair_only_loss(PpmiMatrix(matrix), beta, alpha, 1.0)
         want = 0.5 * pair_loss_reference(tail, beta[CHUNK_ROWS:], alpha[CHUNK_ROWS:])
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_ppmi", [5, 3])
     def test_wrong_size_ppmi_rejected(self, n_ppmi):
-        ppmi = PpmiMatrix(n_ppmi, from_scipy(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
+        ppmi = PpmiMatrix(from_scipy(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
         with pytest.raises(ValidationError, match=rf"\({n_ppmi}, {n_ppmi}\).* 4 items"):
             self.pair_only_loss(ppmi, np.ones((4, 2)), np.ones((4, 2)), 1.0)
 
     def test_memory_is_a_chunk_not_a_gather(self, rng):
         n_items, k = 600, 16
-        ppmi = PpmiMatrix(n_items, from_scipy(np.ones((n_items, n_items)) - np.eye(n_items)))
+        ppmi = PpmiMatrix(from_scipy(np.ones((n_items, n_items)) - np.eye(n_items)))
         assert ppmi.matrix.nnz == 359_400  # 0.998 dense
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
@@ -584,8 +584,7 @@ class TestTrain:
         poisoned = tr.replace_entries(tr.users, tr.items,
                                       np.where(np.arange(tr.n_entries) == 0,
                                                np.nan, tr.ratings))
-        data = TrainData(split=type(data.split)(poisoned, data.split.validation,
-                                                data.split.test, "in_matrix", 0),
+        data = TrainData(split=dataclasses.replace(data.split, train=poisoned),
                          ppmi=None, docs=None)
         hyper = Hyperparams(n_factors=3, lambda_s=0.0, sdae=None, max_epochs=3,
                             seed=1)
@@ -777,10 +776,8 @@ class TestScaling:
             np.concatenate([ratings.ratings, ratings.ratings]),
             ratings.user_ids + tuple(f"{u}~2" for u in ratings.user_ids),
             ratings.item_ids + tuple(f"{i}~2" for i in ratings.item_ids))
-        ppmi_big = PpmiMatrix(
-            n_items=2 * m,
-            matrix=from_scipy(sp.block_diag([to_scipy(ppmi_small.matrix)] * 2,
-                                            format="csr")))
+        ppmi_big = PpmiMatrix(from_scipy(sp.block_diag([to_scipy(ppmi_small.matrix)] * 2,
+                                                       format="csr")))
 
         def timed(ds, pm):
             split = make_split(ds, "in_matrix", 0.2, 0.08, seed=3)

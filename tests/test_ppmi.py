@@ -92,7 +92,7 @@ class TestBuildPpmi:
     def test_zero_pmi_not_stored(self):
         # 1 * 4 / (2 * 2) = 1 -> PMI exactly 0 -> omitted
         pair = from_scipy(np.array([[0, 1], [0, 0]], dtype=np.int64))
-        counts = CoCounts(n_items=2, item_counts=np.array([2, 2]),
+        counts = CoCounts(item_counts=np.array([2, 2]),
                           pair_counts=pair, total_pairs=4)
         assert build_ppmi(counts).matrix.nnz == 0
 

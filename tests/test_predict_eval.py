@@ -50,8 +50,7 @@ def _true_state_split(seed=3):
 class TestEvaluate:
     def test_memorization_on_zero_noise_fit(self):
         ratings, docs, state = _true_state_split()
-        split = EvalSplit(train=ratings, validation=ratings, test=ratings,
-                          mode="in_matrix", seed=0)
+        split = EvalSplit(train=ratings, validation=ratings, test=ratings, mode="in_matrix")
         report = evaluate(state, split, docs)
         assert report.rmse < 1e-6
         assert report.n_predictions == ratings.n_entries
@@ -63,7 +62,7 @@ class TestEvaluate:
             test = ratings.replace_entries(np.array([ratings.n_users]), np.array([0]),
                                            np.array([4.0]))
             evaluate(state, EvalSplit(train=ratings, validation=ratings, test=test,
-                                      mode="in_matrix", seed=0), docs)
+                                      mode="in_matrix"), docs)
 
     def test_out_of_matrix_ignores_item_and_context_factors(self):
         data = synthetic_train_data(seed=12)
@@ -95,8 +94,7 @@ class TestEvaluate:
                                            ratings.ratings[keep])
         test_ds = ratings.replace_entries(ratings.users[~keep], ratings.items[~keep],
                                           ratings.ratings[~keep])
-        split = EvalSplit(train=train_ds, validation=train_ds, test=test_ds,
-                          mode="in_matrix", seed=0)
+        split = EvalSplit(train=train_ds, validation=train_ds, test=test_ds, mode="in_matrix")
         cold_state = state.copy()
         cold_state.user_factors[0] = 0.0
         report = evaluate(cold_state, split, docs)
@@ -114,7 +112,7 @@ class TestEvaluate:
         train_ds = ratings.replace_entries(ratings.users[keep], ratings.items[keep],
                                            ratings.ratings[keep])
         split = EvalSplit(train=train_ds, validation=train_ds, test=test_ds,
-                          mode="out_of_matrix", seed=0)
+                          mode="out_of_matrix")
         report = evaluate(state, split, docs_blank)
         assert report.n_missing_text_items == 1
         assert np.isfinite(report.rmse)
@@ -147,7 +145,7 @@ class TestEvaluate:
                            np.zeros((1, 1)), None)
         from conftest import make_ratings
         ds = make_ratings([(0, 0, 8.0)])
-        split = EvalSplit(train=ds, validation=ds, test=ds, mode="in_matrix", seed=0)
+        split = EvalSplit(train=ds, validation=ds, test=ds, mode="in_matrix")
         raw = evaluate(state, split)
         clamped = evaluate(state, split, clamp=(1.0, 10.0))
         assert raw.rmse == pytest.approx(92.0)
@@ -155,8 +153,7 @@ class TestEvaluate:
 
     def test_deterministic(self):
         ratings, docs, state = _true_state_split()
-        split = EvalSplit(train=ratings, validation=ratings, test=ratings,
-                          mode="in_matrix", seed=0)
+        split = EvalSplit(train=ratings, validation=ratings, test=ratings, mode="in_matrix")
         assert evaluate(state, split, docs) == evaluate(state, split, docs)
 
     def test_report_serialization(self, tmp_path):
