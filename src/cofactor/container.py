@@ -9,6 +9,8 @@ produces byte-identical files, which npz (a zip with timestamps) does not.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -21,33 +23,42 @@ _MAGIC = b"COFACTR1"
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
+def _stored(path: str | Path, name: str, arr) -> np.ndarray:
+    """`arr` as the container stores it: C-contiguous <f8, all finite, or <i8.
+    An array already in that form is returned as it is, not copied."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind == "f":
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
+        return arr
+    if arr.dtype.kind in "iu":
+        return np.ascontiguousarray(arr, dtype="<i8")
+    raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")
+
+
 def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write `meta` plus named arrays to `path`. Floats stored as <f8, ints as <i8."""
+    """Write `meta` plus named arrays to `path`. Floats stored as <f8, ints as <i8.
+
+    The header, which gives every array's offset, is written first; then each
+    array is converted again and written as it is reached, so at most one
+    converted copy (none for an array already stored as it is given) is held.
+    Every array is checked before the file is opened.
+    """
     manifest = {}
-    blobs = []
     offset = 0
     for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if arr.dtype.kind == "f":
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
-        elif arr.dtype.kind in "iu":
-            arr = np.ascontiguousarray(arr, dtype="<i8")
-        else:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        raw = arr.tobytes()
+        arr = _stored(path, name, arr)
         manifest[name] = {"offset": offset, "shape": list(arr.shape), "dtype": arr.dtype.str}
-        blobs.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "arrays": manifest}, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        for name, arr in arrays.items():
+            fh.write(np.ascontiguousarray(arr, dtype=manifest[name]["dtype"]))
 
 
 class _Entries(dict):
@@ -64,26 +75,33 @@ class _Entries(dict):
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by write_container; returns (meta, arrays).
     A truncated or malformed file, or an array holding a NaN or an infinity,
-    raises CheckpointError."""
+    raises CheckpointError. Each array is read straight into its own buffer,
+    so no copy of the file is held."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
-        raise CheckpointError(f"{path}: not a cofactor container (bad magic)")
-    try:
-        (hlen,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-        payload = memoryview(blob)[16 + hlen:]
-        arrays = {}
-        for name, info in header["arrays"].items():
-            dtype = _DTYPES.get(info["dtype"])
-            if dtype is None:
-                raise CheckpointError(f"{path}: unknown dtype {info['dtype']} for {name!r}")
-            shape = tuple(info["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(payload, dtype=dtype, count=count, offset=info["offset"])
-            arrays[name] = arr.reshape(shape).copy()
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
-        return _Entries(path, header["meta"]), _Entries(path, arrays)
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: truncated or corrupt container ({exc})") from None
+        if fh.read(8) != _MAGIC:
+            raise CheckpointError(f"{path}: not a cofactor container (bad magic)")
+        try:
+            size = os.fstat(fh.fileno()).st_size
+            (hlen,) = struct.unpack("<Q", fh.read(8))
+            if 16 + hlen > size:
+                raise ValueError(f"a header of {hlen} bytes runs past the end of the file")
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            arrays = {}
+            for name, info in header["arrays"].items():
+                dtype = _DTYPES.get(info["dtype"])
+                if dtype is None:
+                    raise CheckpointError(f"{path}: unknown dtype {info['dtype']} for {name!r}")
+                shape, start = tuple(info["shape"]), 16 + hlen + info["offset"]
+                if min(shape, default=0) < 0 or info["offset"] < 0:
+                    raise ValueError(f"array {name!r} has a negative size or offset")
+                if start + math.prod(shape) * dtype.itemsize > size:
+                    raise ValueError(f"array {name!r} runs past the end of the file")
+                arr = np.empty(shape, dtype=dtype)
+                fh.seek(start)
+                fh.readinto(arr)
+                if not np.isfinite(arr).all():
+                    raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
+                arrays[name] = arr
+            return _Entries(path, header["meta"]), _Entries(path, arrays)
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: truncated or corrupt container ({exc})") from None

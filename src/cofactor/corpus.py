@@ -92,6 +92,11 @@ class DocTermMatrix:
     vocab: tuple[str, ...]
     rows: CsrMatrix         # shape (n_items, len(vocab)), float64
 
+    def __post_init__(self):
+        if len(self.vocab) != self.rows.shape[1]:
+            raise ValidationError(f"a vocabulary of {len(self.vocab)} terms does not match "
+                                  f"document rows of {self.rows.shape[1]} columns")
+
     @property
     def n_items(self) -> int:
         return self.rows.shape[0]

@@ -32,6 +32,8 @@ from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 CHECKPOINT_VERSION = 1
 
+ENTRY_CHUNK = CHUNK_ROWS * 16  # rating entries per chunk of the θ_u·β_i gathers
+
 
 class NonFiniteLossError(CofactorError):
     """A loss term evaluated to a non-finite value."""
@@ -176,7 +178,10 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     each term the chunk's Grams and right-hand sides are assembled in place in
     a zeroed (rows, K, K) and (rows, K) stack: per stored row, one gather of
     its basis rows and two BLAS products written straight into the row's
-    slot. Then, once per chunk, the term's stacks are scaled by its weight
+    slot. Each term's two stacks are allocated once per call and zeroed per
+    chunk: a fresh multi-megabyte array per chunk is mapped and page-faulted
+    in afresh whenever the allocator hands it out from outside its heap.
+    Then, once per chunk, the term's stacks are scaled by its weight
     (skipped at 1.0); the first term's stacks take ridge on their diagonals
     and ridge·anchor on their right-hand sides, and each later term's stacks
     are added to them. The gather stays per row, so no more than one row's
@@ -189,12 +194,15 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     """
     n_rows, k = out.shape
     diag = np.arange(k)
+    height = min(CHUNK_ROWS, n_rows)
+    stacks = [(np.empty((height, k, k)), np.empty((height, k))) for _ in terms]
     for start in range(0, n_rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n_rows)
         gram = rhs = None
-        for weight, matrix, basis in terms:
-            term_gram = np.zeros((stop - start, k, k))
-            term_rhs = np.zeros((stop - start, k))
+        for (weight, matrix, basis), (gram_stack, rhs_stack) in zip(terms, stacks):
+            term_gram, term_rhs = gram_stack[:stop - start], rhs_stack[:stop - start]
+            term_gram.fill(0.0)
+            term_rhs.fill(0.0)
             indices, values = matrix.indices, matrix.data
             bounds = matrix.indptr[start:stop + 1].tolist()
             for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -216,21 +224,38 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
         out[start:stop] = _solve_spd(gram, rhs, ridge)
 
 
+def _entry_chunks(n_entries: int):
+    """Slices of ENTRY_CHUNK entries covering range(n_entries)."""
+    return (slice(start, start + ENTRY_CHUNK) for start in range(0, n_entries, ENTRY_CHUNK))
+
+
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
                     docs: DocTermMatrix | None = None) -> np.ndarray:
     """Predicted rating of each entry of `ratings`, offset included. out_of_matrix
-    encodes each distinct item's clean text row once and reads no item factor."""
+    encodes each rated item's clean text row once, into an n_items × K table,
+    and reads no item factor.
+
+    θ_u·β_i is formed ENTRY_CHUNK entries at a time, written into the one
+    output vector, so no n_entries × K gather and no other n_entries-long
+    scratch array is ever held.
+    """
     if mode == "in_matrix":
-        item_vectors = state.item_factors[ratings.items]
+        item_vectors = state.item_factors
     elif mode == "out_of_matrix":
         if docs is None or state.sdae is None:
             raise ValidationError("out_of_matrix prediction needs documents and the text model")
-        unique_items, inverse = np.unique(ratings.items, return_inverse=True)
-        item_vectors = np.asarray(encode(docs.rows[unique_items], state.sdae))[inverse]
+        rated = np.zeros(ratings.n_items, dtype=bool)
+        rated[ratings.items] = True
+        item_vectors = np.zeros((ratings.n_items, state.user_factors.shape[1]))
+        item_vectors[rated] = encode(docs.rows[np.flatnonzero(rated)], state.sdae)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return (np.einsum("ij,ij->i", state.user_factors[ratings.users], item_vectors)
-            + state.rating_offset)
+    out = np.empty(ratings.n_entries)
+    for chunk in _entry_chunks(len(out)):
+        np.einsum("ij,ij->i", state.user_factors[ratings.users[chunk]],
+                  item_vectors[ratings.items[chunk]], out=out[chunk])
+    out += state.rating_offset
+    return out
 
 
 def _check_finite(value: float, term: str) -> float:
@@ -275,6 +300,11 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
     With the text model on, `(encoding, recon_sq)` are the first two outputs
     of sdae_pass for the state's autoencoder; without it both are None.
 
+    The rating term gathers θ_u and β_i ENTRY_CHUNK entries at a time and
+    subtracts their dot products from one n_entries-long residual, whose
+    squared norm is then a single product, so its value does not depend on
+    the chunking; the pair term is row-chunked (_pair_residual_sq).
+
     `known` maps term names to values already computed for this same state.
     A term found there is reused, and every other term is computed, checked
     finite and added to it. The terms are summed in one fixed order, so the
@@ -289,8 +319,10 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
         return known[name]
 
     def rating() -> float:
-        resid = (ratings.ratings - state.rating_offset
-                 - np.einsum("ij,ij->i", theta[ratings.users], beta[ratings.items]))
+        resid = ratings.ratings - state.rating_offset
+        for chunk in _entry_chunks(len(resid)):
+            resid[chunk] -= np.einsum("ij,ij->i", theta[ratings.users[chunk]],
+                                      beta[ratings.items[chunk]])
         return 0.5 * float(resid @ resid)
 
     loss = term("rating", rating)

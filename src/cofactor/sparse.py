@@ -63,11 +63,16 @@ class CsrMatrix:
             raise ValidationError("array 'indptr' decreases")
         if nnz and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValidationError(f"array 'indices' has a column index outside [0, {n_cols})")
-        key = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr)) * n_cols + indices
-        unordered = np.flatnonzero(np.diff(key) <= 0)  # the key increases iff canonical
-        if unordered.size:
+        # canonical iff every entry but the first of its row has a larger column
+        # than the entry before it; the flags take one byte per entry
+        increasing = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < nnz)] - 1] = True
+        if not increasing.all():
+            first_bad = int(np.argmin(increasing)) + 1
+            row = int(np.searchsorted(indptr, first_bad, side="right")) - 1
             raise ValidationError(f"array 'indices' repeats a column or has columns out of "
-                                  f"order in row {key[unordered[0] + 1] // n_cols}")
+                                  f"order in row {row}")
         index_dtype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "indptr", indptr.astype(index_dtype, copy=False))
@@ -116,7 +121,7 @@ class CsrMatrix:
 
     def select(self, keep: np.ndarray) -> "CsrMatrix":
         """The matrix of the stored entries where `keep` (one flag per entry) is true."""
-        before = np.zeros(self.nnz + 1, dtype=np.int64)
+        before = np.zeros(self.nnz + 1, dtype=self.indptr.dtype)  # fits nnz, so every count
         np.cumsum(keep, out=before[1:])
         return CsrMatrix(self.shape, before[self.indptr], self.indices[keep], self.data[keep])
 

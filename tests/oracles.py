@@ -41,10 +41,22 @@ def csr_reference(shape, rows, cols, data) -> sp.csr_matrix:
     return sp.csr_matrix((np.asarray(data), (rows, cols)), shape=shape)
 
 
+def unordered_row_reference(n_cols, indptr, indices) -> int | None:
+    """The first row whose columns repeat or fall out of order, or None when
+    every row's columns strictly increase: one int64 key row·n_cols + column
+    per entry, which increases over the whole matrix iff it is canonical.
+    `indptr` and `indices` must already be consistent with each other."""
+    indptr = np.asarray(indptr)
+    key = (np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)) * n_cols
+           + np.asarray(indices))
+    unordered = np.flatnonzero(np.diff(key) <= 0)
+    return int(key[unordered[0] + 1] // n_cols) if unordered.size else None
+
+
 def cooccurrence_reference(users, items, n_users, n_items):
     """(item_counts, pair_counts, total_pairs) through scipy's sparse product:
-    distinct users per item, co-clicking users per item pair i < j as a
-    strictly upper triangular CSR, and Σ_u c_u (c_u − 1) / 2."""
+    distinct users per item, co-clicking users per item pair i ≠ j as a
+    symmetric CSR with an empty diagonal, and Σ_u c_u (c_u − 1) / 2."""
     mat = sp.csr_matrix((np.ones(len(users), dtype=np.int64), (users, items)),
                         shape=(n_users, n_items))
     mat.data[:] = 1  # collapse any duplicate pairs
@@ -52,23 +64,28 @@ def cooccurrence_reference(users, items, n_users, n_items):
     per_user = np.diff(mat.indptr)
     total_pairs = int((per_user * (per_user - 1) // 2).sum())
     co = (mat.T @ mat).tocoo()
-    upper = co.row < co.col
+    off_diagonal = co.row != co.col
     pair_counts = sp.csr_matrix(
-        (co.data[upper].astype(np.int64), (co.row[upper], co.col[upper])),
+        (co.data[off_diagonal].astype(np.int64),
+         (co.row[off_diagonal], co.col[off_diagonal])),
         shape=(n_items, n_items))
     return item_counts, pair_counts, total_pairs
 
 
 def ppmi_reference(item_counts, pair_counts, total_pairs) -> sp.csr_matrix:
-    """Symmetric CSR of the strictly positive log(#(i,j)·|pairs| / (#(i)·#(j)))."""
+    """Symmetric CSR of the strictly positive log(#(i,j)·|pairs| / (#(i)·#(j))),
+    from the symmetric `pair_counts` of cooccurrence_reference: the upper
+    triangle's values, mirrored onto the lower one."""
     n_items = len(item_counts)
     coo = pair_counts.tocoo()
-    numer = coo.data.astype(np.float64) * float(total_pairs)
-    denom = (item_counts[coo.row].astype(np.float64)
-             * item_counts[coo.col].astype(np.float64))
+    upper = coo.row < coo.col
+    count, row, col = coo.data[upper], coo.row[upper], coo.col[upper]
+    numer = count.astype(np.float64) * float(total_pairs)
+    denom = (item_counts[row].astype(np.float64)
+             * item_counts[col].astype(np.float64))
     pmi = np.log(numer / denom)
     keep = pmi > 0
-    row, col, val = coo.row[keep], coo.col[keep], pmi[keep]
+    row, col, val = row[keep], col[keep], pmi[keep]
     return sp.csr_matrix(
         (np.concatenate([val, val]),
          (np.concatenate([row, col]), np.concatenate([col, row]))),

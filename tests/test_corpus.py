@@ -448,6 +448,14 @@ class TestParseDocuments:
         dense = docs.rows.toarray()
         assert dense.min() >= 0.0 and dense.max() <= 1.0
 
+    def test_vocabulary_must_match_row_width(self):
+        _, _, docs, _ = generate_synthetic(SyntheticConfig(n_users=5, n_items=8, n_factors=2,
+                                                           vocab_size=6), seed=1)
+        assert docs.rows.shape[1] == 6
+        with pytest.raises(ValidationError, match="vocabulary of 3 terms does not match "
+                                                  "document rows of 6 columns"):
+            corpus.DocTermMatrix(vocab=docs.vocab[:3], rows=docs.rows)
+
     def test_punctuation_and_case_folding(self):
         docs = parse_documents(io.StringIO("i1\tHello, HELLO! world.\n"), 5,
                                "count", {"i1": 0})

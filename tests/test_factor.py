@@ -1,18 +1,22 @@
 import dataclasses
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cofactor.container import read_container, write_container
-from cofactor.corpus import SyntheticConfig, generate_synthetic, make_split
+from cofactor.corpus import (DocTermMatrix, RatingDataset, SyntheticConfig,
+                             generate_synthetic, make_split)
 from cofactor.errors import TrainingDivergedError, ValidationError
 from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
                              TrainData, _solve_rows, _solve_spd, load_checkpoint,
-                             run_label, save_checkpoint, total_loss, train)
+                             predict_ratings, run_label, save_checkpoint, total_loss,
+                             train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
-from cofactor.sdae import SdaeConfig, encode
+from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
 from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 from conftest import from_scipy, make_ratings, to_scipy
@@ -504,6 +508,58 @@ class TestPairTerm:
         assert peak < gathered_copy / 4, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestRatingGatherMemory:
+    """θ_u·β_i over the ratings is gathered a chunk of entries at a time: when
+    the ratings double, the extra peak grows by the one output vector only,
+    not by two gathered n_entries × K copies."""
+
+    N_USERS, N_ITEMS, K, VOCAB = 500, 300, 16, 20
+
+    def world(self, rng):
+        theta = rng.standard_normal((self.N_USERS, self.K))
+        beta = rng.standard_normal((self.N_ITEMS, self.K))
+        docs = DocTermMatrix(tuple(f"t{j}" for j in range(self.VOCAB)), from_scipy(
+            sp.random(self.N_ITEMS, self.VOCAB, density=0.3, random_state=1, format="csr")))
+        sdae = init_params(stack_widths(self.VOCAB, [], self.K), rng)
+        return ModelState(theta, beta, np.zeros_like(beta), sdae, rating_offset=0.5), docs
+
+    def ratings(self, rng, n_entries):
+        return RatingDataset(self.N_USERS, self.N_ITEMS,
+                             rng.integers(0, self.N_USERS, n_entries),
+                             rng.integers(0, self.N_ITEMS, n_entries),
+                             rng.standard_normal(n_entries),
+                             tuple(map(str, range(self.N_USERS))),
+                             tuple(map(str, range(self.N_ITEMS))))
+
+    @staticmethod
+    def extra_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("call", ["total_loss", "in_matrix", "out_of_matrix"])
+    def test_peak_grows_by_one_vector_when_ratings_double(self, rng, call):
+        state, docs = self.world(rng)
+        hyper = Hyperparams(n_factors=self.K, lambda_s=0.0, sdae=None)
+        text_off = dataclasses.replace(state, sdae=None)
+        peaks = []
+        for n_entries in (40_000, 80_000):
+            ratings = self.ratings(rng, n_entries)
+            if call == "total_loss":    # the rating term, others known
+                peaks.append(self.extra_peak(lambda: total_loss(
+                    text_off, ratings, None, None, None, hyper,
+                    known={"user_reg": 0.0, "context_reg": 0.0, "item_reg": 0.0})))
+            else:
+                peaks.append(self.extra_peak(lambda: predict_ratings(state, ratings, call,
+                                                                     docs)))
+        # 8 bytes per added entry for the output; 16 leaves room for scratch,
+        # and the whole gathers would add 2·K·8 = 256
+        assert peaks[1] - peaks[0] < 16 * 40_000, peaks
+
+
 def synthetic_train_data(seed=7, n_users=40, n_items=30, k=3, density=0.25,
                          with_text=True, with_clicks=True):
     config = SyntheticConfig(n_users=n_users, n_items=n_items, n_factors=k,
@@ -751,6 +807,50 @@ class TestCheckpoint:
             save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=None),
                             user_ids=("a", "b"), item_ids=("c", "d"))
         assert not path.exists()
+
+
+class TestContainer:
+    ARRAYS = {"f8": np.arange(6.0).reshape(2, 3),
+              "f4_strided": np.arange(8.0, dtype=np.float32)[::2],
+              "i4": np.arange(5, dtype=np.int32),
+              "u2_2d": np.arange(6, dtype=np.uint16).reshape(3, 2),
+              "empty": np.zeros((0, 4))}
+
+    def test_layout_is_header_then_each_array_in_order(self, tmp_path):
+        # magic, header length, sorted compact JSON header, then the arrays'
+        # little-endian bytes back to back: the format every earlier file has
+        path = tmp_path / "c.bin"
+        write_container(path, {"b": 1, "a": [2]}, self.ARRAYS)
+        payloads = [np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8")
+                    for a in self.ARRAYS.values()]
+        offsets = np.cumsum([0] + [p.nbytes for p in payloads])
+        header = json.dumps({"meta": {"b": 1, "a": [2]}, "arrays": {
+            name: {"offset": int(offset), "shape": list(p.shape), "dtype": p.dtype.str}
+            for name, p, offset in zip(self.ARRAYS, payloads, offsets)}},
+            sort_keys=True, separators=(",", ":")).encode()
+        assert path.read_bytes() == (b"COFACTR1" + struct.pack("<Q", len(header)) + header
+                                     + b"".join(p.tobytes() for p in payloads))
+        meta, arrays = read_container(path)
+        assert meta == {"b": 1, "a": [2]}
+        for name, p in zip(self.ARRAYS, payloads):
+            assert arrays[name].dtype == p.dtype and np.array_equal(arrays[name], p), name
+
+    @pytest.mark.parametrize("shape", [[-1], [2, -3]])
+    def test_negative_shape_refused(self, tmp_path, shape):
+        # numpy reads a -1 dimension as "whatever is left", which would read
+        # the bytes of the arrays after this one
+        from cofactor.errors import CheckpointError
+        path = tmp_path / "c.bin"
+        write_container(path, {}, self.ARRAYS)
+        meta, arrays = read_container(path)
+        blob = path.read_bytes()
+        start = 16 + struct.unpack_from("<Q", blob, 8)[0]
+        header = json.loads(blob[16:start])
+        header["arrays"]["f8"]["shape"] = shape
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[start:])
+        with pytest.raises(CheckpointError, match="truncated or corrupt .*'f8'"):
+            read_container(path)
 
 
 class TestScaling:

@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cofactor.corpus import binarize_ratings, parse_clicks
 from cofactor.errors import ValidationError
@@ -42,6 +44,8 @@ class TestCooccurrenceCounts:
         assert pairs[0, 1] == 2
         assert pairs[0, 2] == 1
         assert pairs[1, 2] == 1
+        assert (to_scipy(counts.pair_counts) != to_scipy(counts.pair_counts).T).nnz == 0
+        assert counts.pair_counts.nnz == 6  # both triangles, no diagonal
 
     def test_single_click_users_produce_no_pairs(self):
         clicks = make_clicks([(0, 0), (1, 1), (2, 2)])
@@ -91,10 +95,25 @@ class TestBuildPpmi:
 
     def test_zero_pmi_not_stored(self):
         # 1 * 4 / (2 * 2) = 1 -> PMI exactly 0 -> omitted
-        pair = from_scipy(np.array([[0, 1], [0, 0]], dtype=np.int64))
+        pair = from_scipy(np.array([[0, 1], [1, 0]], dtype=np.int64))
         counts = CoCounts(item_counts=np.array([2, 2]),
                           pair_counts=pair, total_pairs=4)
         assert build_ppmi(counts).matrix.nnz == 0
+
+    @pytest.mark.parametrize("pairs, stored", [
+        ([[0, 3, 1], [0, 0, 2], [0, 0, 0]], "3 entries above the diagonal, 0 below it and 0 on it"),
+        ([[0, 0, 0], [3, 0, 0], [1, 2, 0]], "0 entries above the diagonal, 3 below it and 0 on it"),
+        ([[1, 3, 1], [3, 0, 2], [1, 2, 0]], "3 entries above the diagonal, 3 below it and 1 on it"),
+        ([[0, 3, 1], [3, 0, 0], [1, 2, 0]], "2 entries above the diagonal, 3 below it and 0 on it"),
+    ])
+    def test_pair_counts_not_symmetric_off_diagonal_rejected(self, pairs, stored):
+        # one triangle, an entry on the diagonal, or a triangle's entry missing
+        # from the other one is refused, not silently read as a PPMI
+        counts = CoCounts(item_counts=np.array([4, 4, 4]),
+                          pair_counts=from_scipy(np.array(pairs, dtype=np.int64)),
+                          total_pairs=12)
+        with pytest.raises(ValidationError, match=f"symmetric .*; they store {stored}$"):
+            build_ppmi(counts)
 
     def test_never_co_clicked_absent(self):
         clicks = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3)])
@@ -133,6 +152,22 @@ class TestBuildPpmi:
                 assert upper[key] == pytest.approx(value, abs=1e-12)
             checked += 1
         assert checked > 30
+
+
+class TestBuildMemory:
+    def test_peak_is_a_few_ppmi_copies(self):
+        # the counts and the PPMI are built over both triangles in place: no
+        # mirrored triplets, no re-sort and no int64 key per entry
+        clicks = from_scipy(sp.random(2000, 400, density=0.05, random_state=1, format="csr"))
+        tracemalloc.start()
+        try:
+            matrix = build_ppmi(cooccurrence_counts(clicks)).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ppmi_bytes = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+        assert matrix.nnz > 100_000
+        assert peak < 4 * ppmi_bytes, (peak, ppmi_bytes)
 
 
 def messy_clicks(rng) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:

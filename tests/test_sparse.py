@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cofactor.errors import ValidationError
 from cofactor.sparse import CsrMatrix, from_coo
 
 from conftest import assert_same_csr
-from oracles import csr_reference
+from oracles import csr_reference, unordered_row_reference
 
 
 def random_triplets(rng, n_rows, n_cols, density):
@@ -69,6 +71,61 @@ class TestStructureChecked:
         assert matrix.nnz == 3
         assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
         np.testing.assert_array_equal(matrix.toarray(), [[1, 0, 0, 2], [0] * 4, [0, 3, 0, 0]])
+
+
+def random_structure(rng):
+    """indptr and columns of a random matrix with empty rows, sorted rows and,
+    often, one or two columns edited so that rows repeat one or fall out of
+    order."""
+    n_rows, n_cols = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+    counts = rng.integers(0, n_cols + 1, n_rows) * (rng.random(n_rows) < 0.7)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.sort(rng.choice(n_cols, c, replace=False)) for c in counts]
+                             + [np.zeros(0, dtype=np.int64)]).astype(np.int64)
+    for _ in range(int(rng.integers(0, 3)) if indices.size else 0):
+        indices[rng.integers(indices.size)] = rng.integers(n_cols)
+    return (n_rows, n_cols), indptr, indices
+
+
+class TestCanonicalCheck:
+    """The check against its int64-key oracle: same inputs accepted and
+    rejected, and the same row named."""
+
+    @staticmethod
+    def checked_row(shape, indptr, indices):
+        try:
+            CsrMatrix(shape, indptr, indices, np.ones(len(indices)))
+        except ValidationError as exc:
+            match = re.fullmatch(r"array 'indices' repeats a column or has columns out of "
+                                 r"order in row (\d+)", str(exc))
+            assert match, str(exc)
+            return int(match.group(1))
+        return None
+
+    def test_matches_key_oracle_on_random_structures(self, rng):
+        outcomes = set()
+        for _ in range(2000):
+            shape, indptr, indices = random_structure(rng)
+            want = unordered_row_reference(shape[1], indptr, indices)
+            assert self.checked_row(shape, indptr, indices) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("indptr, indices, row", [
+        ([0, 0, 0], [], None),                      # every row empty
+        ([0, 2, 2, 4], [1, 3, 0, 2], None),         # a row starting below the last one's end
+        ([0, 1, 1, 3], [3, 0, 1], None),            # the same after an empty row
+        ([0, 3, 3], [0, 2, 3], None),               # trailing empty row
+        ([0, 1, 1, 3], [0, 2, 2], 2),               # a repeat right after an empty row
+        ([0, 2, 2, 2, 4], [0, 1, 3, 1], 3),         # out of order after two empty rows
+        ([0, 2, 3], [1, 1, 0], 0),                  # a repeat in the first row
+        ([0, 1, 3], [3, 3, 3], 1),                  # the previous row's last column repeated
+    ])
+    def test_row_boundaries(self, indptr, indices, row):
+        shape = (len(indptr) - 1, 4)
+        assert unordered_row_reference(4, indptr, indices) == row
+        assert self.checked_row(shape, np.array(indptr), np.array(indices, dtype=np.int64)) \
+            == row
 
 
 class TestRowsAndEntries:
