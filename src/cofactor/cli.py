@@ -243,15 +243,11 @@ def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | 
                     {"users": ratings.users, "items": ratings.items,
                      "ratings": ratings.ratings})
     if clicks is not None:
-        write_container(cache / "clicks.bin",
-                        {"kind": "clicks", "n_users": clicks.shape[0],
-                         "n_items": clicks.shape[1]},
+        write_container(cache / "clicks.bin", {"kind": "clicks"},
                         {"indptr": clicks.indptr, "indices": clicks.indices})
         report["n_clicks"] = clicks.nnz
     if docs is not None:
-        write_container(cache / "docs.bin",
-                        {"kind": "docs", "vocab": list(docs.vocab),
-                         "n_items": docs.n_items},
+        write_container(cache / "docs.bin", {"kind": "docs", "vocab": list(docs.vocab)},
                         {"data": docs.rows.data, "indices": docs.rows.indices,
                          "indptr": docs.rows.indptr})
         report["vocab_size"] = docs.vocab_size
@@ -289,8 +285,9 @@ def cmd_ingest(cfg: dict) -> int:
 
 def _read_cache(path: Path, build: Callable):
     """build(meta, arrays) of the cache file at `path`, None without one. The
-    datasets check themselves when built: their ValidationError names the
-    array, and the CheckpointError raised for it names the file too."""
+    datasets check themselves when built, shaped by ratings.bin's id tables:
+    their ValidationError names the array, and the CheckpointError raised for
+    it names the file too."""
     if not path.exists():
         return None
     meta, arrays = read_container(path)
@@ -303,25 +300,23 @@ def _read_cache(path: Path, build: Callable):
 def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
     path = cache / "ratings.bin"
     ratings = _read_cache(path, lambda meta, arrays: corpus.RatingDataset(
-        n_users=len(meta["user_ids"]), n_items=len(meta["item_ids"]),
-        users=arrays["users"], items=arrays["items"], ratings=arrays["ratings"],
-        user_ids=tuple(meta["user_ids"]), item_ids=tuple(meta["item_ids"])))
+        arrays["users"], arrays["items"], arrays["ratings"],
+        tuple(meta["user_ids"]), tuple(meta["item_ids"])))
     if ratings is None:
         raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
     return ratings
 
 
-def _load_cached_clicks(cache: Path) -> CsrMatrix | None:
+def _load_cached_clicks(cache: Path, ratings: corpus.RatingDataset) -> CsrMatrix | None:
     return _read_cache(cache / "clicks.bin", lambda meta, arrays: CsrMatrix(
-        (meta["n_users"], meta["n_items"]), arrays["indptr"], arrays["indices"],
+        (ratings.n_users, ratings.n_items), arrays["indptr"], arrays["indices"],
         np.ones(len(arrays["indices"]), dtype=np.int64)))
 
 
-def _load_cached_docs(cache: Path) -> corpus.DocTermMatrix | None:
+def _load_cached_docs(cache: Path, ratings: corpus.RatingDataset) -> corpus.DocTermMatrix | None:
     return _read_cache(cache / "docs.bin", lambda meta, arrays: corpus.DocTermMatrix(
-        vocab=tuple(meta["vocab"]),
-        rows=CsrMatrix((meta["n_items"], len(meta["vocab"])), arrays["indptr"],
-                       arrays["indices"], arrays["data"])))
+        tuple(meta["vocab"]), CsrMatrix((ratings.n_items, len(meta["vocab"])),
+                                        arrays["indptr"], arrays["indices"], arrays["data"])))
 
 
 # ----------------------------------------------------------------- train
@@ -345,11 +340,12 @@ def _click_ppmi(clicks: CsrMatrix) -> ppmi.PpmiMatrix:
     return ppmi.build_ppmi(ppmi.cooccurrence_counts(clicks))
 
 
-def _ingested_click_ppmi(cache: Path) -> Callable[[], ppmi.PpmiMatrix] | None:
+def _ingested_click_ppmi(cache: Path, ratings: corpus.RatingDataset
+                         ) -> Callable[[], ppmi.PpmiMatrix] | None:
     """None without an ingested clicks.bin, else a function returning the PPMI
     of those clicks. It builds the matrix on its first call and returns the
     same one after: no subsample or split changes it."""
-    clicks = _load_cached_clicks(cache)
+    clicks = _load_cached_clicks(cache, ratings)
     if clicks is None:
         return None
     return functools.cache(lambda: _click_ppmi(clicks))
@@ -381,7 +377,7 @@ def _split_record(cfg: dict) -> dict:
 def cmd_train(cfg: dict, dry_run: bool = False) -> int:
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
-    docs = _load_cached_docs(cache) if cfg["text"]["enabled"] else None
+    docs = _load_cached_docs(cache, ratings) if cfg["text"]["enabled"] else None
     hyper = _build_hyper(cfg, docs)
     if dry_run:
         print(json.dumps(cfg, sort_keys=True, indent=2))
@@ -391,7 +387,7 @@ def cmd_train(cfg: dict, dry_run: bool = False) -> int:
               f"n_ratings={ratings.n_entries} n_factors={hyper.n_factors} "
               f"layer_widths={widths} run={run_label(hyper)}")
         return 0
-    data = _prepare_data(cfg, ratings, _ingested_click_ppmi(cache), docs,
+    data = _prepare_data(cfg, ratings, _ingested_click_ppmi(cache, ratings), docs,
                          with_ppmi=hyper.lambda_s > 0)
     state, trace = train(data, hyper)
     out = _out_dir(cfg)
@@ -434,7 +430,7 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
                for key, value in _split_record(cfg).items() if trained_on.get(key) != value]
     if changed:
         raise CheckpointError("checkpoint was trained on another split: " + ", ".join(changed))
-    docs = _load_cached_docs(cache)
+    docs = _load_cached_docs(cache, ratings)
     if (cfg["split"]["mode"] == "out_of_matrix" and docs is not None
             and tuple(meta["vocab"]) != docs.vocab):
         raise CheckpointError("checkpoint vocabulary differs from the ingested documents'; "
@@ -460,8 +456,8 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
 def cmd_sweep(cfg: dict) -> int:
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
-    docs = _load_cached_docs(cache) if cfg["text"]["enabled"] else None
-    ingested_ppmi = _ingested_click_ppmi(cache)
+    docs = _load_cached_docs(cache, ratings) if cfg["text"]["enabled"] else None
+    ingested_ppmi = _ingested_click_ppmi(cache, ratings)
     hyper = _build_hyper(cfg, docs)
     out = _out_dir(cfg)
     fp = fingerprint(cfg)

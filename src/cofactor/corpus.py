@@ -38,12 +38,10 @@ class RatingDataset:
     """Sparse rating triplets over dense indices.
 
     `user_ids[k]` is the external id mapped to dense user index k (same for
-    items). Zero never appears as a rating value: unobserved pairs are simply
-    absent.
+    items); the id tables alone give the user and item counts. Zero never
+    appears as a rating value: unobserved pairs are simply absent.
     """
 
-    n_users: int
-    n_items: int
     users: np.ndarray       # int64, dense user index per entry
     items: np.ndarray       # int64, dense item index per entry
     ratings: np.ndarray     # float64
@@ -61,6 +59,14 @@ class RatingDataset:
                 raise ValidationError(f"array {name!r} has an index outside [0, {bound})")
 
     @property
+    def n_users(self) -> int:
+        return len(self.user_ids)
+
+    @property
+    def n_items(self) -> int:
+        return len(self.item_ids)
+
+    @property
     def n_entries(self) -> int:
         return len(self.ratings)
 
@@ -75,11 +81,8 @@ class RatingDataset:
     def replace_entries(self, users: np.ndarray, items: np.ndarray,
                         ratings: np.ndarray) -> "RatingDataset":
         """Same index universe, different entry set."""
-        return RatingDataset(self.n_users, self.n_items,
-                             np.asarray(users, dtype=np.int64),
-                             np.asarray(items, dtype=np.int64),
-                             np.asarray(ratings, dtype=np.float64),
-                             self.user_ids, self.item_ids)
+        return RatingDataset(np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
+                             np.asarray(ratings, dtype=np.float64), self.user_ids, self.item_ids)
 
 
 @dataclass
@@ -247,10 +250,7 @@ def parse_ratings(source: IO[str]) -> RatingDataset:
                               f"for pair ({uid!r}, {iid!r})")
     if error is not None:
         raise error
-    return RatingDataset(
-        n_users=len(user_index), n_items=len(item_index),
-        users=users, items=items, ratings=values,
-        user_ids=tuple(user_index), item_ids=tuple(item_index))
+    return RatingDataset(users, items, values, tuple(user_index), tuple(item_index))
 
 
 def parse_clicks(source: IO[str], user_index_map: dict[str, int],
@@ -525,8 +525,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
               + config.sigma_rating * rng.standard_normal(len(r_users)))
     user_ids = tuple(f"u{j:05d}" for j in range(n))
     item_ids = tuple(f"i{j:05d}" for j in range(m))
-    ratings = RatingDataset(n, m, r_users.astype(np.int64), r_items.astype(np.int64),
-                            values, user_ids, item_ids)
+    ratings = RatingDataset(r_users.astype(np.int64), r_items.astype(np.int64), values,
+                            user_ids, item_ids)
 
     clicks_per_user = int(round(config.click_density * m))
     c_users = c_items = np.zeros(0, dtype=np.int64)

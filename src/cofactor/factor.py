@@ -96,7 +96,8 @@ class ModelState:
 
 @dataclass
 class TrainData:
-    """Inputs of one training run; the PPMI matrix comes from training clicks."""
+    """Inputs of one training run. The PPMI matrix, from training clicks, is
+    required when λ_s > 0; the documents, when the text model is on."""
 
     split: EvalSplit
     ppmi: PpmiMatrix | None = None
@@ -231,29 +232,34 @@ def _entry_chunks(n_entries: int):
 
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
                     docs: DocTermMatrix | None = None) -> np.ndarray:
-    """Predicted rating of each entry of `ratings`, offset included. out_of_matrix
-    encodes each rated item's clean text row once, into an n_items × K table,
-    and reads no item factor.
+    """Predicted rating of each entry of `ratings`, offset included. in_matrix
+    reads the item factor table; out_of_matrix encodes every item's clean text
+    row once, into an n_items × K table, and reads no item factor. The user
+    table and the item table must have one row per user and item of `ratings`.
 
     θ_u·β_i is formed ENTRY_CHUNK entries at a time, written into the one
     output vector, so no n_entries × K gather and no other n_entries-long
     scratch array is ever held.
     """
     if mode == "in_matrix":
-        item_vectors = state.item_factors
+        item_table, item_name = state.item_factors, "item factors"
     elif mode == "out_of_matrix":
         if docs is None or state.sdae is None:
             raise ValidationError("out_of_matrix prediction needs documents and the text model")
-        rated = np.zeros(ratings.n_items, dtype=bool)
-        rated[ratings.items] = True
-        item_vectors = np.zeros((ratings.n_items, state.user_factors.shape[1]))
-        item_vectors[rated] = encode(docs.rows[np.flatnonzero(rated)], state.sdae)
+        item_table, item_name = docs.rows, "document rows"
     else:
         raise ValidationError(f"unknown mode {mode!r}")
+    for name, table, n, kind in (("user factors", state.user_factors, ratings.n_users, "users"),
+                                 (item_name, item_table, ratings.n_items, "items")):
+        if table.shape[0] != n:
+            raise ValidationError(f"{name} have {table.shape[0]} rows for the {n} {kind} "
+                                  "of the ratings")
+    if mode == "out_of_matrix":
+        item_table = encode(item_table, state.sdae)
     out = np.empty(ratings.n_entries)
     for chunk in _entry_chunks(len(out)):
         np.einsum("ij,ij->i", state.user_factors[ratings.users[chunk]],
-                  item_vectors[ratings.items[chunk]], out=out[chunk])
+                  item_table[ratings.items[chunk]], out=out[chunk])
     out += state.rating_offset
     return out
 
@@ -287,6 +293,15 @@ def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) ->
         resid = data[lo:hi] - (beta[start:stop] @ alpha.T)[local_rows, indices[lo:hi]]
         total += float(resid @ resid)
     return total
+
+
+def _check_ppmi(ppmi: PpmiMatrix | None, n_items: int) -> None:
+    """λ_s > 0 alone switches the click term on; it needs a PPMI over the n_items items."""
+    if ppmi is None:
+        raise ValidationError("lambda_s > 0 but no PPMI matrix supplied")
+    if ppmi.matrix.shape != (n_items, n_items):
+        raise ValidationError(f"PPMI matrix of shape {ppmi.matrix.shape} does not "
+                              f"match the {n_items} items of the item factors")
 
 
 def _sum_sq(array: np.ndarray) -> float:
@@ -326,11 +341,8 @@ def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
         return 0.5 * float(resid @ resid)
 
     loss = term("rating", rating)
-    if hyper.lambda_s > 0 and ppmi is not None:
-        n_items = beta.shape[0]
-        if ppmi.matrix.shape != (n_items, n_items):
-            raise ValidationError(f"PPMI matrix of shape {ppmi.matrix.shape} does not "
-                                  f"match the {n_items} items of the item factors")
+    if hyper.lambda_s > 0:
+        _check_ppmi(ppmi, beta.shape[0])
         loss += term("pair", lambda: 0.5 * hyper.lambda_s
                      * _pair_residual_sq(ppmi.matrix, beta, alpha))
     loss += term("user_reg", lambda: 0.5 * hyper.lambda_user * _sum_sq(theta))
@@ -368,6 +380,8 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
             raise ValidationError("autoencoder enabled but no document matrix supplied")
         if docs.n_items != n_items:
             raise ValidationError("document matrix rows do not match item count")
+    if hyper.lambda_s > 0:
+        _check_ppmi(data.ppmi, n_items)
     if split.mode == "out_of_matrix" and not sdae_on:
         raise ValidationError("out_of_matrix validation requires the text model")
 
@@ -390,9 +404,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     user_terms = [(1.0, by_user, beta)]
     item_terms = [(1.0, by_item, theta)]
     context_terms = []
-    if hyper.lambda_s > 0 and data.ppmi is not None:
-        if data.ppmi.n_items != n_items:
-            raise ValidationError("PPMI matrix size does not match item count")
+    if hyper.lambda_s > 0:
         item_terms.append((hyper.lambda_s, data.ppmi.matrix, alpha))
         context_terms.append((hyper.lambda_s, data.ppmi.matrix, beta))
 
@@ -538,6 +550,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
         raise CheckpointError(f"{path}: user factor shape {theta.shape} does not match manifest")
     if beta.shape != alpha.shape or beta.shape != (meta["n_items"], meta["n_factors"]):
         raise CheckpointError(f"{path}: item factor shapes do not match manifest")
+    for kind, rows in (("user", theta.shape[0]), ("item", beta.shape[0])):
+        n_ids = len(meta[f"{kind}_ids"])
+        if n_ids != rows:
+            raise CheckpointError(f"{path}: {n_ids} {kind} ids for {rows} {kind} factor rows")
     widths = meta["layer_widths"]
     sdae_params = None
     if widths:

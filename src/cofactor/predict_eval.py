@@ -63,8 +63,6 @@ def evaluate(state: ModelState, split: EvalSplit, docs: DocTermMatrix | None = N
     """
     mode = split.mode
     test = split.test
-    if test.n_entries == 0:
-        raise ValidationError("empty test set")
     pred = predict_ratings(state, test, mode, docs)
     n_missing_text = 0
     if mode == "out_of_matrix":
@@ -127,15 +125,15 @@ def sweep_sparsity(make_data: Callable[[float], TrainData], hyper: Hyperparams,
                    percents: Sequence[float]) -> list[SparsityPoint]:
     """Per rating percentage, the test RMSE of the joint and of the ratings-only
     model on one subsample. `make_data(fraction)` is called as each point is
-    reached, so only one split and one PPMI matrix are alive at a time. When
-    the joint run already is the ratings-only run (same hyperparameters, and
-    data with no PPMI and no documents), it is trained once and scored for both."""
+    reached, so only one split and one PPMI matrix are alive at a time. At λ_s
+    0 without a text model train() reads no PPMI and no documents: the joint
+    run is then the ratings-only run, trained once and scored for both."""
     pmf_hyper = dataclasses.replace(hyper, lambda_s=0.0, sdae=None)
 
     def point(pct: float) -> SparsityPoint:
         data = make_data(pct / 100.0)
         joint = _train_and_score(data, hyper)[1]
-        if pmf_hyper == hyper and data.ppmi is None and data.docs is None:
+        if pmf_hyper == hyper:
             return SparsityPoint(pct, joint, joint)
         return SparsityPoint(pct, joint,
                              _train_and_score(TrainData(split=data.split), pmf_hyper)[1])

@@ -4,11 +4,12 @@ A CsrMatrix checks its structure when it is built, so inconsistent arrays (a
 corrupt cache, say) end in ValidationError, never in an out-of-bounds read
 inside a compiled product. Every CsrMatrix is canonical: the columns of each
 row are strictly increasing, so no reader sorts or deduplicates one again;
-`from_coo`, the one builder from entries, sorts them. Building, row selection,
-entry filtering and densifying are numpy. Three products run in scipy.sparse
-on a zero-copy view: the co-click count product XᵀX (`gram`), sparse × dense
-(`@`) and sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS
-thread, the first took 3.7× and sparse × dense 7–17× as long. scipy is
+`from_coo`, the one builder from entries, sorts them. Rows are read by
+contiguous slice only, as views. Building, slicing, entry filtering and
+densifying are numpy. Three products run in scipy.sparse on a zero-copy
+view: the co-click count product XᵀX (`gram`), sparse × dense (`@`) and
+sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS thread, the
+first took 3.7× and sparse × dense 7–17× as long. scipy is
 imported only where that view is made: importing scipy.sparse adds about
 0.2 s to a process's start (2-vCPU Xeon), which a command that runs none of
 the three never pays.
@@ -95,29 +96,16 @@ class CsrMatrix:
         out.reshape(-1)[flat] += self.data  # canonical: each position occurs once
         return out
 
-    def __getitem__(self, rows) -> "CsrMatrix":
-        """The matrix of the given rows, in the given order. A contiguous slice
-        of rows is a view: its `indices` and `data` are slices of this matrix's."""
-        if isinstance(rows, slice):
-            start, stop, step = rows.indices(self.shape[0])
-            if step != 1:
-                raise ValidationError("a row slice must be contiguous")
-            stop = max(start, stop)
-            lo, hi = self.indptr[start], self.indptr[stop]
-            return CsrMatrix((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
-                             self.indices[lo:hi], self.data[lo:hi])
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise ValidationError("rows must be a 1-D index array")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ValidationError(f"a row index is outside [0, {self.shape[0]})")
-        starts = self.indptr[rows].astype(np.int64)
-        counts = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        return CsrMatrix((len(rows), self.shape[1]), indptr, self.indices[take],
-                         self.data[take])
+    def __getitem__(self, rows: slice) -> "CsrMatrix":
+        """The matrix of a contiguous slice of rows, as a view: its `indices` and
+        `data` are slices of this matrix's. No other key selects rows."""
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise ValidationError("rows are selected by a contiguous slice only")
+        start, stop, _ = rows.indices(self.shape[0])
+        stop = max(start, stop)
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CsrMatrix((stop - start, self.shape[1]), self.indptr[start:stop + 1] - lo,
+                         self.indices[lo:hi], self.data[lo:hi])
 
     def select(self, keep: np.ndarray) -> "CsrMatrix":
         """The matrix of the stored entries where `keep` (one flag per entry) is true."""

@@ -42,8 +42,7 @@ def make_ratings(triples, n_users=None, n_items=None) -> RatingDataset:
     values = np.asarray([t[2] for t in triples], dtype=np.float64)
     n_users = n_users if n_users is not None else (int(users.max()) + 1 if len(users) else 0)
     n_items = n_items if n_items is not None else (int(items.max()) + 1 if len(items) else 0)
-    return RatingDataset(n_users, n_items, users, items, values,
-                         tuple(f"u{k}" for k in range(n_users)),
+    return RatingDataset(users, items, values, tuple(f"u{k}" for k in range(n_users)),
                          tuple(f"i{k}" for k in range(n_items)))
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -772,6 +773,16 @@ class TestCorruptFiles:
         assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
         assert [(out / name).read_bytes() for name in ("report.csv", "report.txt")] == reports
 
+    @pytest.mark.parametrize("kind", ["user", "item"])
+    def test_checkpoint_with_too_few_ids_exits_1(self, workspace, capsys, kind):
+        # 5 user ids for 30 factor rows used to load, and eval scored it
+        _, config = workspace
+        ckpt = train_checkpoint(config)
+        rewrite_header(ckpt, lambda header: header["meta"].update(
+            {f"{kind}_ids": header["meta"][f"{kind}_ids"][:5]}))
+        err = eval_error(capsys, config, ckpt)
+        assert str(ckpt) in err and f"5 {kind} ids" in err
+
     def test_checkpoint_holding_nan_exits_1(self, workspace, capsys):
         _, config = workspace
         ckpt = train_checkpoint(config)
@@ -856,6 +867,29 @@ class TestCorruptCacheArrays:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert name in proc.stderr and repr(array) in proc.stderr
+
+
+class TestCacheThatDoesNotFitTheRatings:
+    """clicks.bin and docs.bin take their shapes from ratings.bin, so one
+    written by another ingest ends in an error naming it."""
+
+    @pytest.mark.parametrize("name", ["clicks.bin", "docs.bin"])
+    def test_train_exits_1_naming_file(self, workspace, tmp_path_factory, capsys, name):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        other_dir = tmp_path_factory.mktemp("other")
+        other_paths = write_fixture_small(other_dir)
+        other_paths["clicks"] = other_dir / "clicks.txt"
+        other_paths["clicks"].write_text("".join(
+            " ".join(line.split()[:2]) + "\n"
+            for line in other_paths["ratings"].read_text().splitlines()))
+        assert main(["ingest", "--config", str(write_config(other_dir, other_paths))]) == 0
+        shutil.copyfile(other_dir / "out" / "cache" / name, tmp_path / "out" / "cache" / name)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and name in err
 
 
 # runs each argv of the JSON list in sys.argv[1], then prints the exit codes

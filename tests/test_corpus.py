@@ -62,7 +62,7 @@ class TestRatingDatasetChecked:
     @staticmethod
     def build(users, items, ratings):
         """A dataset of 3 users and 2 items."""
-        return RatingDataset(3, 2, np.asarray(users, dtype=np.int64),
+        return RatingDataset(np.asarray(users, dtype=np.int64),
                              np.asarray(items, dtype=np.int64),
                              np.asarray(ratings, dtype=np.float64),
                              ("u0", "u1", "u2"), ("i0", "i1"))
@@ -87,6 +87,17 @@ class TestRatingDatasetChecked:
         message = rf"'{name}' has an index outside \[0, {bound}\)"
         with pytest.raises(ValidationError, match=message):
             self.build(users, items, [4.0, 5.0])
+
+    def test_counts_are_the_id_tables(self):
+        ds = self.build([0, 2], [1, 0], [4.0, 5.0])
+        assert (ds.n_users, ds.n_items) == (3, 2)
+        with pytest.raises(AttributeError):
+            ds.n_users = 5
+
+    def test_index_past_the_id_table_rejected(self):
+        # a count stored beside the id tables let 5 users stand on 1 user id
+        with pytest.raises(ValidationError, match=r"'users' has an index outside \[0, 1\)"):
+            RatingDataset(np.array([4]), np.array([0]), np.array([4.0]), ("u0",), ("i0", "i1"))
 
     def test_replaced_entries_checked(self):
         with pytest.raises(ValidationError, match="'items'"):
@@ -270,8 +281,7 @@ class TestSubsample:
         users = np.arange(n, dtype=np.int64) % 1000
         items = np.arange(n, dtype=np.int64) // 1000
         from cofactor.corpus import RatingDataset
-        ratings = RatingDataset(1000, (n // 1000) + 1, users, items,
-                                np.ones(n), tuple(map(str, range(1000))),
+        ratings = RatingDataset(users, items, np.ones(n), tuple(map(str, range(1000))),
                                 tuple(map(str, range((n // 1000) + 1))))
         assert subsample_ratings(ratings, 0.5, seed=3).n_entries == 315_000
 

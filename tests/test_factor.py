@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -413,6 +414,12 @@ class TestTotalLoss:
         with pytest.raises(NonFiniteLossError, match="rating"):
             total_loss(state, ratings, None, None, None, hyper)
 
+    def test_click_term_without_ppmi_rejected(self):
+        state = ModelState(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), None)
+        hyper = Hyperparams(n_factors=1, lambda_s=0.5, sdae=None)
+        with pytest.raises(ValidationError, match="lambda_s"):
+            total_loss(state, make_ratings([(0, 0, 1.0)]), None, None, None, hyper)
+
     def test_block_updates_never_increase_reference_loss(self, rng):
         # random perturbations around each block solution stay worse
         for _ in range(10):
@@ -524,8 +531,7 @@ class TestRatingGatherMemory:
         return ModelState(theta, beta, np.zeros_like(beta), sdae, rating_offset=0.5), docs
 
     def ratings(self, rng, n_entries):
-        return RatingDataset(self.N_USERS, self.N_ITEMS,
-                             rng.integers(0, self.N_USERS, n_entries),
+        return RatingDataset(rng.integers(0, self.N_USERS, n_entries),
                              rng.integers(0, self.N_ITEMS, n_entries),
                              rng.standard_normal(n_entries),
                              tuple(map(str, range(self.N_USERS))),
@@ -724,6 +730,13 @@ class TestTrain:
         assert traced == from_scratch
         assert reused[0] == 0 and min(reused[1:]) > 0
 
+    def test_click_term_without_ppmi_rejected(self):
+        # used to train plain PMF, bit for bit the lambda_s 0 run, labelled "joint"
+        data = synthetic_train_data(with_text=False, with_clicks=False)
+        hyper = Hyperparams(n_factors=3, lambda_s=5.0, sdae=None, max_epochs=2, seed=0)
+        with pytest.raises(ValidationError, match="lambda_s"):
+            train(data, hyper)
+
     def test_out_of_matrix_requires_text(self):
         config = SyntheticConfig(n_users=30, n_items=25, n_factors=3,
                                  rating_density=0.4, rating_offset=4.0)
@@ -793,6 +806,22 @@ class TestCheckpoint:
         meta, arrays = read_container(path)
         write_container(path, {**meta, "hyper": {**meta["hyper"], field: value}}, arrays)
         with pytest.raises(CheckpointError, match=f"{path}: bad hyperparameters: .*{field}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["user", "item"])
+    def test_id_count_must_match_factor_rows(self, tmp_path, rng, kind):
+        # 5 user ids for 30 factor rows used to load, and eval scored the model
+        from cofactor.errors import CheckpointError
+        state = ModelState(rng.standard_normal((30, 2)), rng.standard_normal((20, 2)),
+                           rng.standard_normal((20, 2)), None)
+        ids = {"user_ids": tuple(f"u{k}" for k in range(30)),
+               "item_ids": tuple(f"i{k}" for k in range(20))}
+        ids[f"{kind}_ids"] = ids[f"{kind}_ids"][:5]
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=None), **ids)
+        rows = 30 if kind == "user" else 20
+        with pytest.raises(CheckpointError,
+                           match=f"{re.escape(str(path))}: 5 {kind} ids for {rows} {kind}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -870,7 +899,6 @@ class TestScaling:
         from cofactor.corpus import RatingDataset
         n, m = ratings.n_users, ratings.n_items
         doubled = RatingDataset(
-            2 * n, 2 * m,
             np.concatenate([ratings.users, ratings.users + n]),
             np.concatenate([ratings.items, ratings.items + m]),
             np.concatenate([ratings.ratings, ratings.ratings]),

@@ -3,8 +3,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from cofactor.corpus import (EvalSplit, SyntheticConfig, generate_synthetic,
+from cofactor.corpus import (DocTermMatrix, EvalSplit, SyntheticConfig, generate_synthetic,
                              make_split)
 from cofactor import predict_eval
 from cofactor.errors import ValidationError
@@ -135,7 +136,7 @@ class TestEvaluate:
         docs_blank = dataclasses.replace(docs, rows=from_scipy(blank.tocsr()))
         report = evaluate(state, dataclasses.replace(split, train=train_ds), docs_blank)
         trained_users = set(train_ds.users.tolist())
-        textless = {i for i in range(docs.n_items) if docs_blank.rows[[i]].nnz == 0}
+        textless = {i for i in range(docs.n_items) if docs_blank.rows[i:i + 1].nnz == 0}
         assert report.n_cold_user_predictions == sum(
             u not in trained_users for u in split.test.users.tolist()) > 0
         assert report.n_missing_text_items == len(set(split.test.items.tolist()) & textless) >= 2
@@ -171,6 +172,43 @@ class TestEvaluate:
         assert lines[1].startswith("in_matrix,0.5,7,1.25,10,deadbeef")
 
 
+class TestTableSizes:
+    """The predictor reads one user-table row per user and one item-table row
+    per item of the ratings. A smaller table used to end in a raw IndexError,
+    a larger one to be scored without complaint."""
+
+    @staticmethod
+    def split(mode):
+        ratings, docs, state = _true_state_split()
+        return EvalSplit(train=ratings, validation=ratings, test=ratings, mode=mode), docs, state
+
+    @staticmethod
+    def resized(table, change):
+        if change < 0:
+            return table[:change]
+        return np.concatenate([table, np.zeros((change, table.shape[1]))])
+
+    @pytest.mark.parametrize("change", [-3, 2])
+    @pytest.mark.parametrize("mode, table", [("in_matrix", "user_factors"),
+                                             ("in_matrix", "item_factors"),
+                                             ("out_of_matrix", "user_factors")])
+    def test_factor_table_of_another_size_rejected(self, mode, table, change):
+        split, docs, state = self.split(mode)
+        bad = dataclasses.replace(state, **{table: self.resized(getattr(state, table), change)})
+        with pytest.raises(ValidationError, match=table.replace("_", " ") + " have"):
+            evaluate(bad, split, docs)
+
+    @pytest.mark.parametrize("change", [-3, 2])
+    def test_document_rows_of_another_size_rejected(self, change):
+        split, docs, state = self.split("out_of_matrix")
+        rows = to_scipy(docs.rows)
+        rows = (rows[:change] if change < 0
+                else sp.vstack([rows, sp.csr_matrix((change, rows.shape[1]))], format="csr"))
+        bad = DocTermMatrix(docs.vocab, from_scipy(rows))
+        with pytest.raises(ValidationError, match="document rows have"):
+            evaluate(state, split, bad)
+
+
 class TestSweep:
     def test_single_point_equals_direct_train(self):
         data = synthetic_train_data(seed=21)
@@ -198,8 +236,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("lambda_s, with_clicks, trains", [
         (0.0, False, 1),    # the joint model is the ratings-only model
-        (0.0, True, 2),     # data with a PPMI
-        (0.4, False, 2),    # another model
+        (0.0, True, 1),     # the same: at lambda_s 0 train() reads no PPMI
+        (0.4, True, 2),     # another model
     ])
     def test_sparsity_trains_ratings_only_model_once_when_it_is_the_joint_one(
             self, monkeypatch, lambda_s, with_clicks, trains):

@@ -355,7 +355,8 @@ class TestSdaePassMatchesReference:
 
 class TestSdaePassChunkViews:
     """The pass reads each chunk of rows as a view; it equals, bit for bit, the
-    passes over the same chunks gathered by index arrays, summed in order."""
+    passes over the same chunks taken outside the package (scipy's CSR row
+    slice, or the dense rows), summed in order."""
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_bit_identical_to_gathered_chunks(self, rng, sparse):
@@ -369,10 +370,14 @@ class TestSdaePassChunkViews:
                                                         lambda_decay=0.05, **lam)
         parts, want_sq = [], 0.0
         want = [np.zeros_like(value) for value in params.weights + params.biases]
+
+        def chunk(x, rows):
+            return from_scipy(to_scipy(x)[rows]) if sparse else x[rows]
+
         for start in range(0, n_rows, CHUNK_ROWS):
             rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
-            part, sq, (part_w, part_b) = sdae_pass(params, x0[rows], xc[rows], beta[rows],
-                                                   **lam)
+            part, sq, (part_w, part_b) = sdae_pass(params, chunk(x0, rows), chunk(xc, rows),
+                                                   beta[rows], **lam)
             parts.append(part)
             want_sq += sq
             for total, grad in zip(want, part_w + part_b):
