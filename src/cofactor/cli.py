@@ -261,9 +261,9 @@ def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | 
 def cmd_ingest(cfg: dict) -> int:
     if cfg["synthetic"] is not None:
         blob = dict(cfg["synthetic"])
-        if "encoder_hidden" in blob:
-            blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
         try:
+            if "encoder_hidden" in blob:
+                blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
             config = corpus.SyntheticConfig(**blob)
         except (TypeError, ValidationError) as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from None
@@ -419,10 +419,9 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
     state, hyper, meta = load_checkpoint(ckpt_path)
     cache = _cache_dir(cfg)
     ratings = _load_cached_ratings(cache)
-    if (meta["n_users"], meta["n_items"]) != (ratings.n_users, ratings.n_items):
-        raise CheckpointError(
-            f"checkpoint is for {meta['n_users']}x{meta['n_items']} but data is "
-            f"{ratings.n_users}x{ratings.n_items}")
+    if (tuple(meta["user_ids"]), tuple(meta["item_ids"])) != (ratings.user_ids, ratings.item_ids):
+        raise CheckpointError("checkpoint is for other ratings: its user or item ids differ "
+                              "from the ingested ones; ingest with the training config")
     trained_on = meta.get("split")
     if trained_on is None:
         raise CheckpointError("checkpoint records no training split; retrain it")
@@ -430,9 +429,9 @@ def cmd_eval(cfg: dict, checkpoint: str) -> int:
                for key, value in _split_record(cfg).items() if trained_on.get(key) != value]
     if changed:
         raise CheckpointError("checkpoint was trained on another split: " + ", ".join(changed))
-    docs = _load_cached_docs(cache, ratings)
-    if (cfg["split"]["mode"] == "out_of_matrix" and docs is not None
-            and tuple(meta["vocab"]) != docs.vocab):
+    # only the out-of-matrix predictor reads the documents
+    docs = _load_cached_docs(cache, ratings) if cfg["split"]["mode"] == "out_of_matrix" else None
+    if docs is not None and tuple(meta["vocab"]) != docs.vocab:
         raise CheckpointError("checkpoint vocabulary differs from the ingested documents'; "
                               "ingest with the training config")
     data = _prepare_data(cfg, ratings, None, docs, with_ppmi=False)

@@ -440,6 +440,10 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     return DocTermMatrix(vocab=vocab, rows=rows)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the synthetic-world generator (desk-scale experiments).
@@ -469,8 +473,16 @@ class SyntheticConfig:
     encoder_hidden: tuple[int, ...] = (16,)
 
     def __post_init__(self):
-        if min(self.n_users, self.n_items, self.n_factors, self.vocab_size) < 1:
+        sizes = {name: getattr(self, name) for name in ("n_users", "n_items", "n_factors",
+                                                         "vocab_size", "doc_terms_per_item")}
+        for name, value in sizes.items():
+            if not _is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if min(sizes.values()) < 1:
             raise ValidationError("synthetic dimensions must be positive")
+        if not all(_is_int(width) and width >= 1 for width in self.encoder_hidden):
+            raise ValidationError(f"encoder_hidden must be positive integers, "
+                                  f"got {self.encoder_hidden!r}")
         if not 0.0 < self.rating_density <= 1.0:
             raise ValidationError("rating_density must be in (0, 1]")
         if not 0.0 <= self.click_density <= 1.0:

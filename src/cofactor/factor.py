@@ -27,7 +27,7 @@ from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
-from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass
+from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass, stack_widths
 from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 CHECKPOINT_VERSION = 1
@@ -495,46 +495,63 @@ def _hyper_from_dict(blob: dict) -> Hyperparams:
                        **blob)
 
 
+def _check_fits(path, state: ModelState, hyper: Hyperparams, user_ids, item_ids) -> None:
+    """Raise CheckpointError naming `path` unless `state` is the model `hyper`
+    describes, with one id per factor row: factor tables of K = n_factors
+    columns, item and context ones of one shape, and an autoencoder exactly when
+    hyper.sdae is set, shaped by stack_widths(rows of sdae_w_0, hidden_widths, K)."""
+    k, sdae = hyper.n_factors, state.sdae
+    shapes = [state.user_factors.shape, state.item_factors.shape, state.context_factors.shape]
+    if any(shape[1:] != (k,) for shape in shapes) or shapes[1] != shapes[2]:
+        raise CheckpointError(f"{path}: factor shapes {shapes} are not "
+                              f"(users, {k}), (items, {k}), (items, {k})")
+    for kind, ids, (rows, _) in (("user", user_ids, shapes[0]), ("item", item_ids, shapes[1])):
+        if len(ids) != rows:
+            raise CheckpointError(f"{path}: {len(ids)} {kind} ids for {rows} {kind} factor rows")
+    if (sdae is None) != (hyper.sdae is None):
+        raise CheckpointError(f"{path}: an autoencoder is stored exactly when hyper.sdae is set")
+    if sdae is not None:
+        try:
+            widths = stack_widths(sdae.weights[0].shape[0], hyper.sdae.hidden_widths, k)
+            fits = ([w.shape for w in sdae.weights] == list(zip(widths, widths[1:]))
+                    and [b.shape for b in sdae.biases] == [(w,) for w in widths[1:]])
+        except (IndexError, ValidationError):
+            fits = False
+        if not fits:
+            raise CheckpointError(f"{path}: autoencoder layer shapes do not fit hidden widths "
+                                  f"{hyper.sdae.hidden_widths} and {k} factors")
+
+
 def save_checkpoint(path: str | Path, state: ModelState, hyper: Hyperparams, *,
                     user_ids: tuple[str, ...], item_ids: tuple[str, ...],
                     vocab: tuple[str, ...] = (),
                     config_fingerprint: str = "",
                     best_validation_rmse: float | None = None,
                     split_record: dict | None = None) -> None:
-    """Versioned binary checkpoint: manifest header plus little-endian float64 arrays.
-    `split_record` names the settings that drew the training split."""
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "n_users": state.user_factors.shape[0],
-        "n_items": state.item_factors.shape[0],
-        "n_factors": state.user_factors.shape[1],
-        "vocab_size": len(vocab),
-        "layer_widths": state.sdae.layer_widths if state.sdae is not None else [],
-        "hyper": dataclasses.asdict(hyper),
-        "epoch": state.epoch,
-        "rating_offset": state.rating_offset,
-        "run": run_label(hyper),
-        "config_fingerprint": config_fingerprint,
-        "best_validation_rmse": best_validation_rmse,
-        "user_ids": list(user_ids),
-        "item_ids": list(item_ids),
-        "vocab": list(vocab),
-        "split": split_record,
-    }
-    arrays = {
-        "user_factors": state.user_factors,
-        "item_factors": state.item_factors,
-        "context_factors": state.context_factors,
-    }
+    """Versioned binary checkpoint: manifest header plus little-endian float64
+    arrays, whose shapes give every size. `split_record` names the settings
+    that drew the training split. A state load_checkpoint would refuse raises
+    CheckpointError and writes no file."""
+    _check_fits(path, state, hyper, user_ids, item_ids)
+    meta = {"format_version": CHECKPOINT_VERSION, "hyper": dataclasses.asdict(hyper),
+            "epoch": state.epoch, "rating_offset": state.rating_offset,
+            "config_fingerprint": config_fingerprint,
+            "best_validation_rmse": best_validation_rmse,
+            "user_ids": list(user_ids), "item_ids": list(item_ids), "vocab": list(vocab),
+            "split": split_record}
+    arrays = {"user_factors": state.user_factors, "item_factors": state.item_factors,
+              "context_factors": state.context_factors}
     if state.sdae is not None:
-        for layer in range(state.sdae.n_layers):
-            arrays[f"sdae_w_{layer}"] = state.sdae.weights[layer]
-            arrays[f"sdae_b_{layer}"] = state.sdae.biases[layer]
+        for layer, (w, b) in enumerate(zip(state.sdae.weights, state.sdae.biases)):
+            arrays.update({f"sdae_w_{layer}": w, f"sdae_b_{layer}": b})
     write_container(path, meta, arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
-    """Read and validate a checkpoint; returns (state, hyperparams, meta)."""
+    """Read and validate a checkpoint; returns (state, hyperparams, meta). The
+    autoencoder, when hyper.sdae is set, is its 2·len(hidden_widths)+2 layers.
+    The state must pass save's _check_fits. The size keys earlier checkpoints
+    also store (n_users, n_items, n_factors, vocab_size, layer_widths, run) are ignored."""
     meta, arrays = read_container(path)
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -543,29 +560,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
         hyper = _hyper_from_dict(meta["hyper"])
     except (TypeError, ValueError, ValidationError) as exc:
         raise CheckpointError(f"{path}: bad hyperparameters: {exc}") from None
-    theta = arrays["user_factors"]
-    beta = arrays["item_factors"]
-    alpha = arrays["context_factors"]
-    if theta.shape != (meta["n_users"], meta["n_factors"]):
-        raise CheckpointError(f"{path}: user factor shape {theta.shape} does not match manifest")
-    if beta.shape != alpha.shape or beta.shape != (meta["n_items"], meta["n_factors"]):
-        raise CheckpointError(f"{path}: item factor shapes do not match manifest")
-    for kind, rows in (("user", theta.shape[0]), ("item", beta.shape[0])):
-        n_ids = len(meta[f"{kind}_ids"])
-        if n_ids != rows:
-            raise CheckpointError(f"{path}: {n_ids} {kind} ids for {rows} {kind} factor rows")
-    widths = meta["layer_widths"]
     sdae_params = None
-    if widths:
-        weights, biases = [], []
-        for layer in range(len(widths) - 1):
-            w = arrays[f"sdae_w_{layer}"]
-            b = arrays[f"sdae_b_{layer}"]
-            if w.shape != (widths[layer], widths[layer + 1]) or b.shape != (widths[layer + 1],):
-                raise CheckpointError(f"{path}: autoencoder layer {layer} shape mismatch")
-            weights.append(w)
-            biases.append(b)
-        sdae_params = SdaeParams(weights=weights, biases=biases)
-    state = ModelState(theta, beta, alpha, sdae_params,
+    if hyper.sdae is not None:
+        layers = range(2 * len(hyper.sdae.hidden_widths) + 2)
+        sdae_params = SdaeParams([arrays[f"sdae_w_{layer}"] for layer in layers],
+                                 [arrays[f"sdae_b_{layer}"] for layer in layers])
+    state = ModelState(arrays["user_factors"], arrays["item_factors"],
+                       arrays["context_factors"], sdae_params,
                        epoch=meta["epoch"], rating_offset=meta["rating_offset"])
+    _check_fits(path, state, hyper, meta["user_ids"], meta["item_ids"])
     return state, hyper, meta

@@ -25,10 +25,10 @@ class SdaeConfig:
     """Architecture and training knobs.
 
     hidden_widths are the encoder's layers between the input and the latent
-    layer, outermost first; the decoder mirrors them. The input width (the
-    vocabulary size) and the latent width (the factor model's K) come from
-    the data and the model, so stack_widths derives the full stack and checks
-    that every width is positive.
+    layer, outermost first, each a positive integer; the decoder mirrors them.
+    The input width (the vocabulary size) and the latent width (the factor
+    model's K) come from the data and the model, so stack_widths derives the
+    full stack and checks that every width is positive.
     """
 
     hidden_widths: list[int]
@@ -37,6 +37,10 @@ class SdaeConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
+        if not (isinstance(self.hidden_widths, (list, tuple)) and all(
+                isinstance(w, (int, np.integer)) and w >= 1 for w in self.hidden_widths)):
+            raise ValidationError(f"hidden_widths must be positive integers, "
+                                  f"got {self.hidden_widths!r}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must be in [0, 1)")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):

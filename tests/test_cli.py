@@ -398,6 +398,36 @@ class TestEval:
         assert code == 1
         assert "checkpoint is for" in capsys.readouterr().err
 
+    def test_reingest_of_shuffled_ratings_exits_1(self, workspace, capsys):
+        # the same counts under another user and item indexing used to be scored
+        tmp_path, config = workspace
+        ckpt = train_checkpoint(config)
+        ratings_bin = tmp_path / "out" / "cache" / "ratings.bin"
+        trained_ids = read_container(ratings_bin)[0]["user_ids"]
+        ratings_txt = tmp_path / "ratings.txt"
+        lines = ratings_txt.read_text().splitlines()
+        np.random.default_rng(5).shuffle(lines)
+        ratings_txt.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--config", str(config)]) == 0
+        ids = read_container(ratings_bin)[0]["user_ids"]
+        assert sorted(ids) == sorted(trained_ids) and ids != trained_ids
+        assert eval_error(capsys, config, ckpt).startswith("error: checkpoint is for")
+
+    def test_in_matrix_eval_does_not_read_documents(self, workspace, capsys):
+        tmp_path, config = workspace
+        out = tmp_path / "out"
+        ckpt = train_checkpoint(config)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        reports = [(out / name).read_bytes() for name in ("report.csv", "report.txt")]
+        CORRUPTIONS["truncated_payload"](out / "cache" / "docs.bin")
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert [(out / name).read_bytes() for name in ("report.csv", "report.txt")] == reports
+        # out of matrix the documents are read, and the corrupt file is named
+        edit_config(config, "split", "mode", "out_of_matrix")
+        ckpt = train_checkpoint(config)
+        CORRUPTIONS["truncated_payload"](out / "cache" / "docs.bin")
+        assert "docs.bin" in eval_error(capsys, config, ckpt, "--mode", "out")
+
 
 def write_fixture_small(tmp_path: Path) -> dict:
     rng = np.random.default_rng(77)
@@ -548,6 +578,16 @@ class TestSyntheticIngest:
         assert main(["ingest", "--config", str(config)]) == 2
         assert capsys.readouterr().err == ("error: bad synthetic config: "
                                            "synthetic dimensions must be positive\n")
+        # each of these used to end in a raw numpy or Python traceback, or in exit 1
+        for key, value in [("n_users", 20.5), ("doc_terms_per_item", 0),
+                           ("encoder_hidden", 5), ("encoder_hidden", ["a"]),
+                           ("encoder_hidden", [0])]:
+            cfg = json.loads(self._synthetic_config(tmp_path).read_text())
+            cfg["synthetic"][key] = value
+            config.write_text(json.dumps(cfg))
+            assert main(["ingest", "--config", str(config)]) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad synthetic config: ") and err.count("\n") == 1
 
 
 class TestEntryPoint:
@@ -721,7 +761,7 @@ CORRUPTIONS = {
     "missing_array": lambda path: rewrite_header(
         path, lambda header: header["arrays"].pop("user_factors")),
     "missing_manifest_key": lambda path: rewrite_header(
-        path, lambda header: header["meta"].pop("n_users")),
+        path, lambda header: header["meta"].pop("epoch")),
 }
 
 
@@ -770,6 +810,19 @@ class TestCorruptFiles:
 
         rewrite_header(ckpt, store_stack)
         assert load_checkpoint(ckpt)[1].sdae == sdae
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert [(out / name).read_bytes() for name in ("report.csv", "report.txt")] == reports
+
+    def test_checkpoint_with_stored_sizes_loads_to_the_same_report(self, workspace):
+        # earlier checkpoints also store the sizes, which the arrays give
+        tmp_path, config = workspace
+        ckpt = train_checkpoint(config)
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        reports = [(out / name).read_bytes() for name in ("report.csv", "report.txt")]
+        rewrite_header(ckpt, lambda header: header["meta"].update(
+            n_users=30, n_items=20, n_factors=3, vocab_size=12,
+            layer_widths=[12, 6, 3, 6, 12], run="joint"))
         assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
         assert [(out / name).read_bytes() for name in ("report.csv", "report.txt")] == reports
 

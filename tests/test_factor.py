@@ -808,6 +808,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{path}: bad hyperparameters: .*{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("hidden", [5, ["a"], [0]])
+    def test_unusable_hidden_widths_name_the_file(self, tmp_path, rng, hidden):
+        # the loader reads the autoencoder's layer count from them
+        from cofactor.errors import CheckpointError
+        state = ModelState(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                           rng.standard_normal((2, 2)), init_params(stack_widths(3, [], 2), rng))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=SdaeConfig([])),
+                        user_ids=("a", "b"), item_ids=("c", "d"))
+        meta, arrays = read_container(path)
+        hyper = {**meta["hyper"], "sdae": {**meta["hyper"]["sdae"], "hidden_widths": hidden}}
+        write_container(path, {**meta, "hyper": hyper}, arrays)
+        with pytest.raises(CheckpointError,
+                           match=f"{re.escape(str(path))}: bad hyperparameters: hidden_widths"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("kind", ["user", "item"])
     def test_id_count_must_match_factor_rows(self, tmp_path, rng, kind):
         # 5 user ids for 30 factor rows used to load, and eval scored the model
@@ -816,12 +832,71 @@ class TestCheckpoint:
                            rng.standard_normal((20, 2)), None)
         ids = {"user_ids": tuple(f"u{k}" for k in range(30)),
                "item_ids": tuple(f"i{k}" for k in range(20))}
-        ids[f"{kind}_ids"] = ids[f"{kind}_ids"][:5]
         path = tmp_path / "model.bin"
         save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=None), **ids)
+        meta, arrays = read_container(path)
+        write_container(path, {**meta, f"{kind}_ids": meta[f"{kind}_ids"][:5]}, arrays)
         rows = 30 if kind == "user" else 20
         with pytest.raises(CheckpointError,
                            match=f"{re.escape(str(path))}: 5 {kind} ids for {rows} {kind}"):
+            load_checkpoint(path)
+
+    def test_manifest_stores_no_size(self, tmp_path, rng):
+        # the container header records every array's shape
+        sdae = init_params(stack_widths(7, [4], 2), rng)
+        state = ModelState(rng.standard_normal((3, 2)), rng.standard_normal((5, 2)),
+                           rng.standard_normal((5, 2)), sdae)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=SdaeConfig([4])),
+                        user_ids=("a", "b", "c"), item_ids=tuple("vwxyz"))
+        assert sorted(read_container(path)[0]) == [
+            "best_validation_rmse", "config_fingerprint", "epoch", "format_version",
+            "hyper", "item_ids", "rating_offset", "split", "user_ids", "vocab"]
+        loaded = load_checkpoint(path)[0]
+        assert [w.shape for w in loaded.sdae.weights] == [(7, 4), (4, 2), (2, 4), (4, 7)]
+
+    SAVE_REFUSALS = {
+        "too_few_user_ids": (dict(user_ids=("a", "b")), "2 user ids for 3 user factor rows"),
+        "too_many_item_ids": (dict(item_ids=tuple("uvwxyz")), "6 item ids for 5 item"),
+        "wrong_k": (dict(hyper=Hyperparams(n_factors=3, sdae=None)), "factor shapes"),
+        "context_rows": (dict(context_rows=4), "factor shapes"),
+        "autoencoder_without_hyper_sdae": (dict(sdae=[4]), "exactly when hyper.sdae"),
+        "hyper_sdae_without_autoencoder": (
+            dict(hyper=Hyperparams(n_factors=2, sdae=SdaeConfig([4]))), "exactly when"),
+        "layers_of_other_hidden_widths": (
+            dict(sdae=[4], hyper=Hyperparams(n_factors=2, sdae=SdaeConfig([3]))),
+            "autoencoder layer shapes"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAVE_REFUSALS))
+    def test_save_refuses_what_load_refuses(self, tmp_path, rng, case):
+        # save_checkpoint used to write files that load_checkpoint refuses
+        from cofactor.errors import CheckpointError
+        edits, message = self.SAVE_REFUSALS[case]
+        n_context = edits.get("context_rows", 5)
+        sdae = init_params(stack_widths(7, edits["sdae"], 2), rng) if "sdae" in edits else None
+        state = ModelState(rng.standard_normal((3, 2)), rng.standard_normal((5, 2)),
+                           rng.standard_normal((n_context, 2)), sdae)
+        path = tmp_path / "model.bin"
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*{message}"):
+            save_checkpoint(path, state, edits.get("hyper", Hyperparams(n_factors=2, sdae=None)),
+                            user_ids=edits.get("user_ids", ("a", "b", "c")),
+                            item_ids=edits.get("item_ids", tuple("vwxyz")))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("layer, shape", [(1, (4, 3)), (3, (4, 6)), (0, (0, 4))])
+    def test_autoencoder_layer_that_does_not_fit_names_the_file(self, tmp_path, rng,
+                                                                 layer, shape):
+        from cofactor.errors import CheckpointError
+        state = ModelState(rng.standard_normal((3, 2)), rng.standard_normal((5, 2)),
+                           rng.standard_normal((5, 2)), init_params(stack_widths(7, [4], 2), rng))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, state, Hyperparams(n_factors=2, sdae=SdaeConfig([4])),
+                        user_ids=("a", "b", "c"), item_ids=tuple("vwxyz"))
+        meta, arrays = read_container(path)
+        write_container(path, meta, {**arrays, f"sdae_w_{layer}": np.zeros(shape)})
+        with pytest.raises(CheckpointError,
+                           match=f"{re.escape(str(path))}: autoencoder layer shapes"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
