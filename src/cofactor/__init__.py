@@ -9,7 +9,7 @@ from .errors import (CheckpointError, CofactorError, ParseError, SplitError,
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
                      load_checkpoint, predict_ratings, save_checkpoint,
                      total_loss, train)
-from .ppmi import CoCounts, PpmiMatrix, build_ppmi, cooccurrence_counts
+from .ppmi import PpmiMatrix, build_ppmi
 from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse,
                            sweep_lambda_s, sweep_sparsity)
 from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass

@@ -27,7 +27,7 @@ from .factor import (Hyperparams, TrainData, load_checkpoint, run_label,
                      save_checkpoint, train)
 from .predict_eval import (evaluate, sweep_lambda_s, sweep_sparsity,
                            write_sparsity_csv, write_sweep_csv, write_trace_csv)
-from .sdae import SdaeConfig, stack_widths
+from .sdae import SdaeConfig, positive_widths, stack_widths
 from .sparse import CsrMatrix
 
 DEFAULT_CONFIG = {
@@ -115,8 +115,7 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
              split["test_fraction"] + split["validation_fraction"] < 1,
              "below 1 - split.test_fraction, leaving ratings to train on"),
             ("text.vocab_size", cfg["text"]["vocab_size"] >= 1, "a positive integer"),
-            ("text.hidden_widths",
-             all(isinstance(w, int) and w > 0 for w in cfg["text"]["hidden_widths"]),
+            ("text.hidden_widths", positive_widths(cfg["text"]["hidden_widths"]),
              "a list of positive integers"),
             ("sweep.lambda_s_grid",
              all(0 <= v < float("inf") for v in cfg["sweep"]["lambda_s_grid"]),
@@ -260,11 +259,8 @@ def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | 
 
 def cmd_ingest(cfg: dict) -> int:
     if cfg["synthetic"] is not None:
-        blob = dict(cfg["synthetic"])
         try:
-            if "encoder_hidden" in blob:
-                blob["encoder_hidden"] = tuple(blob["encoder_hidden"])
-            config = corpus.SyntheticConfig(**blob)
+            config = corpus.SyntheticConfig(**cfg["synthetic"])
         except (TypeError, ValidationError) as exc:
             raise ConfigError(f"bad synthetic config: {exc}") from None
         ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
@@ -301,7 +297,7 @@ def _load_cached_ratings(cache: Path) -> corpus.RatingDataset:
     path = cache / "ratings.bin"
     ratings = _read_cache(path, lambda meta, arrays: corpus.RatingDataset(
         arrays["users"], arrays["items"], arrays["ratings"],
-        tuple(meta["user_ids"]), tuple(meta["item_ids"])))
+        meta.strings("user_ids"), meta.strings("item_ids")))
     if ratings is None:
         raise ConfigError(f"no ingested ratings at {path}; run `cofactor ingest` first")
     return ratings
@@ -315,8 +311,8 @@ def _load_cached_clicks(cache: Path, ratings: corpus.RatingDataset) -> CsrMatrix
 
 def _load_cached_docs(cache: Path, ratings: corpus.RatingDataset) -> corpus.DocTermMatrix | None:
     return _read_cache(cache / "docs.bin", lambda meta, arrays: corpus.DocTermMatrix(
-        tuple(meta["vocab"]), CsrMatrix((ratings.n_items, len(meta["vocab"])),
-                                        arrays["indptr"], arrays["indices"], arrays["data"])))
+        meta.strings("vocab"), CsrMatrix((ratings.n_items, len(meta["vocab"])),
+                                         arrays["indptr"], arrays["indices"], arrays["data"])))
 
 
 # ----------------------------------------------------------------- train
@@ -336,10 +332,6 @@ def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
         raise ConfigError(f"bad hyperparameters: {exc}") from None
 
 
-def _click_ppmi(clicks: CsrMatrix) -> ppmi.PpmiMatrix:
-    return ppmi.build_ppmi(ppmi.cooccurrence_counts(clicks))
-
-
 def _ingested_click_ppmi(cache: Path, ratings: corpus.RatingDataset
                          ) -> Callable[[], ppmi.PpmiMatrix] | None:
     """None without an ingested clicks.bin, else a function returning the PPMI
@@ -348,7 +340,7 @@ def _ingested_click_ppmi(cache: Path, ratings: corpus.RatingDataset
     clicks = _load_cached_clicks(cache, ratings)
     if clicks is None:
         return None
-    return functools.cache(lambda: _click_ppmi(clicks))
+    return functools.cache(lambda: ppmi.build_ppmi(clicks))
 
 
 def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
@@ -364,7 +356,7 @@ def _prepare_data(cfg: dict, ratings: corpus.RatingDataset,
     ppmi_matrix = None
     if with_ppmi:
         ppmi_matrix = (ingested_ppmi() if ingested_ppmi is not None
-                       else _click_ppmi(corpus.binarize_ratings(split.train)))
+                       else ppmi.build_ppmi(corpus.binarize_ratings(split.train)))
     return TrainData(split=split, ppmi=ppmi_matrix, docs=docs)
 
 

@@ -43,7 +43,8 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
     The header, which gives every array's offset, is written first; then each
     array is converted again and written as it is reached, so at most one
     converted copy (none for an array already stored as it is given) is held.
-    Every array is checked before the file is opened.
+    Every array, and the manifest's numbers (all finite), is checked before the
+    file is opened.
     """
     manifest = {}
     offset = 0
@@ -51,8 +52,11 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
         arr = _stored(path, name, arr)
         manifest[name] = {"offset": offset, "shape": list(arr.shape), "dtype": arr.dtype.str}
         offset += arr.nbytes
-    header = json.dumps({"meta": meta, "arrays": manifest}, sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
+    try:
+        header = json.dumps({"meta": meta, "arrays": manifest}, sort_keys=True,
+                            separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError:
+        raise CheckpointError(f"{path}: the manifest holds a non-finite number") from None
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
@@ -71,12 +75,27 @@ class _Entries(dict):
     def __missing__(self, key):
         raise CheckpointError(f"{self.path}: no {key!r} in the container")
 
+    def checked(self, key, ok, requirement: str):
+        """The value of `key`; CheckpointError naming the file unless ok(value)."""
+        if not ok(value := self[key]):
+            raise CheckpointError(f"{self.path}: {key!r} must be {requirement}")
+        return value
+
+    def strings(self, key) -> tuple[str, ...]:
+        """The list of strings under `key` (an id table, a vocabulary), as a tuple."""
+        return tuple(self.checked(key, lambda v: type(v) is list and all(
+            type(s) is str for s in v), "a list of strings"))
+
+
+def _no_constant(name: str):
+    raise ValueError(f"the header holds {name}, which JSON does not define")
+
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by write_container; returns (meta, arrays).
-    A truncated or malformed file, or an array holding a NaN or an infinity,
-    raises CheckpointError. Each array is read straight into its own buffer,
-    so no copy of the file is held."""
+    A truncated or malformed file, an array holding a NaN or an infinity, or a
+    header holding the NaN or Infinity constant raises CheckpointError. Each
+    array is read straight into its own buffer, so no copy of the file is held."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise CheckpointError(f"{path}: not a cofactor container (bad magic)")
@@ -85,7 +104,7 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             (hlen,) = struct.unpack("<Q", fh.read(8))
             if 16 + hlen > size:
                 raise ValueError(f"a header of {hlen} bytes runs past the end of the file")
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            header = json.loads(fh.read(hlen).decode("utf-8"), parse_constant=_no_constant)
             arrays = {}
             for name, info in header["arrays"].items():
                 dtype = _DTYPES.get(info["dtype"])

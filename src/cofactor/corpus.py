@@ -27,6 +27,7 @@ from typing import IO, Literal
 import numpy as np
 
 from .errors import ParseError, SplitError, ValidationError
+from .sdae import SdaeParams, encode, is_int, positive_widths, stack_widths
 from .sparse import CsrMatrix, from_coo
 
 SplitMode = Literal["in_matrix", "out_of_matrix"]
@@ -440,10 +441,6 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     return DocTermMatrix(vocab=vocab, rows=rows)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the synthetic-world generator (desk-scale experiments).
@@ -476,13 +473,14 @@ class SyntheticConfig:
         sizes = {name: getattr(self, name) for name in ("n_users", "n_items", "n_factors",
                                                          "vocab_size", "doc_terms_per_item")}
         for name, value in sizes.items():
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if min(sizes.values()) < 1:
             raise ValidationError("synthetic dimensions must be positive")
-        if not all(_is_int(width) and width >= 1 for width in self.encoder_hidden):
+        if not positive_widths(self.encoder_hidden):
             raise ValidationError(f"encoder_hidden must be positive integers, "
                                   f"got {self.encoder_hidden!r}")
+        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
         if not 0.0 < self.rating_density <= 1.0:
             raise ValidationError("rating_density must be in (0, 1]")
         if not 0.0 <= self.click_density <= 1.0:
@@ -502,7 +500,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     non-positive values; real-scale configs keep the offset well above zero).
     """
     from .factor import ModelState  # deferred: factor imports this module
-    from .sdae import SdaeParams, encode, stack_widths
 
     rng = np.random.default_rng(seed)
     n, m, k, v = config.n_users, config.n_items, config.n_factors, config.vocab_size

@@ -17,6 +17,7 @@ plain ridge toward zero and the model is classic regularized factorization.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -550,8 +551,10 @@ def save_checkpoint(path: str | Path, state: ModelState, hyper: Hyperparams, *,
 def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
     """Read and validate a checkpoint; returns (state, hyperparams, meta). The
     autoencoder, when hyper.sdae is set, is its 2·len(hidden_widths)+2 layers.
-    The state must pass save's _check_fits. The size keys earlier checkpoints
-    also store (n_users, n_items, n_factors, vocab_size, layer_widths, run) are ignored."""
+    The state must pass save's _check_fits; user_ids, item_ids and vocab must be
+    lists of strings, epoch an int >= 0, rating_offset a finite number and split
+    an object or null. The size keys earlier checkpoints also store (n_users,
+    n_items, n_factors, vocab_size, layer_widths, run) are ignored."""
     meta, arrays = read_container(path)
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -565,8 +568,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, Hyperparams, dict]:
         layers = range(2 * len(hyper.sdae.hidden_widths) + 2)
         sdae_params = SdaeParams([arrays[f"sdae_w_{layer}"] for layer in layers],
                                  [arrays[f"sdae_b_{layer}"] for layer in layers])
+    user_ids, item_ids, _ = (meta.strings(key) for key in ("user_ids", "item_ids", "vocab"))
+    if not isinstance(meta.get("split"), (dict, type(None))):
+        raise CheckpointError(f"{path}: 'split' must be an object or null")
+    epoch = meta.checked("epoch", lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+    offset = meta.checked("rating_offset", lambda v: type(v) in (int, float)
+                          and abs(v) <= sys.float_info.max, "a finite number")
     state = ModelState(arrays["user_factors"], arrays["item_factors"],
-                       arrays["context_factors"], sdae_params,
-                       epoch=meta["epoch"], rating_offset=meta["rating_offset"])
-    _check_fits(path, state, hyper, meta["user_ids"], meta["item_ids"])
+                       arrays["context_factors"], sdae_params, epoch, offset)
+    _check_fits(path, state, hyper, user_ids, item_ids)
     return state, hyper, meta

@@ -37,8 +37,7 @@ class SdaeConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if not (isinstance(self.hidden_widths, (list, tuple)) and all(
-                isinstance(w, (int, np.integer)) and w >= 1 for w in self.hidden_widths)):
+        if not positive_widths(self.hidden_widths):
             raise ValidationError(f"hidden_widths must be positive integers, "
                                   f"got {self.hidden_widths!r}")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -47,6 +46,16 @@ class SdaeConfig:
             raise ValidationError("learning_rate must be positive and finite")
         if self.pretrain_epochs < 0:
             raise ValidationError("pretrain_epochs must be nonnegative")
+
+
+def is_int(value) -> bool:
+    """An integer, a numpy one included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def positive_widths(widths) -> bool:
+    """The one rule for layer widths: a list or tuple of positive integers."""
+    return isinstance(widths, (list, tuple)) and all(is_int(w) and w >= 1 for w in widths)
 
 
 def stack_widths(n_inputs: int, hidden_widths, latent: int) -> list[int]:

@@ -13,7 +13,7 @@ from cofactor.cli import _NULL_DEFAULT_TYPES, DEFAULT_CONFIG, main
 from cofactor.container import read_container, write_container
 from cofactor.corpus import binarize_ratings, make_split, parse_ratings
 from cofactor.factor import load_checkpoint, train
-from cofactor.ppmi import cooccurrence_counts
+from cofactor.ppmi import build_ppmi
 
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
          "hotel", "india", "juliet", "kilo", "lima"]
@@ -248,11 +248,11 @@ class TestTrain:
         assert main(["ingest", "--config", str(config)]) == 0
         counted = []
 
-        def capturing_counts(clicks):
+        def capturing_build(clicks):
             counted.append(clicks)
-            return cooccurrence_counts(clicks)
+            return build_ppmi(clicks)
 
-        monkeypatch.setattr(ppmi, "cooccurrence_counts", capturing_counts)
+        monkeypatch.setattr(ppmi, "build_ppmi", capturing_build)
         assert main(["train", "--config", str(config)]) == 0
         cfg = json.loads(config.read_text())
         with open(paths["ratings"], encoding="utf-8") as fh:
@@ -499,11 +499,11 @@ class TestSweep:
         assert main(["ingest", "--config", str(config)]) == 0
         counted = []
 
-        def counting_counts(clicks):
+        def counting_build(clicks):
             counted.append(clicks.nnz)
-            return cooccurrence_counts(clicks)
+            return build_ppmi(clicks)
 
-        monkeypatch.setattr(ppmi, "cooccurrence_counts", counting_counts)
+        monkeypatch.setattr(ppmi, "build_ppmi", counting_build)
 
         def sweep(lambda_grid, sparsity_grid) -> list[list[str]]:
             cfg = json.loads(config.read_text())
@@ -588,6 +588,8 @@ class TestSyntheticIngest:
             assert main(["ingest", "--config", str(config)]) == 2, (key, value)
             err = capsys.readouterr().err
             assert err.startswith("error: bad synthetic config: ") and err.count("\n") == 1
+            if key == "encoder_hidden":
+                assert "encoder_hidden" in err, err
 
 
 class TestEntryPoint:
@@ -765,6 +767,27 @@ CORRUPTIONS = {
 }
 
 
+def set_manifest_value(key: str, value):
+    return lambda path: rewrite_header(path, lambda header: header["meta"].update({key: value}))
+
+
+# manifest values of the wrong type; each used to end in a raw traceback or
+# to be read as another value
+CORRUPTIONS.update({
+    "user_ids_int": set_manifest_value("user_ids", 5),
+    "item_ids_of_ints": set_manifest_value("item_ids", list(range(20))),
+    "vocab_int": set_manifest_value("vocab", 3),
+    "split_list": set_manifest_value("split", [1]),
+    "rating_offset_string": set_manifest_value("rating_offset", "a"),
+    "rating_offset_nan": set_manifest_value("rating_offset", float("nan")),
+    "rating_offset_infinity": set_manifest_value("rating_offset", float("inf")),
+    "rating_offset_bool": set_manifest_value("rating_offset", True),
+    "epoch_string": set_manifest_value("epoch", "x"),
+    "epoch_negative": set_manifest_value("epoch", -3),
+    "epoch_bool": set_manifest_value("epoch", True),
+})
+
+
 class TestCorruptFiles:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_corrupt_checkpoint_exits_1(self, workspace, capsys, corruption):
@@ -772,6 +795,19 @@ class TestCorruptFiles:
         ckpt = train_checkpoint(config)
         CORRUPTIONS[corruption](ckpt)
         assert str(ckpt) in eval_error(capsys, config, ckpt)
+
+    @pytest.mark.parametrize("name, key, value", [("ratings.bin", "user_ids", 5),
+                                                  ("ratings.bin", "item_ids", [1, 2]),
+                                                  ("docs.bin", "vocab", 3)])
+    def test_cache_table_not_strings_exits_1(self, workspace, capsys, name, key, value):
+        tmp_path, config = workspace
+        assert main(["ingest", "--config", str(config)]) == 0
+        set_manifest_value(key, value)(tmp_path / "out" / "cache" / name)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and name in err and repr(key) in err
 
     def test_truncated_cache_exits_1(self, workspace, capsys):
         tmp_path, config = workspace

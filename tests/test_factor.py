@@ -16,7 +16,7 @@ from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
                              TrainData, _solve_rows, _solve_spd, load_checkpoint,
                              predict_ratings, run_label, save_checkpoint, total_loss,
                              train)
-from cofactor.ppmi import PpmiMatrix, build_ppmi, cooccurrence_counts
+from cofactor.ppmi import PpmiMatrix, build_ppmi
 from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
 from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
@@ -574,7 +574,7 @@ def synthetic_train_data(seed=7, n_users=40, n_items=30, k=3, density=0.25,
                              encoder_hidden=(6,))
     ratings, clicks, docs, _ = generate_synthetic(config, seed=seed)
     split = make_split(ratings, "in_matrix", 0.2, 0.1, seed=seed)
-    ppmi = build_ppmi(cooccurrence_counts(clicks)) if with_clicks else None
+    ppmi = build_ppmi(clicks) if with_clicks else None
     return TrainData(split=split, ppmi=ppmi, docs=docs if with_text else None)
 
 
@@ -956,6 +956,24 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="truncated or corrupt .*'f8'"):
             read_container(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_manifest_number_refused(self, tmp_path, value):
+        from cofactor.errors import CheckpointError
+        path = tmp_path / "c.bin"
+        with pytest.raises(CheckpointError, match="c.bin: the manifest holds a non-finite"):
+            write_container(path, {"offset": value}, self.ARRAYS)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_header_refused(self, tmp_path, constant):
+        # Python's json reads these three words, which JSON does not define
+        from cofactor.errors import CheckpointError
+        path = tmp_path / "c.bin"
+        write_container(path, {"offset": 1234567.5}, self.ARRAYS)
+        path.write_bytes(path.read_bytes().replace(b"1234567.5", constant.encode().ljust(9)))
+        with pytest.raises(CheckpointError, match=f"c.bin: .*holds {constant}"):
+            read_container(path)
+
 
 class TestScaling:
     def test_epoch_time_scales_linearly_with_size(self):
@@ -969,7 +987,7 @@ class TestScaling:
                                  click_density=30.0 / 600, sigma_rating=0.3,
                                  rating_offset=0.0, encoder_hidden=(4,))
         ratings, clicks, _, _ = generate_synthetic(config, seed=3)
-        ppmi_small = build_ppmi(cooccurrence_counts(clicks))
+        ppmi_small = build_ppmi(clicks)
 
         from cofactor.corpus import RatingDataset
         n, m = ratings.n_users, ratings.n_items

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from cofactor.corpus import binarize_ratings, parse_clicks
 from cofactor.errors import ValidationError
-from cofactor.ppmi import CoCounts, build_ppmi, cooccurrence_counts
+from cofactor.ppmi import build_ppmi
 from cofactor.sparse import CsrMatrix
 
 from conftest import assert_same_csr, from_scipy, make_clicks, make_ratings, to_scipy
@@ -34,118 +34,115 @@ def clicks_to_user_sets(clicks: CsrMatrix) -> list[set[int]]:
 
 
 class TestCooccurrenceCounts:
+    # the counts behind the PPMI, read through its values: #(i), #(i,j) and |pairs|
     def test_hand_example(self):
-        # u0 clicks {a, b}; u1 clicks {a, b, c}
+        # u0 clicks {a, b}; u1 clicks {a, b, c}: #(a) = #(b) = 2, #(c) = 1,
+        # #(a,b) = 2, #(a,c) = #(b,c) = 1 and 4 pairs, so every PMI is log 2
         clicks = make_clicks([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
-        counts = cooccurrence_counts(clicks)
-        assert counts.item_counts.tolist() == [2, 2, 1]
-        assert counts.total_pairs == 4
-        pairs = to_scipy(counts.pair_counts).todok()
-        assert pairs[0, 1] == 2
-        assert pairs[0, 2] == 1
-        assert pairs[1, 2] == 1
-        assert (to_scipy(counts.pair_counts) != to_scipy(counts.pair_counts).T).nnz == 0
-        assert counts.pair_counts.nnz == 6  # both triangles, no diagonal
+        matrix = to_scipy(build_ppmi(clicks).matrix)
+        assert matrix.nnz == 6  # both triangles, no diagonal
+        assert (matrix != matrix.T).nnz == 0
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert matrix[i, j] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_single_click_users_produce_no_pairs(self):
-        clicks = make_clicks([(0, 0), (1, 1), (2, 2)])
-        counts = cooccurrence_counts(clicks)
-        assert counts.pair_counts.nnz == 0
-        assert counts.total_pairs == 0
+        with pytest.raises(ValidationError, match="no co-click signal"):
+            build_ppmi(make_clicks([(0, 0), (1, 1), (2, 2)]))
+        # u0 clicks {a, b}, u1 clicks {c, d}: PMI(a, b) = log(1·2 / (1·1));
+        # u2's lone click on a raises #(a) to 2 but adds no pair, so PMI(a, b) = 0
+        base = [(0, 0), (0, 1), (1, 2), (1, 3)]
+        assert to_scipy(build_ppmi(make_clicks(base)).matrix)[0, 1] == pytest.approx(
+            math.log(2), abs=1e-12)
+        matrix = to_scipy(build_ppmi(make_clicks(base + [(2, 0)])).matrix)
+        assert matrix[0, 1] == 0 and matrix[2, 3] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_duplicate_input_pairs_do_not_change_counts(self):
-        base = make_clicks([(0, 0), (0, 1), (1, 0)])
+        # u0 clicks {a, b}, u1 clicks {c, d}; counting a repeated click would
+        # change #(i), #(i,j) and |pairs|, and so every value
+        base = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3)])
         # user 0 clicks items 0 and 1 twice each, unsorted
-        dup_log, _ = parse_clicks(io.StringIO("u0 i1\nu0 i0\nu0 i1\nu1 i0\nu0 i0\n"),
-                                  {"u0": 0, "u1": 1}, {"i0": 0, "i1": 1})
+        dup_log, _ = parse_clicks(io.StringIO("u0 i1\nu0 i0\nu1 i3\nu0 i1\nu1 i2\nu0 i0\n"),
+                                  {"u0": 0, "u1": 1}, {f"i{i}": i for i in range(4)})
         # the same clicks from ratings holding the pair (0, 1) twice
         dup_ratings = binarize_ratings(make_ratings([(0, 1, 3), (0, 0, 2), (0, 1, 5),
-                                                     (1, 0, 1)]))
-        a = cooccurrence_counts(base)
+                                                     (1, 2, 1), (1, 3, 4)]))
+        want = to_scipy(build_ppmi(base).matrix)
+        assert want.nnz == 4
         for dup in (dup_log, dup_ratings):
-            b = cooccurrence_counts(dup)
-            assert a.item_counts.tolist() == b.item_counts.tolist()
-            assert a.total_pairs == b.total_pairs
-            assert (to_scipy(a.pair_counts) != to_scipy(b.pair_counts)).nnz == 0
+            assert_same_csr(build_ppmi(dup).matrix, want)
 
     def test_pair_count_bounded_by_item_counts(self, rng):
+        # #(i,j) <= min(#(i), #(j)), so PMI(i, j) <= log(|pairs| / max(#(i), #(j)))
         for _ in range(30):
-            counts = cooccurrence_counts(random_clicks(rng))
-            coo = to_scipy(counts.pair_counts).tocoo()
-            for i, j, c in zip(coo.row, coo.col, coo.data):
-                assert c <= min(counts.item_counts[i], counts.item_counts[j])
+            clicks = random_clicks(rng)
+            per_user = np.diff(clicks.indptr)
+            total_pairs = int((per_user * (per_user - 1) // 2).sum())
+            if total_pairs == 0:
+                continue
+            item_counts = np.bincount(clicks.indices, minlength=clicks.shape[1])
+            coo = to_scipy(build_ppmi(clicks).matrix).tocoo()
+            for i, j, value in zip(coo.row, coo.col, coo.data):
+                bound = math.log(total_pairs / max(item_counts[i], item_counts[j]))
+                assert value <= bound + 1e-12
 
     def test_monotone_in_added_co_clicker(self):
-        base = make_clicks([(0, 0), (0, 1), (1, 0)], n_users=3, n_items=2)
-        more = make_clicks([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)],
-                           n_users=3, n_items=2)
-        c_base = to_scipy(cooccurrence_counts(base).pair_counts).todok()[0, 1]
-        c_more = to_scipy(cooccurrence_counts(more).pair_counts).todok()[0, 1]
-        assert c_more >= c_base
+        # every item clicked twice and 4 pairs in both; a and b share one
+        # clicker (PMI log 1 = 0, not stored) or two (PMI log 2)
+        one = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3)])
+        two = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 2), (3, 3)])
+        assert to_scipy(build_ppmi(one).matrix)[0, 1] == 0
+        assert to_scipy(build_ppmi(two).matrix)[0, 1] == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestBuildPpmi:
     def test_hand_example_values(self):
         clicks = make_clicks([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
-        result = build_ppmi(cooccurrence_counts(clicks))
+        result = build_ppmi(clicks)
         dok = to_scipy(result.matrix).todok()
         assert dok[0, 1] == pytest.approx(math.log(2), abs=1e-12)
         assert dok[0, 2] == pytest.approx(math.log(2), abs=1e-12)
         assert dok[1, 2] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_zero_pmi_not_stored(self):
-        # 1 * 4 / (2 * 2) = 1 -> PMI exactly 0 -> omitted
-        pair = from_scipy(np.array([[0, 1], [1, 0]], dtype=np.int64))
-        counts = CoCounts(item_counts=np.array([2, 2]),
-                          pair_counts=pair, total_pairs=4)
-        assert build_ppmi(counts).matrix.nnz == 0
-
-    @pytest.mark.parametrize("pairs, stored", [
-        ([[0, 3, 1], [0, 0, 2], [0, 0, 0]], "3 entries above the diagonal, 0 below it and 0 on it"),
-        ([[0, 0, 0], [3, 0, 0], [1, 2, 0]], "0 entries above the diagonal, 3 below it and 0 on it"),
-        ([[1, 3, 1], [3, 0, 2], [1, 2, 0]], "3 entries above the diagonal, 3 below it and 1 on it"),
-        ([[0, 3, 1], [3, 0, 0], [1, 2, 0]], "2 entries above the diagonal, 3 below it and 0 on it"),
-    ])
-    def test_pair_counts_not_symmetric_off_diagonal_rejected(self, pairs, stored):
-        # one triangle, an entry on the diagonal, or a triangle's entry missing
-        # from the other one is refused, not silently read as a PPMI
-        counts = CoCounts(item_counts=np.array([4, 4, 4]),
-                          pair_counts=from_scipy(np.array(pairs, dtype=np.int64)),
-                          total_pairs=12)
-        with pytest.raises(ValidationError, match=f"symmetric .*; they store {stored}$"):
-            build_ppmi(counts)
+        # #(a) = #(b) = 2, #(a,b) = 1 and 4 pairs: 1 * 4 / (2 * 2) = 1, so
+        # PMI(a, b) is exactly 0 and omitted, while the positive pairs stay
+        clicks = make_clicks([(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 4), (3, 5)])
+        dok = to_scipy(build_ppmi(clicks).matrix).todok()
+        assert (0, 1) not in dok and (1, 0) not in dok
+        assert sorted((i, j) for i, j in dok.keys() if i < j) == [(0, 2), (1, 3), (4, 5)]
 
     def test_never_co_clicked_absent(self):
         clicks = make_clicks([(0, 0), (0, 1), (1, 2), (1, 3)])
-        result = build_ppmi(cooccurrence_counts(clicks))
+        result = build_ppmi(clicks)
         dok = to_scipy(result.matrix).todok()
         assert (0, 2) not in dok and (0, 3) not in dok
 
     def test_no_signal_error(self):
         clicks = make_clicks([(0, 0), (1, 1)])
         with pytest.raises(ValidationError, match="no co-click signal"):
-            build_ppmi(cooccurrence_counts(clicks))
+            build_ppmi(clicks)
 
     def test_symmetric_positive_no_diagonal(self, rng):
+        checked = 0
         for _ in range(40):
             clicks = random_clicks(rng)
-            counts = cooccurrence_counts(clicks)
-            if counts.total_pairs == 0:
+            if np.diff(clicks.indptr).max() < 2:
                 continue
-            matrix = to_scipy(build_ppmi(counts).matrix)
+            matrix = to_scipy(build_ppmi(clicks).matrix)
             assert (abs(matrix - matrix.T) > 0).nnz == 0
             assert (matrix.data > 0).all()
             assert matrix.diagonal().sum() == 0
+            checked += 1
+        assert checked > 20
 
     def test_matches_brute_force(self, rng):
         checked = 0
         for _ in range(60):
             clicks = random_clicks(rng)
-            counts = cooccurrence_counts(clicks)
-            if counts.total_pairs == 0:
+            if np.diff(clicks.indptr).max() < 2:
                 continue
             expected = brute_force_ppmi(clicks_to_user_sets(clicks))
-            got = to_scipy(build_ppmi(counts).matrix).todok()
+            got = to_scipy(build_ppmi(clicks).matrix).todok()
             upper = {(i, j): v for (i, j), v in got.items() if i < j}
             assert set(upper) == set(expected)
             for key, value in expected.items():
@@ -156,12 +153,13 @@ class TestBuildPpmi:
 
 class TestBuildMemory:
     def test_peak_is_a_few_ppmi_copies(self):
-        # the counts and the PPMI are built over both triangles in place: no
-        # mirrored triplets, no re-sort and no int64 key per entry
+        # the PPMI is built over both triangles of the product in place: no
+        # mirrored triplets, no re-sort, no int64 key per entry and no
+        # diagonal-free copy of the product
         clicks = from_scipy(sp.random(2000, 400, density=0.05, random_state=1, format="csr"))
         tracemalloc.start()
         try:
-            matrix = build_ppmi(cooccurrence_counts(clicks)).matrix
+            matrix = build_ppmi(clicks).matrix
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -191,17 +189,13 @@ class TestMatchesScipyOracle:
         n_ppmi = 0
         for _ in range(200):
             clicks, users, items = messy_clicks(rng)
-            counts = cooccurrence_counts(clicks)
-            item_counts, pair_counts, total_pairs = cooccurrence_reference(
-                users, items, *clicks.shape)
-            assert counts.item_counts.dtype == item_counts.dtype
-            np.testing.assert_array_equal(counts.item_counts, item_counts)
-            assert counts.total_pairs == total_pairs
-            assert_same_csr(counts.pair_counts, pair_counts)
-            if total_pairs > 0:
-                assert_same_csr(build_ppmi(counts).matrix,
-                                ppmi_reference(item_counts, pair_counts, total_pairs))
+            counts = cooccurrence_reference(users, items, *clicks.shape)
+            if counts[2] > 0:
+                assert_same_csr(build_ppmi(clicks).matrix, ppmi_reference(*counts))
                 n_ppmi += 1
+            else:
+                with pytest.raises(ValidationError, match="no co-click signal"):
+                    build_ppmi(clicks)
         assert n_ppmi > 150
 
     @pytest.mark.parametrize("field, value", [("users", -1), ("users", 5), ("items", 4)])

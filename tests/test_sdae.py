@@ -243,7 +243,7 @@ class TestConfig:
         with pytest.raises(ValidationError, match="learning_rate"):
             SdaeConfig(hidden_widths=[], learning_rate=rate)
 
-    @pytest.mark.parametrize("hidden", [[0], [4, -2], ["a"], [2.5], 5, "4"])
+    @pytest.mark.parametrize("hidden", [[0], [4, -2], ["a"], [2.5], 5, "4", [True]])
     def test_hidden_widths_must_be_positive_integers(self, hidden):
         with pytest.raises(ValidationError, match="hidden_widths"):
             SdaeConfig(hidden_widths=hidden)
