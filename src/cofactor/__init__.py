@@ -1,9 +1,8 @@
 """cofactor: joint factorization of ratings and co-click PPMI with a text anchor."""
 
 from .corpus import (BowScheme, DocTermMatrix, EvalSplit, RatingDataset,
-                     SyntheticConfig, binarize_ratings, generate_synthetic,
-                     make_split, parse_clicks, parse_documents, parse_ratings,
-                     subsample_ratings)
+                     binarize_ratings, make_split, parse_clicks, parse_documents,
+                     parse_ratings, subsample_ratings)
 from .errors import (CheckpointError, CofactorError, ParseError, SplitError,
                      TrainingDivergedError, ValidationError)
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,

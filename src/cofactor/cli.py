@@ -34,7 +34,6 @@ DEFAULT_CONFIG = {
     "paths": {"ratings": None, "clicks": None, "documents": None, "output_dir": "out"},
     "dataset_label": "data",
     "seed": 0,
-    "synthetic": None,
     "subsample_fraction": 1.0,
     "split": {"mode": "in_matrix", "test_fraction": 0.2, "validation_fraction": 0.08},
     # the library's defaults; the text section and the top-level seed set sdae and seed
@@ -59,7 +58,7 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
 
 # the type of the values other than null of each key whose default is None
 _NULL_DEFAULT_TYPES = {"paths.ratings": str, "paths.clicks": str, "paths.documents": str,
-                       "synthetic": dict, "flags.clamp": list}
+                       "flags.clamp": list}
 
 
 def _is_number(value) -> bool:
@@ -115,6 +114,8 @@ def _check_values(cfg: dict, set_by: dict[str, str]) -> None:
              split["test_fraction"] + split["validation_fraction"] < 1,
              "below 1 - split.test_fraction, leaving ratings to train on"),
             ("text.vocab_size", cfg["text"]["vocab_size"] >= 1, "a positive integer"),
+            ("text.bow_scheme", cfg["text"]["bow_scheme"] in ("tfidf", "count"),
+             "'tfidf' or 'count'"),
             ("text.hidden_widths", positive_widths(cfg["text"]["hidden_widths"]),
              "a list of positive integers"),
             ("sweep.lambda_s_grid",
@@ -227,7 +228,7 @@ def _parse_input(cfg: dict, key: str, parse: Callable, *args):
 
 def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | None,
                   docs: corpus.DocTermMatrix | None, **extra) -> int:
-    """Cache the parsed or generated datasets, then write and print the report.
+    """Cache the parsed datasets, then write and print the report.
     A clicks or docs cache this ingest does not write is deleted, so a later
     train never reads a previous ingest's data."""
     cache = _cache_dir(cfg)
@@ -258,13 +259,6 @@ def _write_ingest(cfg: dict, ratings: corpus.RatingDataset, clicks: CsrMatrix | 
 
 
 def cmd_ingest(cfg: dict) -> int:
-    if cfg["synthetic"] is not None:
-        try:
-            config = corpus.SyntheticConfig(**cfg["synthetic"])
-        except (TypeError, ValidationError) as exc:
-            raise ConfigError(f"bad synthetic config: {exc}") from None
-        ratings, clicks, docs, _ = corpus.generate_synthetic(config, seed=cfg["seed"])
-        return _write_ingest(cfg, ratings, clicks, docs, synthetic=True)
     ratings = _parse_input(cfg, "ratings", corpus.parse_ratings)
     clicks = docs = None
     extra = {}

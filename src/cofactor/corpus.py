@@ -1,4 +1,4 @@
-"""Dataset ingestion, index mapping, train/validation/test splits, synthetic data.
+"""Dataset ingestion, index mapping, train/validation/test splits.
 
 Ratings are kept as parallel arrays of dense user/item indices plus the
 external-id tables that define the indexing; clicks are the users × items
@@ -27,7 +27,6 @@ from typing import IO, Literal
 import numpy as np
 
 from .errors import ParseError, SplitError, ValidationError
-from .sdae import SdaeParams, encode, is_int, positive_widths, stack_widths
 from .sparse import CsrMatrix, from_coo
 
 SplitMode = Literal["in_matrix", "out_of_matrix"]
@@ -439,115 +438,3 @@ def parse_documents(source: IO[str], vocab_size: int, scheme: BowScheme,
     rows = from_coo((n_items, len(vocab)), rows_idx, cols_idx,
                     np.asarray(data, dtype=np.float64))
     return DocTermMatrix(vocab=vocab, rows=rows)
-
-
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Knobs for the synthetic-world generator (desk-scale experiments).
-
-    Ratings are drawn around user-item factor products shifted by
-    `rating_offset`; clicks are each user's top items under a noisy copy of
-    the same preference scores, so the click channel correlates with ratings
-    without duplicating them. Item text rows feed a randomly drawn encoder
-    whose middle layer is the mean of the item feature vectors, making text
-    genuinely predictive of the factors.
-    """
-
-    n_users: int
-    n_items: int
-    n_factors: int
-    vocab_size: int = 40
-    rating_density: float = 0.05
-    sigma_theta: float = 1.0
-    sigma_beta: float = 0.3
-    sigma_alpha: float = 1.0
-    sigma_rating: float = 0.1
-    rating_offset: float = 6.0
-    click_density: float = 0.2
-    click_noise: float = 0.5
-    clicks_include_rated: bool = True
-    doc_terms_per_item: int = 8
-    encoder_hidden: tuple[int, ...] = (16,)
-
-    def __post_init__(self):
-        sizes = {name: getattr(self, name) for name in ("n_users", "n_items", "n_factors",
-                                                         "vocab_size", "doc_terms_per_item")}
-        for name, value in sizes.items():
-            if not is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if min(sizes.values()) < 1:
-            raise ValidationError("synthetic dimensions must be positive")
-        if not positive_widths(self.encoder_hidden):
-            raise ValidationError(f"encoder_hidden must be positive integers, "
-                                  f"got {self.encoder_hidden!r}")
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
-        if not 0.0 < self.rating_density <= 1.0:
-            raise ValidationError("rating_density must be in (0, 1]")
-        if not 0.0 <= self.click_density <= 1.0:
-            raise ValidationError("click_density must be in [0, 1]")
-        for name in ("sigma_theta", "sigma_beta", "sigma_alpha", "sigma_rating",
-                     "click_noise"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
-
-
-def generate_synthetic(config: SyntheticConfig, seed: int):
-    """Draw a full synthetic world; returns (ratings, clicks, docs, true state).
-
-    The returned model state holds the generating factors and encoder, for
-    recovery experiments. With rating_offset=0 and sigma_rating=0 the observed
-    ratings equal the factor products exactly (such configs can produce
-    non-positive values; real-scale configs keep the offset well above zero).
-    """
-    from .factor import ModelState  # deferred: factor imports this module
-
-    rng = np.random.default_rng(seed)
-    n, m, k, v = config.n_users, config.n_items, config.n_factors, config.vocab_size
-
-    vocab = tuple(f"w{j:04d}" for j in range(v))
-    terms_per_item = min(config.doc_terms_per_item, v)
-    cols, data = [], []
-    for _ in range(m):
-        cols.append(np.sort(rng.choice(v, size=terms_per_item, replace=False)))
-        counts = rng.integers(1, 5, size=terms_per_item).astype(np.float64)
-        data.append(counts / counts.max())
-    doc_rows = from_coo((m, v), np.repeat(np.arange(m), terms_per_item),
-                        np.concatenate(cols), np.concatenate(data))
-    docs = DocTermMatrix(vocab=vocab, rows=doc_rows)
-
-    widths = stack_widths(v, config.encoder_hidden, k)
-    weights, biases = [], []
-    for d_in, d_out in zip(widths[:-1], widths[1:]):
-        weights.append(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))
-        biases.append(rng.normal(0.0, 0.1, size=d_out))
-    true_net = SdaeParams(weights=weights, biases=biases)
-
-    mu = encode(doc_rows, true_net)
-    item_factors = mu + config.sigma_beta * rng.standard_normal((m, k))
-    user_factors = config.sigma_theta * rng.standard_normal((n, k))
-    context_factors = config.sigma_alpha * rng.standard_normal((m, k))
-
-    preference = user_factors @ item_factors.T
-    mask = rng.random((n, m)) < config.rating_density
-    r_users, r_items = np.nonzero(mask)
-    values = (preference[r_users, r_items] + config.rating_offset
-              + config.sigma_rating * rng.standard_normal(len(r_users)))
-    user_ids = tuple(f"u{j:05d}" for j in range(n))
-    item_ids = tuple(f"i{j:05d}" for j in range(m))
-    ratings = RatingDataset(r_users.astype(np.int64), r_items.astype(np.int64), values,
-                            user_ids, item_ids)
-
-    clicks_per_user = int(round(config.click_density * m))
-    c_users = c_items = np.zeros(0, dtype=np.int64)
-    if clicks_per_user > 0:
-        scores = preference + config.click_noise * rng.standard_normal((n, m))
-        c_users = np.repeat(np.arange(n), clicks_per_user)
-        c_items = np.argsort(-scores, axis=1)[:, :clicks_per_user].ravel()
-    if config.clicks_include_rated:
-        c_users, c_items = np.concatenate([c_users, r_users]), np.concatenate([c_items, r_items])
-    clicks = _click_matrix((n, m), c_users, c_items)
-
-    state = ModelState(user_factors=user_factors, item_factors=item_factors,
-                       context_factors=context_factors, sdae=true_net,
-                       epoch=0, rating_offset=config.rating_offset)
-    return ratings, clicks, docs, state

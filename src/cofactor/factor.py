@@ -28,7 +28,8 @@ from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
                      ValidationError)
 from .ppmi import PpmiMatrix
-from .sdae import SdaeConfig, SdaeParams, corrupt, encode, pretrain, sdae_pass, stack_widths
+from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, is_int, pretrain, sdae_pass,
+                   stack_widths)
 from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
 CHECKPOINT_VERSION = 1
@@ -60,6 +61,10 @@ class Hyperparams:
     center_ratings: bool = False
 
     def __post_init__(self):
+        for name in ("n_factors", "max_epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_factors < 1:
             raise ValidationError("n_factors must be >= 1")
         for name in ("lambda_s", "lambda_user", "lambda_item", "lambda_context",

@@ -44,6 +44,9 @@ class SdaeConfig:
             raise ValidationError("noise_rate must be in [0, 1)")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
+        if not is_int(self.pretrain_epochs):
+            raise ValidationError(f"pretrain_epochs must be an integer, "
+                                  f"got {self.pretrain_epochs!r}")
         if self.pretrain_epochs < 0:
             raise ValidationError("pretrain_epochs must be nonnegative")
 

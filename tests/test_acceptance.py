@@ -8,8 +8,7 @@ every tolerance is stated inline.
 import numpy as np
 import pytest
 
-from cofactor.corpus import (SyntheticConfig, generate_synthetic, make_split,
-                             subsample_ratings)
+from cofactor.corpus import make_split, subsample_ratings
 from cofactor.factor import (Hyperparams, TrainData, load_checkpoint,
                              predict_ratings, save_checkpoint, train)
 from cofactor.ppmi import build_ppmi
@@ -22,6 +21,7 @@ from oracles import (block_gradients, brute_force_ppmi, joint_loss_reference,
 from test_cli import write_config, write_fixture
 from test_factor import solve_block
 from test_ppmi import clicks_to_user_sets
+from worlds import SyntheticConfig, generate_synthetic
 from cofactor.cli import main as cli_main
 
 

@@ -534,64 +534,6 @@ class TestSweep:
         assert len(lines) == 3
 
 
-class TestSyntheticIngest:
-    def _synthetic_config(self, tmp_path):
-        cfg_path = write_config(tmp_path, {"ratings": tmp_path / "unused"})
-        cfg = json.loads(cfg_path.read_text())
-        cfg["paths"] = {"ratings": None, "clicks": None, "documents": None,
-                        "output_dir": str(tmp_path / "out")}
-        cfg["synthetic"] = {"n_users": 40, "n_items": 25, "n_factors": 3,
-                            "vocab_size": 12, "rating_density": 0.3,
-                            "rating_offset": 5.0, "encoder_hidden": [6]}
-        cfg_path.write_text(json.dumps(cfg))
-        return cfg_path
-
-    def test_ingest_generates_world(self, tmp_path, capsys):
-        config = self._synthetic_config(tmp_path)
-        assert main(["ingest", "--config", str(config)]) == 0
-        out = capsys.readouterr().out
-        assert "synthetic: True" in out and "n_users: 40" in out
-        cache = tmp_path / "out" / "cache"
-        assert (cache / "ratings.bin").exists()
-        assert (cache / "clicks.bin").exists()
-        assert (cache / "docs.bin").exists()
-
-    def test_train_eval_on_synthetic_world(self, tmp_path):
-        config = self._synthetic_config(tmp_path)
-        assert main(["ingest", "--config", str(config)]) == 0
-        assert main(["train", "--config", str(config)]) == 0
-        ckpt = tmp_path / "out" / "checkpoint.bin"
-        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
-
-    def test_bad_synthetic_key_exits_2(self, tmp_path, capsys):
-        config = self._synthetic_config(tmp_path)
-        cfg = json.loads(config.read_text())
-        cfg["synthetic"]["not_a_knob"] = 1
-        config.write_text(json.dumps(cfg))
-        assert main(["ingest", "--config", str(config)]) == 2
-
-    def test_unusable_synthetic_value_exits_2(self, tmp_path, capsys):
-        config = self._synthetic_config(tmp_path)
-        cfg = json.loads(config.read_text())
-        cfg["synthetic"]["n_users"] = 0
-        config.write_text(json.dumps(cfg))
-        assert main(["ingest", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == ("error: bad synthetic config: "
-                                           "synthetic dimensions must be positive\n")
-        # each of these used to end in a raw numpy or Python traceback, or in exit 1
-        for key, value in [("n_users", 20.5), ("doc_terms_per_item", 0),
-                           ("encoder_hidden", 5), ("encoder_hidden", ["a"]),
-                           ("encoder_hidden", [0])]:
-            cfg = json.loads(self._synthetic_config(tmp_path).read_text())
-            cfg["synthetic"][key] = value
-            config.write_text(json.dumps(cfg))
-            assert main(["ingest", "--config", str(config)]) == 2, (key, value)
-            err = capsys.readouterr().err
-            assert err.startswith("error: bad synthetic config: ") and err.count("\n") == 1
-            if key == "encoder_hidden":
-                assert "encoder_hidden" in err, err
-
-
 class TestEntryPoint:
     def test_console_script_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "cofactor.cli"],
@@ -675,7 +617,7 @@ BAD_CONFIG_VALUES = [("flags.clamp", [5, 1]), ("flags.clamp", [1]), ("flags.clam
                      ("split.validation_fraction", 0),
                      ("split.validation_fraction", 0.8),  # 0.2 + 0.8 leaves no train set
                      ("paths.ratings", 5), ("paths.clicks", True), ("paths.documents", ["a"]),
-                     ("synthetic", 5), ("synthetic", "abc")]
+                     ("text.bow_scheme", "bogus")]
 
 
 def test_every_null_default_names_its_type():
@@ -718,6 +660,15 @@ class TestUnusableValuesExit2:
         edit_config(config, section, field, value)
         err = config_error(capsys, ["train", "--config", str(config)])
         assert err.startswith(f"error: config key {key!r} must be")
+
+    @pytest.mark.parametrize("value", [None, 5, "abc", {"n_users": 40, "n_items": 25}],
+                             ids=json.dumps)
+    def test_synthetic_config_key_is_unknown(self, workspace, capsys, value):
+        # ingest reads only files; perfbench/gen.py writes synthetic worlds as files
+        _, config = workspace
+        edit_config(config, "", "synthetic", value)
+        err = config_error(capsys, ["ingest", "--config", str(config)])
+        assert err == "error: unknown config key 'synthetic'\n"
 
 
 class TestEvalRefusesOtherSplit:

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from cofactor import corpus
-from cofactor.corpus import (RatingDataset, SyntheticConfig, binarize_ratings,
-                             generate_synthetic, make_split, parse_clicks,
+from cofactor.corpus import (RatingDataset, binarize_ratings, make_split, parse_clicks,
                              parse_documents, parse_ratings, subsample_ratings)
 from cofactor.errors import CofactorError, ParseError, SplitError, ValidationError
 
 from conftest import assert_same_csr, make_ratings, to_scipy
 from oracles import (csr_reference, parse_clicks_reference, parse_ratings_reference,
                      split_reference)
+from worlds import SyntheticConfig, generate_synthetic
 
 
 class TestParseRatings:

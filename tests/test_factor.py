@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from cofactor.container import read_container, write_container
-from cofactor.corpus import (DocTermMatrix, RatingDataset, SyntheticConfig,
-                             generate_synthetic, make_split)
+from cofactor.corpus import DocTermMatrix, RatingDataset, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
 from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
                              TrainData, _solve_rows, _solve_spd, load_checkpoint,
@@ -23,6 +22,7 @@ from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 from conftest import from_scipy, make_ratings, to_scipy
 from oracles import (block_gradients, joint_loss_reference, pair_loss_reference,
                      pmf_als_reference, solve_rows_reference)
+from worlds import SyntheticConfig, generate_synthetic
 
 import scipy.sparse as sp
 
@@ -795,7 +795,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("lambda_user", -1.0)])
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("lambda_user", -1.0),
+                                              ("n_factors", 2.5), ("max_epochs", 2.5)])
     def test_unusable_hyperparameter_names_the_file(self, tmp_path, rng, field, value):
         from cofactor.errors import CheckpointError
         state = ModelState(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
@@ -1000,20 +1001,19 @@ class TestScaling:
         ppmi_big = PpmiMatrix(from_scipy(sp.block_diag([to_scipy(ppmi_small.matrix)] * 2,
                                                        format="csr")))
 
-        def timed(ds, pm):
-            split = make_split(ds, "in_matrix", 0.2, 0.08, seed=3)
-            hyper = Hyperparams(n_factors=16, lambda_s=0.2, lambda_user=0.1,
-                                lambda_item=0.1, lambda_context=0.1, sdae=None,
-                                max_epochs=2, patience=0, seed=3)
-            best = float("inf")
-            for _ in range(3):
+        hyper = Hyperparams(n_factors=16, lambda_s=0.2, lambda_user=0.1,
+                            lambda_item=0.1, lambda_context=0.1, sdae=None,
+                            max_epochs=2, patience=0, seed=3)
+        runs = [TrainData(split=make_split(ds, "in_matrix", 0.2, 0.08, seed=3), ppmi=pm)
+                for ds, pm in ((ratings, ppmi_small), (doubled, ppmi_big))]
+        # the sizes take turns, so a burst of machine load slows both alike
+        best = [float("inf")] * len(runs)
+        for _ in range(3):
+            for k, data in enumerate(runs):
                 start = time.perf_counter()
-                train(TrainData(split=split, ppmi=pm), hyper)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        small = timed(ratings, ppmi_small)
-        large = timed(doubled, ppmi_big)
+                train(data, hyper)
+                best[k] = min(best[k], time.perf_counter() - start)
+        small, large = best
         assert large / small <= 2.6, f"doubling ratio {large / small:.2f}"
 
 
@@ -1030,6 +1030,11 @@ class TestHyperparams:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValidationError, match=name):
                     Hyperparams(**{name: bad})
+        # each of these used to end in a raw TypeError inside train()
+        for name, bad in (("n_factors", 2.5), ("n_factors", True), ("max_epochs", 2.5),
+                          ("patience", 1.5), ("seed", 1.5)):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+                Hyperparams(**{name: bad})
 
     def test_negative_seed_rejected(self):
         # it would otherwise reach np.random.default_rng inside train()

@@ -144,6 +144,28 @@ def test_check_finds_scipy_references():
     assert scipy_references(source) == (["line 1", "line 2"], ["line 7", "line 8"])
 
 
+def deferred_relative_imports(source: str) -> list[str]:
+    """Lines holding a relative import (`from .x import y`) inside a function
+    body. Such an import hides a cycle between the package's modules."""
+    found = {node for func in ast.walk(ast.parse(source))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    return [f"line {node.lineno}" for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    for path in SOURCES:
+        assert deferred_relative_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_check_finds_deferred_relative_imports():
+    source = ("from .a import x\nimport numpy\n\n"
+              "def load():\n    import scipy.sparse\n    from .factor import ModelState\n"
+              "    from os import path\n\n"
+              "    def inner():\n        from .. import b\n    return inner\n")
+    assert deferred_relative_imports(source) == ["line 6", "line 10"]
+
+
 def csr_matrix_calls(sources: dict[str, str]) -> list[str]:
     """For each call `CsrMatrix(...)` in `sources` (module name → source) outside
     the sparse module, `module: name` of the top-level definition holding it

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cofactor.corpus import (DocTermMatrix, EvalSplit, SyntheticConfig, generate_synthetic,
-                             make_split)
+from cofactor.corpus import DocTermMatrix, EvalSplit, make_split
 from cofactor import predict_eval
 from cofactor.errors import ValidationError
 from cofactor.factor import Hyperparams, ModelState, TrainData, train
@@ -15,6 +14,7 @@ from cofactor.predict_eval import (EvalReport, evaluate, rmse, sweep_lambda_s,
 
 from conftest import from_scipy, to_scipy
 from test_factor import synthetic_train_data
+from worlds import SyntheticConfig, generate_synthetic
 
 
 class TestRmse:

@@ -243,6 +243,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="learning_rate"):
             SdaeConfig(hidden_widths=[], learning_rate=rate)
 
+    @pytest.mark.parametrize("epochs", [2.5, True, "3"])
+    def test_pretrain_epochs_must_be_an_integer(self, epochs):
+        with pytest.raises(ValidationError, match="pretrain_epochs must be an integer"):
+            SdaeConfig(hidden_widths=[4], pretrain_epochs=epochs)
+
     @pytest.mark.parametrize("hidden", [[0], [4, -2], ["a"], [2.5], 5, "4", [True]])
     def test_hidden_widths_must_be_positive_integers(self, hidden):
         with pytest.raises(ValidationError, match="hidden_widths"):
