@@ -6,8 +6,7 @@ from .corpus import (BowScheme, DocTermMatrix, EvalSplit, RatingDataset,
 from .errors import (CheckpointError, CofactorError, ParseError, SplitError,
                      TrainingDivergedError, ValidationError)
 from .factor import (Hyperparams, ModelState, TrainData, TrainingTrace,
-                     load_checkpoint, predict_ratings, save_checkpoint,
-                     total_loss, train)
+                     load_checkpoint, predict_ratings, save_checkpoint, train)
 from .ppmi import PpmiMatrix, build_ppmi
 from .predict_eval import (EvalReport, SparsityPoint, SweepPoint, evaluate, rmse,
                            sweep_lambda_s, sweep_sparsity)

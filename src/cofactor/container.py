@@ -122,5 +122,5 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                     raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
                 arrays[name] = arr
             return _Entries(path, header["meta"]), _Entries(path, arrays)
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
+        except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CheckpointError(f"{path}: truncated or corrupt container ({exc})") from None

@@ -25,8 +25,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
-from .errors import (CheckpointError, CofactorError, TrainingDivergedError,
-                     ValidationError)
+from .errors import CheckpointError, TrainingDivergedError, ValidationError
 from .ppmi import PpmiMatrix
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, is_int, pretrain, sdae_pass,
                    stack_widths)
@@ -35,14 +34,6 @@ from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 CHECKPOINT_VERSION = 1
 
 ENTRY_CHUNK = CHUNK_ROWS * 16  # rating entries per chunk of the θ_u·β_i gathers
-
-
-class NonFiniteLossError(CofactorError):
-    """A loss term evaluated to a non-finite value."""
-
-    def __init__(self, term: str):
-        self.term = term
-        super().__init__(f"loss term {term!r} is non-finite")
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndar
 
 
 def _solve_rows(out: np.ndarray, ridge: float, terms: list,
-                anchor: np.ndarray | None = None) -> None:
+                anchor: np.ndarray | None = None) -> list[float]:
     """Write into each row r of `out` the exact ridge solution of
 
         (Σ_b w_b Σ_{j∈N_b(r)} B_j B_jᵀ + ridge·I) x = Σ_b w_b Σ_{j∈N_b(r)} v_j B_j + ridge·anchor_r
@@ -179,7 +170,8 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     where each term b is (w_b, S_b, B): S_b is a CsrMatrix whose row r stores
     the neighbours N_b(r) as column indices with values v_j, and the rows of
     the dense matrix B are the vectors B_j those columns index. Without an
-    anchor the ridge pulls toward zero.
+    anchor the ridge pulls toward zero. Returns each term's weighted residual
+    w_b Σ_r Σ_{j∈N_b(r)} (v_j − x_r·B_j)² at the solved rows x_r.
 
     Rows are solved in chunks of CHUNK_ROWS, one stacked solve per chunk. For
     each term the chunk's Grams and right-hand sides are assembled in place in
@@ -198,16 +190,21 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     adding each row's w·BᵀB and w·Bᵀv onto ridge·I and ridge·anchor term by
     term: the additions come in the same order, and floating-point addition
     commutes.
+
+    After the solve the later terms, the ridge and the anchor are taken back
+    out of the first term's stacks, so that each term's stacks hold its own
+    weighted Gram G_r and right-hand side b_r, and its residual is read off
+    them as w·Σ v² − 2 x_r·b_r + x_rᵀ G_r x_r: K² per row and no gather.
     """
     n_rows, k = out.shape
     diag = np.arange(k)
     height = min(CHUNK_ROWS, n_rows)
     stacks = [(np.empty((height, k, k)), np.empty((height, k))) for _ in terms]
+    residuals = [weight * float(matrix.data @ matrix.data) for weight, matrix, _ in terms]
     for start in range(0, n_rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n_rows)
-        gram = rhs = None
-        for (weight, matrix, basis), (gram_stack, rhs_stack) in zip(terms, stacks):
-            term_gram, term_rhs = gram_stack[:stop - start], rhs_stack[:stop - start]
+        chunk = [(gram[:stop - start], rhs[:stop - start]) for gram, rhs in stacks]
+        for (weight, matrix, basis), (term_gram, term_rhs) in zip(terms, chunk):
             term_gram.fill(0.0)
             term_rhs.fill(0.0)
             indices, values = matrix.indices, matrix.data
@@ -220,20 +217,25 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
             if weight != 1.0:
                 term_gram *= weight
                 term_rhs *= weight
-            if gram is None:    # the ridge joins before any later term, as in a per-row sum
-                gram, rhs = term_gram, term_rhs
-                gram[:, diag, diag] += ridge
-                if anchor is not None:
-                    rhs += ridge * anchor[start:stop]
-            else:
-                gram += term_gram
-                rhs += term_rhs
-        out[start:stop] = _solve_spd(gram, rhs, ridge)
-
-
-def _entry_chunks(n_entries: int):
-    """Slices of ENTRY_CHUNK entries covering range(n_entries)."""
-    return (slice(start, start + ENTRY_CHUNK) for start in range(0, n_entries, ENTRY_CHUNK))
+        gram, rhs = chunk[0]    # the ridge joins before any later term, as in a per-row sum
+        gram[:, diag, diag] += ridge
+        if anchor is not None:
+            rhs += ridge * anchor[start:stop]
+        for term_gram, term_rhs in chunk[1:]:
+            gram += term_gram
+            rhs += term_rhs
+        x = out[start:stop]
+        x[:] = _solve_spd(gram, rhs, ridge)
+        for term_gram, term_rhs in chunk[1:]:
+            gram -= term_gram
+            rhs -= term_rhs
+        gram[:, diag, diag] -= ridge
+        if anchor is not None:
+            rhs -= ridge * anchor[start:stop]
+        for b, (term_gram, term_rhs) in enumerate(chunk):
+            residuals[b] += (np.vdot(np.matmul(term_gram, x[..., None]), x)
+                             - 2.0 * np.vdot(x, term_rhs))
+    return [float(value) for value in residuals]
 
 
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
@@ -263,17 +265,12 @@ def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
     if mode == "out_of_matrix":
         item_table = encode(item_table, state.sdae)
     out = np.empty(ratings.n_entries)
-    for chunk in _entry_chunks(len(out)):
+    for start in range(0, len(out), ENTRY_CHUNK):
+        chunk = slice(start, start + ENTRY_CHUNK)
         np.einsum("ij,ij->i", state.user_factors[ratings.users[chunk]],
                   item_table[ratings.items[chunk]], out=out[chunk])
     out += state.rating_offset
     return out
-
-
-def _check_finite(value: float, term: str) -> float:
-    if not np.isfinite(value):
-        raise NonFiniteLossError(term)
-    return value
 
 
 def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) -> float:
@@ -301,69 +298,8 @@ def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) ->
     return total
 
 
-def _check_ppmi(ppmi: PpmiMatrix | None, n_items: int) -> None:
-    """λ_s > 0 alone switches the click term on; it needs a PPMI over the n_items items."""
-    if ppmi is None:
-        raise ValidationError("lambda_s > 0 but no PPMI matrix supplied")
-    if ppmi.matrix.shape != (n_items, n_items):
-        raise ValidationError(f"PPMI matrix of shape {ppmi.matrix.shape} does not "
-                              f"match the {n_items} items of the item factors")
-
-
 def _sum_sq(array: np.ndarray) -> float:
     return float((array * array).sum())
-
-
-def total_loss(state: ModelState, ratings, ppmi: PpmiMatrix | None,
-               encoding: np.ndarray | None, recon_sq: float | None,
-               hyper: Hyperparams, *, known: dict[str, float] | None = None) -> float:
-    """Full joint loss; rating values are centered by the state's offset.
-    With the text model on, `(encoding, recon_sq)` are the first two outputs
-    of sdae_pass for the state's autoencoder; without it both are None.
-
-    The rating term gathers θ_u and β_i ENTRY_CHUNK entries at a time and
-    subtracts their dot products from one n_entries-long residual, whose
-    squared norm is then a single product, so its value does not depend on
-    the chunking; the pair term is row-chunked (_pair_residual_sq).
-
-    `known` maps term names to values already computed for this same state.
-    A term found there is reused, and every other term is computed, checked
-    finite and added to it. The terms are summed in one fixed order, so the
-    total does not depend on which of them were reused.
-    """
-    known = {} if known is None else known
-    theta, beta, alpha = state.user_factors, state.item_factors, state.context_factors
-
-    def term(name: str, compute) -> float:
-        if name not in known:
-            known[name] = _check_finite(compute(), name)
-        return known[name]
-
-    def rating() -> float:
-        resid = ratings.ratings - state.rating_offset
-        for chunk in _entry_chunks(len(resid)):
-            resid[chunk] -= np.einsum("ij,ij->i", theta[ratings.users[chunk]],
-                                      beta[ratings.items[chunk]])
-        return 0.5 * float(resid @ resid)
-
-    loss = term("rating", rating)
-    if hyper.lambda_s > 0:
-        _check_ppmi(ppmi, beta.shape[0])
-        loss += term("pair", lambda: 0.5 * hyper.lambda_s
-                     * _pair_residual_sq(ppmi.matrix, beta, alpha))
-    loss += term("user_reg", lambda: 0.5 * hyper.lambda_user * _sum_sq(theta))
-    loss += term("context_reg", lambda: 0.5 * hyper.lambda_context * _sum_sq(alpha))
-    if state.sdae is not None:
-        loss += term("item_anchor", lambda: 0.5 * hyper.lambda_item * _sum_sq(beta - encoding))
-        loss += term("reconstruction", lambda: 0.5 * hyper.lambda_recon * recon_sq)
-        loss += term("decay", lambda: 0.5 * hyper.lambda_decay * state.sdae.squared_norm())
-    else:
-        loss += term("item_reg", lambda: 0.5 * hyper.lambda_item * _sum_sq(beta))
-    return _check_finite(loss, "total")
-
-
-# the loss terms that read the autoencoder's weights or its forward pass
-_AUTOENCODER_TERMS = ("item_anchor", "reconstruction", "decay")
 
 
 def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrace]:
@@ -371,10 +307,18 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     gradient step per epoch; stop on stale validation RMSE; return the state
     of the best validation epoch plus the per-epoch trace.
 
+    The traced losses sum one set of loss terms in a fixed order, each set
+    where its inputs change. The block solves report the data terms, read off
+    their systems with no per-rating gather and no n_items-wide product: the
+    user block the rating term, the item block the rating and pair terms, the
+    context block the pair term. The start state's pair term, which no block
+    has solved, is evaluated once directly. A non-finite term raises
+    TrainingDivergedError naming it.
+
     With the text model on, an epoch runs three autoencoder passes: a forward
-    pass (item anchor, per-block losses), the gradient pass, and a forward pass
-    after the step (epoch-end loss). Only the autoencoder moves between the
-    last two losses; the learning rate halves when the step raised the loss.
+    pass (item anchor and autoencoder terms), the gradient pass, and a forward
+    pass after the step (epoch-end loss). Only the autoencoder moves between
+    the last two losses; the learning rate halves when the step raised the loss.
     """
     split = data.split
     train_ds = split.train
@@ -386,8 +330,12 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
             raise ValidationError("autoencoder enabled but no document matrix supplied")
         if docs.n_items != n_items:
             raise ValidationError("document matrix rows do not match item count")
-    if hyper.lambda_s > 0:
-        _check_ppmi(data.ppmi, n_items)
+    if hyper.lambda_s > 0:     # λ_s > 0 alone switches the click term on
+        if data.ppmi is None:
+            raise ValidationError("lambda_s > 0 but no PPMI matrix supplied")
+        if data.ppmi.matrix.shape != (n_items, n_items):
+            raise ValidationError(f"PPMI matrix of shape {data.ppmi.matrix.shape} does not "
+                                  f"match the {n_items} items of the item factors")
     if split.mode == "out_of_matrix" and not sdae_on:
         raise ValidationError("out_of_matrix validation requires the text model")
 
@@ -419,23 +367,46 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     sdae_lr = hyper.sdae.learning_rate if sdae_on else 0.0
     encoding = recon_sq = None
     stale = 0
-    known: dict[str, float] = {}    # loss terms of the current state
+    # the loss terms of the current state, in summation order; adding a pair
+    # term of 0.0 when λ_s = 0 leaves every sum bit-identical
+    item_reg = "item_anchor" if sdae_on else "item_reg"
+    terms = dict.fromkeys(("rating", "pair", "user_reg", "context_reg", item_reg)
+                          + (("reconstruction", "decay") if sdae_on else ()), 0.0)
 
-    def loss_now(epoch: int, changed: tuple[str, ...]) -> float:
-        """total_loss, recomputing only the `changed` terms and any not yet known."""
-        for name in changed:
-            known.pop(name, None)
-        try:
-            return total_loss(state, train_ds, data.ppmi, encoding, recon_sq, hyper,
-                              known=known)
-        except NonFiniteLossError as exc:
-            raise TrainingDivergedError(epoch, exc.term) from None
+    def loss(epoch: int, changed: dict[str, float]) -> float:
+        """Set the `changed` terms, each checked finite, and sum all terms."""
+        for name, value in changed.items():
+            if not np.isfinite(value):
+                raise TrainingDivergedError(epoch, name)
+        terms.update(changed)
+        return sum(terms.values())
 
-    def solve(epoch: int, block: str, out, ridge: float, terms, anchor=None) -> None:
+    def solve(epoch: int, block: str, out, ridge: float, block_terms, names,
+              anchor=None) -> float:
+        """Solve one block and return the loss. `names` names its terms, then
+        its ridge term: each term takes half its residual, the ridge term
+        ridge/2·‖out − anchor‖²."""
         try:
-            _solve_rows(out, ridge, terms, anchor)
+            residuals = _solve_rows(out, ridge, block_terms, anchor)
         except np.linalg.LinAlgError:
             raise TrainingDivergedError(epoch, block, block=True) from None
+        changed = {name: 0.5 * value for name, value in zip(names, residuals)}
+        changed[names[-1]] = 0.5 * ridge * _sum_sq(out if anchor is None else out - anchor)
+        return loss(epoch, changed)
+
+    def autoencoder_terms() -> dict[str, float]:
+        return {"item_anchor": 0.5 * hyper.lambda_item * _sum_sq(beta - encoding),
+                "reconstruction": 0.5 * hyper.lambda_recon * recon_sq,
+                "decay": 0.5 * hyper.lambda_decay * params.squared_norm()}
+
+    # the start state's terms that epoch 1 reads before a block sets them; no
+    # block has solved its pair term, so that one is evaluated directly
+    pair = _pair_residual_sq(data.ppmi.matrix, beta, alpha) if hyper.lambda_s > 0 else 0.0
+    start = {"pair": 0.5 * hyper.lambda_s * pair,
+             "context_reg": 0.5 * hyper.lambda_context * _sum_sq(alpha)}
+    if not sdae_on:
+        start["item_reg"] = 0.5 * hyper.lambda_item * _sum_sq(beta)
+    loss(1, start)
 
     for epoch in range(1, hyper.max_epochs + 1):
         if sdae_on:
@@ -443,18 +414,20 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
             x0 = corrupt(xc, hyper.sdae.noise_rate,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
             encoding, recon_sq, _ = sdae_pass(params, x0, xc)
+            loss(epoch, autoencoder_terms())
 
-        solve(epoch, "user", theta, hyper.lambda_user, user_terms)
-        # the forward pass above moved the autoencoder terms too
-        loss_users = loss_now(epoch, ("rating", "user_reg", *_AUTOENCODER_TERMS))
-        solve(epoch, "item", beta, hyper.lambda_item, item_terms, encoding)
-        loss_items = loss_now(epoch, ("rating", "pair", "item_anchor", "item_reg"))
+        loss_users = solve(epoch, "user", theta, hyper.lambda_user, user_terms,
+                           ("rating", "user_reg"))
+        loss_items = solve(epoch, "item", beta, hyper.lambda_item, item_terms,
+                           ("rating", "pair", item_reg), encoding)
         if context_terms:
-            solve(epoch, "context", alpha, hyper.lambda_context, context_terms)
+            loss_contexts = solve(epoch, "context", alpha, hyper.lambda_context, context_terms,
+                                  ("pair", "context_reg"))
         else:
             alpha[:] = 0.0
-        loss_contexts = loss_now(epoch, ("pair", "context_reg"))
+            loss_contexts = loss(epoch, {"context_reg": 0.0})
 
+        loss_end = loss_contexts
         if sdae_on:
             _, _, (grads_w, grads_b) = sdae_pass(
                 params, x0, xc, beta, lambda_anchor=hyper.lambda_item,
@@ -462,9 +435,9 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
             for value, grad in zip(params.weights + params.biases, grads_w + grads_b):
                 value -= sdae_lr * grad     # in place
             encoding, recon_sq, _ = sdae_pass(params, x0, xc)
-        loss_end = loss_now(epoch, _AUTOENCODER_TERMS)
-        if sdae_on and loss_end > loss_contexts:
-            sdae_lr *= 0.5
+            loss_end = loss(epoch, autoencoder_terms())
+            if loss_end > loss_contexts:
+                sdae_lr *= 0.5
 
         err = split.validation.ratings - predict_ratings(state, split.validation,
                                                          split.mode, docs)
@@ -492,6 +465,8 @@ def _hyper_from_dict(blob: dict) -> Hyperparams:
     `activation` key, which was always "sigmoid" and is dropped."""
     blob = dict(blob)
     sdae_blob = blob.pop("sdae", None)
+    if not isinstance(sdae_blob, (dict, type(None))):
+        raise ValidationError(f"sdae must be an object or null, got {sdae_blob!r}")
     if sdae_blob is not None:
         sdae_blob = {k: v for k, v in sdae_blob.items() if k != "activation"}
         if "layer_widths" in sdae_blob:

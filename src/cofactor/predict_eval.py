@@ -167,7 +167,8 @@ def write_sweep_csv(points: Sequence[SweepPoint], sink: IO[str],
 
 def write_sparsity_csv(points: Sequence[SparsityPoint], sink: IO[str], label: str,
                        config_fingerprint: str = "") -> None:
-    sink.write("label,fraction,joint_test_rmse,pmf_test_rmse,config\n")
-    for p in points:
-        sink.write(f"{label}-{p.percent:g},{p.percent / 100.0:g},{p.joint_test_rmse:.10g},"
-                   f"{p.pmf_test_rmse:.10g},{config_fingerprint}\n")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["label", "fraction", "joint_test_rmse", "pmf_test_rmse", "config"])
+    writer.writerows([f"{label}-{p.percent:g}", f"{p.percent / 100.0:g}",
+                      f"{p.joint_test_rmse:.10g}", f"{p.pmf_test_rmse:.10g}",
+                      config_fingerprint] for p in points)

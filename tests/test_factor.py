@@ -11,10 +11,9 @@ import pytest
 from cofactor.container import read_container, write_container
 from cofactor.corpus import DocTermMatrix, RatingDataset, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (Hyperparams, ModelState, NonFiniteLossError,
-                             TrainData, _solve_rows, _solve_spd, load_checkpoint,
-                             predict_ratings, run_label, save_checkpoint, total_loss,
-                             train)
+from cofactor.factor import (Hyperparams, ModelState, TrainData, _pair_residual_sq,
+                             _solve_rows, _solve_spd, load_checkpoint, predict_ratings,
+                             run_label, save_checkpoint, train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi
 from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
 from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
@@ -312,6 +311,28 @@ class TestSolveRows:
                   rng.standard_normal((n_rows, BENCH_K)))]
         assert_same_as_per_row_sums(0.1, terms, None, n_rows, BENCH_K)
 
+    @pytest.mark.parametrize("case", ["one term", "two terms"])
+    def test_residuals_match_direct_sums(self, rng, case):
+        # more than one chunk, stored zeros and, with two terms, rows empty in one term only
+        n_rows, n_users = CHUNK_ROWS + 37, 70
+        ratings = random_csr(rng, n_rows, n_users, 0.4)
+        assert (ratings.data == 0.0).any()
+        terms, anchor = [(1.0, ratings, rng.standard_normal((n_users, BENCH_K)))], None
+        if case == "two terms":
+            pairs = random_csr(rng, n_rows, n_rows, 0.15)
+            rated, paired = np.diff(ratings.indptr) > 0, np.diff(pairs.indptr) > 0
+            assert (rated & ~paired).any() and (paired & ~rated).any()
+            terms.append((0.7, pairs, rng.standard_normal((n_rows, BENCH_K))))
+            anchor = rng.standard_normal((n_rows, BENCH_K))
+        out = np.empty((n_rows, BENCH_K))
+        residuals = _solve_rows(out, 0.4, terms, anchor)
+        assert len(residuals) == len(terms)
+        for got, (weight, matrix, basis) in zip(residuals, terms):
+            resid = matrix.data - np.einsum("ij,ij->i", out[matrix.row_ids()],
+                                            basis[matrix.indices])
+            want = weight * float(resid @ resid)
+            assert abs(got - want) <= 1e-12 * weight * float(matrix.data @ matrix.data)
+
 
 class TestSolveSpd:
     """The solve from the Cholesky factor against numpy's LU solve."""
@@ -337,88 +358,8 @@ class TestSolveSpd:
         assert _solve_spd(np.empty((0, 5, 5)), np.empty((0, 5))).shape == (0, 5)
 
 
-def _state_and_inputs(theta, beta, alpha, users, items, values):
-    ratings = make_ratings(list(zip(users.tolist(), items.tolist(), values.tolist())),
-                           n_users=theta.shape[0], n_items=beta.shape[0])
-    return ModelState(theta, beta, alpha, None), ratings
-
-
-def _ppmi_from_arrays(n_items, s_rows, s_cols, s_values) -> PpmiMatrix:
-    matrix = from_scipy(sp.csr_matrix((s_values, (s_rows, s_cols)), shape=(n_items, n_items)))
-    return PpmiMatrix(matrix=matrix)
-
-
 class TestTotalLoss:
-    def test_matches_reference_on_random_instances(self, rng):
-        for _ in range(15):
-            theta, beta, alpha, users, items, values, sr, sc, sv, _, lam = \
-                random_instance(rng, with_anchor=False)
-            state, ratings = _state_and_inputs(theta, beta, alpha, users, items, values)
-            ppmi = _ppmi_from_arrays(beta.shape[0], sr, sc, sv)
-            hyper = Hyperparams(n_factors=theta.shape[1], sdae=None, **lam)
-            got = total_loss(state, ratings, ppmi, None, None, hyper)
-            want = joint_loss_reference(theta, beta, alpha, users, items, values,
-                                        sr, sc, sv, np.zeros_like(beta), **lam)
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_hand_computed_zero_state(self):
-        # 2 users x 2 items, all-zero factors: only the data terms survive
-        ratings = make_ratings([(0, 0, 2.0), (0, 1, 3.0), (1, 0, 1.0)])
-        state = ModelState(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), None)
-        s = math.log(2.0)
-        ppmi = _ppmi_from_arrays(2, np.array([0, 1]), np.array([1, 0]),
-                                 np.array([s, s]))
-        hyper = Hyperparams(n_factors=2, lambda_s=0.5, lambda_user=1.0,
-                            lambda_item=1.0, lambda_context=1.0, sdae=None)
-        expected = 0.5 * (4.0 + 9.0 + 1.0) + 0.5 * 0.5 * (2 * s * s)
-        got = total_loss(state, ratings, ppmi, None, None, hyper)
-        assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_perfect_fit_has_zero_data_terms(self, rng):
-        theta = rng.standard_normal((4, 2))
-        beta = rng.standard_normal((3, 2))
-        alpha = rng.standard_normal((3, 2))
-        users = np.array([0, 1, 2, 3], dtype=np.int64)
-        items = np.array([0, 1, 2, 0], dtype=np.int64)
-        values = np.einsum("ij,ij->i", theta[users], beta[items])
-        pairs = [(0, 1), (1, 2)]
-        sr = np.array([i for i, j in pairs] + [j for i, j in pairs])
-        sc = np.array([j for i, j in pairs] + [i for i, j in pairs])
-        sv = np.einsum("ij,ij->i", beta[sr], alpha[sc])
-        state, ratings = _state_and_inputs(theta, beta, alpha, users, items, values)
-        # exact-fit pair values may be nonpositive; inject them directly
-        ppmi = _ppmi_from_arrays(3, sr, sc, sv)
-        hyper = Hyperparams(n_factors=2, lambda_s=2.0, lambda_user=1e-12,
-                            lambda_item=1e-12, lambda_context=1e-12, sdae=None)
-        assert total_loss(state, ratings, ppmi, None, None, hyper) < 1e-9
-
-    def test_summation_order_invariant(self, rng):
-        theta, beta, alpha, users, items, values, sr, sc, sv, _, lam = \
-            random_instance(rng, with_anchor=False)
-        state, ratings = _state_and_inputs(theta, beta, alpha, users, items, values)
-        ppmi = _ppmi_from_arrays(beta.shape[0], sr, sc, sv)
-        hyper = Hyperparams(n_factors=theta.shape[1], sdae=None, **lam)
-        base = total_loss(state, ratings, ppmi, None, None, hyper)
-        order = rng.permutation(len(values))
-        shuffled = ratings.replace_entries(users[order], items[order], values[order])
-        assert total_loss(state, shuffled, ppmi, None, None, hyper) == \
-            pytest.approx(base, abs=1e-9)
-        # identical inputs reduce bit-exactly
-        assert total_loss(state, ratings, ppmi, None, None, hyper) == base
-
-    def test_non_finite_term_is_named(self):
-        ratings = make_ratings([(0, 0, 1.0)])
-        state = ModelState(np.array([[np.nan]]), np.zeros((1, 1)),
-                           np.zeros((1, 1)), None)
-        hyper = Hyperparams(n_factors=1, sdae=None)
-        with pytest.raises(NonFiniteLossError, match="rating"):
-            total_loss(state, ratings, None, None, None, hyper)
-
-    def test_click_term_without_ppmi_rejected(self):
-        state = ModelState(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)), None)
-        hyper = Hyperparams(n_factors=1, lambda_s=0.5, sdae=None)
-        with pytest.raises(ValidationError, match="lambda_s"):
-            total_loss(state, make_ratings([(0, 0, 1.0)]), None, None, None, hyper)
+    """The joint loss around block solutions, by the per-entry reference."""
 
     def test_block_updates_never_increase_reference_loss(self, rng):
         # random perturbations around each block solution stay worse
@@ -455,17 +396,8 @@ def random_symmetric_ppmi(rng, n_items, density):
 
 
 class TestPairTerm:
-    """The row-chunked pair term of total_loss against the per-entry gather."""
-
-    @staticmethod
-    def pair_only_loss(ppmi, beta, alpha, lambda_s):
-        """total_loss with every other term zero: no ratings, zero user factors,
-        and the two other regularizers given as known zeros."""
-        n_items, k = beta.shape
-        state = ModelState(np.zeros((1, k)), beta, alpha, None)
-        hyper = Hyperparams(n_factors=k, lambda_s=lambda_s, sdae=None)
-        return total_loss(state, make_ratings([], n_users=1, n_items=n_items), ppmi,
-                          None, None, hyper, known={"context_reg": 0.0, "item_reg": 0.0})
+    """The row-chunked pair term, which train() evaluates once for the start
+    state, against the per-entry gather."""
 
     @pytest.mark.parametrize("density", [0.01, 0.3, 1.0])
     def test_matches_gather_reference(self, rng, density):
@@ -475,29 +407,30 @@ class TestPairTerm:
         assert (np.diff(ppmi.matrix.indptr) == 0).any()
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
-        got = self.pair_only_loss(ppmi, beta, alpha, 0.7)
-        want = 0.5 * 0.7 * pair_loss_reference(ppmi.matrix, beta, alpha)
-        assert got == pytest.approx(want, rel=1e-12)
+        got = _pair_residual_sq(ppmi.matrix, beta, alpha)
+        assert got == pytest.approx(pair_loss_reference(ppmi.matrix, beta, alpha), rel=1e-12)
 
     def test_empty_chunks_contribute_nothing(self, rng):
         n_items, k = CHUNK_ROWS + 37, 3
         beta = rng.standard_normal((n_items, k))
         alpha = rng.standard_normal((n_items, k))
         empty = PpmiMatrix(from_scipy(sp.csr_matrix((n_items, n_items))))
-        assert self.pair_only_loss(empty, beta, alpha, 1.0) == 0.0
+        assert _pair_residual_sq(empty.matrix, beta, alpha) == 0.0
         # entries only between items of the second chunk
         tail = random_symmetric_ppmi(rng, 37, 0.5).matrix
         matrix = from_scipy(sp.block_diag([sp.csr_matrix((CHUNK_ROWS, CHUNK_ROWS)),
                                            to_scipy(tail)], format="csr"))
-        got = self.pair_only_loss(PpmiMatrix(matrix), beta, alpha, 1.0)
-        want = 0.5 * pair_loss_reference(tail, beta[CHUNK_ROWS:], alpha[CHUNK_ROWS:])
+        got = _pair_residual_sq(matrix, beta, alpha)
+        want = pair_loss_reference(tail, beta[CHUNK_ROWS:], alpha[CHUNK_ROWS:])
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_ppmi", [5, 3])
     def test_wrong_size_ppmi_rejected(self, n_ppmi):
+        data = synthetic_train_data(n_items=4, with_text=False, with_clicks=False)
         ppmi = PpmiMatrix(from_scipy(np.ones((n_ppmi, n_ppmi)) - np.eye(n_ppmi)))
+        hyper = Hyperparams(n_factors=2, lambda_s=1.0, sdae=None, max_epochs=1)
         with pytest.raises(ValidationError, match=rf"\({n_ppmi}, {n_ppmi}\).* 4 items"):
-            self.pair_only_loss(ppmi, np.ones((4, 2)), np.ones((4, 2)), 1.0)
+            train(dataclasses.replace(data, ppmi=ppmi), hyper)
 
     def test_memory_is_a_chunk_not_a_gather(self, rng):
         n_items, k = 600, 16
@@ -508,7 +441,7 @@ class TestPairTerm:
         gathered_copy = ppmi.matrix.nnz * k * 8
         tracemalloc.start()
         try:
-            self.pair_only_loss(ppmi, beta, alpha, 1.0)
+            _pair_residual_sq(ppmi.matrix, beta, alpha)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -546,21 +479,13 @@ class TestRatingGatherMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("call", ["total_loss", "in_matrix", "out_of_matrix"])
+    @pytest.mark.parametrize("call", ["in_matrix", "out_of_matrix"])
     def test_peak_grows_by_one_vector_when_ratings_double(self, rng, call):
         state, docs = self.world(rng)
-        hyper = Hyperparams(n_factors=self.K, lambda_s=0.0, sdae=None)
-        text_off = dataclasses.replace(state, sdae=None)
         peaks = []
         for n_entries in (40_000, 80_000):
             ratings = self.ratings(rng, n_entries)
-            if call == "total_loss":    # the rating term, others known
-                peaks.append(self.extra_peak(lambda: total_loss(
-                    text_off, ratings, None, None, None, hyper,
-                    known={"user_reg": 0.0, "context_reg": 0.0, "item_reg": 0.0})))
-            else:
-                peaks.append(self.extra_peak(lambda: predict_ratings(state, ratings, call,
-                                                                     docs)))
+            peaks.append(self.extra_peak(lambda: predict_ratings(state, ratings, call, docs)))
         # 8 bytes per added entry for the output; 16 leaves room for scratch,
         # and the whole gathers would add 2·K·8 = 256
         assert peaks[1] - peaks[0] < 16 * 40_000, peaks
@@ -652,7 +577,7 @@ class TestTrain:
                             seed=1)
         with pytest.raises(TrainingDivergedError) as err:
             train(data, hyper)
-        assert err.value.epoch == 1
+        assert err.value.epoch == 1 and err.value.term == "rating"
 
     def test_repeated_rating_pair_rejected(self):
         # parse_ratings refuses a repeated (user, item) pair, but a hand-edited
@@ -704,31 +629,81 @@ class TestTrain:
 
     @pytest.mark.parametrize("text", [True, False])
     def test_trace_losses_equal_from_scratch_losses(self, monkeypatch, text):
-        # train() passes total_loss the terms no block has changed since they
-        # were computed; each traced loss must still equal a full evaluation
+        # train() reads the rating and pair terms off its block solves; each
+        # traced loss must still equal the joint loss evaluated per entry, at
+        # the state after each block and after the autoencoder step
         import cofactor.factor as factor
-        original = factor.total_loss
-        from_scratch, reused = [], []
+        live, forward, moments = [], [], []
 
-        def spy(state, ratings, ppmi, encoding, recon_sq, hyper, *, known):
-            from_scratch.append(original(state, ratings, ppmi, encoding, recon_sq, hyper))
-            reused.append(len(known))
-            return original(state, ratings, ppmi, encoding, recon_sq, hyper, known=known)
+        def capture_state(*args):
+            live.append(ModelState(*args))
+            return live[-1]
 
-        monkeypatch.setattr(factor, "total_loss", spy)
+        def snapshot():
+            state = live[0]     # the state train() solves in place; later ones are copies
+            moments.append((state.user_factors.copy(), state.item_factors.copy(),
+                            state.context_factors.copy(), *(forward[-1] if text else (0, 0)),
+                            state.sdae.squared_norm() if text else 0.0))
+
+        def spy(original, before=False):
+            def call(*args, **kwargs):
+                if before:
+                    snapshot()
+                result = original(*args, **kwargs)
+                if not before:
+                    snapshot()
+                return result
+            return call
+
+        def spy_forward(params, x0, xc, *rest, **kwargs):
+            result = sdae_pass(params, x0, xc, *rest, **kwargs)
+            if not rest:        # a forward pass, not the gradient pass
+                forward.append((result[0].copy(), result[1]))
+            return result
+
+        sdae_pass = factor.sdae_pass
+        monkeypatch.setattr(factor, "ModelState", capture_state)
+        monkeypatch.setattr(factor, "sdae_pass", spy_forward)
+        monkeypatch.setattr(factor, "_solve_rows", spy(factor._solve_rows))
+        monkeypatch.setattr(factor, "predict_ratings", spy(factor.predict_ratings, before=True))
         data = synthetic_train_data(with_text=text, with_clicks=text)
         sdae = SdaeConfig(hidden_widths=[6], pretrain_epochs=3,
                           learning_rate=0.5) if text else None
-        hyper = Hyperparams(n_factors=3, lambda_s=0.5 if text else 0.0, lambda_user=0.05,
-                            lambda_item=1.0, lambda_context=0.05, lambda_recon=1.0,
-                            lambda_decay=1e-4, sdae=sdae, max_epochs=4, patience=0, seed=3)
+        lambdas = dict(lambda_s=0.5 if text else 0.0, lambda_user=0.05, lambda_item=1.0,
+                       lambda_context=0.05)
+        hyper = Hyperparams(n_factors=3, lambda_recon=1.0, lambda_decay=1e-4, sdae=sdae,
+                            max_epochs=4, patience=0, seed=3, **lambdas)
         _, trace = train(data, hyper)
         traced = [loss for e in trace.epochs
                   for loss in (e.loss_after_users, e.loss_after_items,
                                e.loss_after_contexts, e.loss_epoch_end)]
-        assert len(traced) == 16
-        assert traced == from_scratch
-        assert reused[0] == 0 and min(reused[1:]) > 0
+        # per epoch: after the user, item and (with clicks) context solves, and
+        # at validation, which follows the autoencoder step
+        assert len(traced) == 16 and len(moments) == (16 if text else 12)
+        if not text:    # no context block or step: those losses read the validated state
+            moments = [m for e in range(4)
+                       for m in moments[3 * e:3 * e + 3] + [moments[3 * e + 2]]]
+        tr = data.split.train
+        pairs = to_scipy(data.ppmi.matrix).tocoo() if text else sp.coo_matrix((30, 30))
+        for got, (theta, beta, alpha, encoding, recon_sq, decay_sq) in zip(traced, moments):
+            anchor = encoding if text else np.zeros_like(beta)
+            want = (joint_loss_reference(theta, beta, alpha, tr.users, tr.items, tr.ratings,
+                                         pairs.row, pairs.col, pairs.data, anchor, **lambdas)
+                    + 0.5 * hyper.lambda_recon * recon_sq + 0.5 * hyper.lambda_decay * decay_sq)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_pair_term_evaluated_directly_once_per_run(self, monkeypatch):
+        # the blocks report every later pair term; only the start state's is evaluated
+        import cofactor.factor as factor
+        calls = []
+        original = factor._pair_residual_sq
+        monkeypatch.setattr(factor, "_pair_residual_sq",
+                            lambda *args: calls.append(args) or original(*args))
+        data = synthetic_train_data(with_text=False)
+        hyper = Hyperparams(n_factors=3, lambda_s=0.5, sdae=None, max_epochs=4, patience=0,
+                            seed=3)
+        _, trace = train(data, hyper)
+        assert len(trace.epochs) == 4 and len(calls) == 1
 
     def test_click_term_without_ppmi_rejected(self):
         # used to train plain PMF, bit for bit the lambda_s 0 run, labelled "joint"
@@ -796,7 +771,8 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("field, value", [("seed", -1), ("lambda_user", -1.0),
-                                              ("n_factors", 2.5), ("max_epochs", 2.5)])
+                                              ("n_factors", 2.5), ("max_epochs", 2.5),
+                                              ("sdae", 5), ("sdae", "x"), ("sdae", [])])
     def test_unusable_hyperparameter_names_the_file(self, tmp_path, rng, field, value):
         from cofactor.errors import CheckpointError
         state = ModelState(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
@@ -955,6 +931,14 @@ class TestContainer:
         raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[start:])
         with pytest.raises(CheckpointError, match="truncated or corrupt .*'f8'"):
+            read_container(path)
+
+    def test_arrays_entry_not_an_object_refused(self, tmp_path):
+        from cofactor.errors import CheckpointError
+        path = tmp_path / "c.bin"
+        raw = json.dumps({"meta": {}, "arrays": ["x"]}).encode()
+        path.write_bytes(b"COFACTR1" + struct.pack("<Q", len(raw)) + raw)
+        with pytest.raises(CheckpointError, match="c.bin: truncated or corrupt container"):
             read_container(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

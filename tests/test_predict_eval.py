@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 
@@ -9,8 +10,8 @@ from cofactor.corpus import DocTermMatrix, EvalSplit, make_split
 from cofactor import predict_eval
 from cofactor.errors import ValidationError
 from cofactor.factor import Hyperparams, ModelState, TrainData, train
-from cofactor.predict_eval import (EvalReport, evaluate, rmse, sweep_lambda_s,
-                                   sweep_sparsity, write_trace_csv)
+from cofactor.predict_eval import (EvalReport, SparsityPoint, evaluate, rmse, sweep_lambda_s,
+                                   sweep_sparsity, write_sparsity_csv, write_trace_csv)
 
 from conftest import from_scipy, to_scipy
 from test_factor import synthetic_train_data
@@ -285,3 +286,23 @@ class TestTraceCsv:
         assert len(lines) == 2 + len(trace.epochs)
         table = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",", skiprows=2)
         assert table.shape == (3, 7)
+
+
+class TestSparsityCsv:
+    POINTS = [SparsityPoint(50.0, 0.9125, 0.95), SparsityPoint(100.0, 0.875, 0.9)]
+
+    def test_plain_label_rows(self):
+        sink = io.StringIO()
+        write_sparsity_csv(self.POINTS, sink, "movies", config_fingerprint="cafe01")
+        assert sink.getvalue() == ("label,fraction,joint_test_rmse,pmf_test_rmse,config\n"
+                                   "movies-50,0.5,0.9125,0.95,cafe01\n"
+                                   "movies-100,1,0.875,0.9,cafe01\n")
+
+    def test_label_with_comma_and_quotes_reads_back(self):
+        label = 'movie,tweetings "v2"'
+        sink = io.StringIO()
+        write_sparsity_csv(self.POINTS, sink, label, config_fingerprint="cafe01")
+        rows = list(csv.DictReader(io.StringIO(sink.getvalue())))
+        assert [row["label"] for row in rows] == [f"{label}-50", f"{label}-100"]
+        assert [row["fraction"] for row in rows] == ["0.5", "1"]
+        assert all(None not in row and row["config"] == "cafe01" for row in rows)
