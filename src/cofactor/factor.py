@@ -34,6 +34,8 @@ from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
 CHECKPOINT_VERSION = 1
 
 ENTRY_CHUNK = CHUNK_ROWS * 16  # rating entries per chunk of the θ_u·β_i gathers
+BATCH_ENTRIES = 1024  # most basis rows gathered at once for one batch of equal-length rows
+MIN_BATCH_ROWS = 3    # fewer equal-length rows are assembled one at a time
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,44 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndar
     return x
 
 
+def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
+                    basis: np.ndarray, start: int, stop: int) -> None:
+    """Write BᵀB and Bᵀv of each row r of `matrix` in start:stop into
+    gram[r - start] and rhs[r - start], zeros for a row with no entries;
+    see _solve_rows."""
+    k = gram.shape[-1]
+    indices, values = matrix.indices, matrix.data
+    bounds = matrix.indptr[start:stop + 1]
+    lengths = bounds[1:] - bounds[:-1]
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(heads, len(order)))
+    per_batch = BATCH_ENTRIES // np.maximum(ordered[heads], k)
+    shared = (sizes >= MIN_BATCH_ROWS) & (per_batch >= MIN_BATCH_ROWS) & (ordered[heads] > 0)
+    for head, size, per in zip(*(part[shared].tolist() for part in (heads, sizes, per_batch))):
+        group = order[head:head + size]
+        span = np.arange(lengths[group[0]])
+        step = -(-size // -(-size // per))  # as few batches as the cap allows, evenly filled
+        for at in range(0, size, step):
+            batch = group[at:at + step]
+            entries = bounds[batch, None] + span
+            rows = basis.take(indices[entries], axis=0)
+            gram[batch] = np.matmul(rows.transpose(0, 2, 1), rows)
+            rhs[batch] = np.matmul(values[entries][:, None, :], rows)[:, 0]
+    empty = lengths == 0
+    gram[empty] = 0.0
+    rhs[empty] = 0.0
+    alone = np.empty(len(order), dtype=bool)
+    alone[order] = np.repeat(~shared, sizes)
+    bounds = bounds.tolist()
+    for r in np.flatnonzero(alone & ~empty).tolist():
+        lo, hi = bounds[r], bounds[r + 1]
+        rows = basis.take(indices[lo:hi], axis=0)
+        np.matmul(rows.T, rows, out=gram[r])
+        np.matmul(values[lo:hi], rows, out=rhs[r])
+
+
 def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                 anchor: np.ndarray | None = None) -> list[float]:
     """Write into each row r of `out` the exact ridge solution of
@@ -174,17 +214,28 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     w_b Σ_r Σ_{j∈N_b(r)} (v_j − x_r·B_j)² at the solved rows x_r.
 
     Rows are solved in chunks of CHUNK_ROWS, one stacked solve per chunk. For
-    each term the chunk's Grams and right-hand sides are assembled in place in
-    a zeroed (rows, K, K) and (rows, K) stack: per stored row, one gather of
-    its basis rows and two BLAS products written straight into the row's
-    slot. Each term's two stacks are allocated once per call and zeroed per
-    chunk: a fresh multi-megabyte array per chunk is mapped and page-faulted
-    in afresh whenever the allocator hands it out from outside its heap.
-    Then, once per chunk, the term's stacks are scaled by its weight
-    (skipped at 1.0); the first term's stacks take ridge on their diagonals
-    and ridge·anchor on their right-hand sides, and each later term's stacks
-    are added to them. The gather stays per row, so no more than one row's
-    neighbours of a dense PPMI are ever gathered at once.
+    each term the chunk's Grams and right-hand sides are assembled in a
+    (rows, K, K) and a (rows, K) stack, allocated once per call (a fresh
+    multi-megabyte array per chunk is mapped and page-faulted in afresh
+    whenever the allocator hands it out from outside its heap):
+    - rows of the chunk with the same number of stored entries share batches:
+      per batch one gather of their basis rows, one batched BLAS product for
+      their Grams and one for their right-hand sides, written into their
+      slots. A batch holds at most BATCH_ENTRIES gathered entries and at most
+      BATCH_ENTRIES / K rows, so no batch array exceeds BATCH_ENTRIES × K floats;
+    - a row of fewer than MIN_BATCH_ROWS rows of its length, or too long for
+      that many to share a batch, is gathered alone and its two products are
+      written straight into its slot: a batch of two measured no faster than
+      two such rows, and rows of a dense PPMI are long and mostly of distinct
+      lengths;
+    - only the slots of rows with no entries are zeroed.
+    Rows are never padded to a common length: with equal lengths each batched
+    product runs, row by row, the BLAS routine on the operands that the row's
+    own product would, so it gives the same bits, which padding did not.
+    Then, once per chunk, the term's stacks are scaled by its weight (skipped
+    at 1.0); the first term's stacks take ridge on their diagonals and
+    ridge·anchor on their right-hand sides, and each later term's stacks are
+    added to them.
 
     So every system is bit-identical (up to the sign of an exact zero) to
     adding each row's w·BᵀB and w·Bᵀv onto ridge·I and ridge·anchor term by
@@ -205,15 +256,7 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
         stop = min(start + CHUNK_ROWS, n_rows)
         chunk = [(gram[:stop - start], rhs[:stop - start]) for gram, rhs in stacks]
         for (weight, matrix, basis), (term_gram, term_rhs) in zip(terms, chunk):
-            term_gram.fill(0.0)
-            term_rhs.fill(0.0)
-            indices, values = matrix.indices, matrix.data
-            bounds = matrix.indptr[start:stop + 1].tolist()
-            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                if lo < hi:
-                    rows = basis.take(indices[lo:hi], axis=0)
-                    np.matmul(rows.T, rows, out=term_gram[r])
-                    np.matmul(values[lo:hi], rows, out=term_rhs[r])
+            _assemble_chunk(term_gram, term_rhs, matrix, basis, start, stop)
             if weight != 1.0:
                 term_gram *= weight
                 term_rhs *= weight

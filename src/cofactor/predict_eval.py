@@ -47,7 +47,7 @@ class EvalReport:
             sink.write(f"{key}: {value}\n")
 
     def write_csv(self, sink: IO[str], lambda_s: float, epoch: int) -> None:
-        writer = csv.writer(sink)
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["mode", "lambda_s", "epoch", "rmse", "n_predictions", "config"])
         writer.writerow([self.mode, lambda_s, epoch, f"{self.rmse:.10g}",
                          self.n_predictions, self.config_fingerprint])
@@ -145,7 +145,7 @@ def write_trace_csv(trace: TrainingTrace, sink: IO[str],
                     config_fingerprint: str = "") -> None:
     """Per-epoch trace; the comment line names the run and config."""
     sink.write(f"# run: {trace.label}, config: {config_fingerprint}\n")
-    writer = csv.writer(sink)
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["epoch", "loss_after_users", "loss_after_items",
                      "loss_after_contexts", "loss_epoch_end", "validation_rmse",
                      "sdae_lr"])
@@ -158,7 +158,7 @@ def write_trace_csv(trace: TrainingTrace, sink: IO[str],
 
 def write_sweep_csv(points: Sequence[SweepPoint], sink: IO[str],
                     config_fingerprint: str = "") -> None:
-    writer = csv.writer(sink)
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["lambda_s", "validation_rmse", "test_rmse", "config"])
     for p in points:
         writer.writerow([p.lambda_s, f"{p.validation_rmse:.10g}",

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import struct
@@ -524,6 +525,22 @@ class TestSweep:
         no_lambda, sparsity_only = sweep([], [50])
         assert no_sparsity is None and no_lambda is None
         assert both == [lambda_only, sparsity_only]
+
+    def test_every_csv_ends_its_lines_in_newline_and_reads_back(self, workspace):
+        tmp_path, config = workspace
+        edit_config(config, "sweep", "sparsity_grid", [50])
+        ckpt = train_checkpoint(config)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert main(["sweep", "--config", str(config)]) == 0
+        paths = sorted((tmp_path / "out").glob("*.csv"))
+        assert [path.name for path in paths] == ["report.csv", "sparsity.csv",
+                                                 "sweep_lambda_s.csv", "trace.csv"]
+        for path in paths:
+            assert b"\r" not in path.read_bytes(), path.name
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            assert rows and all(None not in row and None not in row.values()
+                                for row in rows), path.name
 
     def test_grid_flag_override(self, workspace):
         tmp_path, config = workspace

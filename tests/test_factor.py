@@ -11,9 +11,10 @@ import pytest
 from cofactor.container import read_container, write_container
 from cofactor.corpus import DocTermMatrix, RatingDataset, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (Hyperparams, ModelState, TrainData, _pair_residual_sq,
-                             _solve_rows, _solve_spd, load_checkpoint, predict_ratings,
-                             run_label, save_checkpoint, train)
+from cofactor.factor import (BATCH_ENTRIES, MIN_BATCH_ROWS, Hyperparams, ModelState,
+                             TrainData, _pair_residual_sq, _solve_rows, _solve_spd,
+                             load_checkpoint, predict_ratings, run_label, save_checkpoint,
+                             train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi
 from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
 from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
@@ -200,6 +201,14 @@ def random_csr(rng, n_rows, n_cols, density) -> CsrMatrix:
                      cols, values)
 
 
+def csr_with_row_lengths(rng, lengths, n_cols) -> CsrMatrix:
+    """CsrMatrix whose row r holds lengths[r] distinct random columns."""
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    cols = [np.sort(rng.choice(n_cols, length, replace=False)) for length in lengths]
+    return CsrMatrix((len(lengths), n_cols), indptr, np.concatenate(cols),
+                     rng.standard_normal(indptr[-1]))
+
+
 def dense_ridge_rows(ridge, terms, anchor, n_rows, k):
     """Reference for _solve_rows from dense masks: one np.linalg.solve per row."""
     gram = np.repeat(ridge * np.eye(k)[None], n_rows, axis=0)
@@ -310,6 +319,50 @@ class TestSolveRows:
         terms = [(weight, random_csr(rng, n_rows, n_rows, 0.2),
                   rng.standard_normal((n_rows, BENCH_K)))]
         assert_same_as_per_row_sums(0.1, terms, None, n_rows, BENCH_K)
+
+    def test_equal_length_rows_in_batches_across_the_cap_and_chunks(self, rng):
+        # a handful of lengths, each more rows per chunk than one batch takes
+        lengths = [2, 5, 40, 150]
+        n_rows = 2 * CHUNK_ROWS + 37
+        matrix = csr_with_row_lengths(rng, rng.choice(lengths, n_rows), 300)
+        first = np.diff(matrix.indptr[:CHUNK_ROWS + 1])
+        for length in lengths:
+            assert (first == length).sum() > BATCH_ENTRIES // max(length, BENCH_K)
+        terms = [(1.0, matrix, rng.standard_normal((300, BENCH_K))),
+                 (0.7, random_csr(rng, n_rows, 90, 0.2), rng.standard_normal((90, BENCH_K)))]
+        assert_same_as_per_row_sums(0.4, terms, rng.standard_normal((n_rows, BENCH_K)),
+                                    n_rows, BENCH_K)
+
+    def test_long_rows_beside_short_ones_and_empty_rows_between_equal_ones(self, rng):
+        # rows too long to share a batch, of one length and of distinct lengths,
+        # among short rows of one length and empty rows; the second chunk's empty
+        # rows sit in stack slots that the first chunk's rows filled
+        longest_shared = BATCH_ENTRIES // MIN_BATCH_ROWS
+        n_rows = CHUNK_ROWS + 37
+        lengths = np.where(np.arange(n_rows) % 3 == 0, 0, 6)
+        lengths[1::9] = longest_shared + 1
+        lengths[2::27] = BATCH_ENTRIES + 1 + np.arange(len(lengths[2::27]))
+        matrix = csr_with_row_lengths(rng, lengths, 2 * BATCH_ENTRIES)
+        terms = [(1.0, matrix, rng.standard_normal((2 * BATCH_ENTRIES, BENCH_K)))]
+        assert_same_as_per_row_sums(0.4, terms, None, n_rows, BENCH_K)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_row_makes_exactly_its_rows_nan(self, rng, bad):
+        # every row has 3 entries, so whole chunks share batches; some touch column 0
+        n_rows = CHUNK_ROWS + 37
+        matrix = csr_with_row_lengths(rng, np.full(n_rows, 3), 12)
+        basis = rng.standard_normal((12, BENCH_K))
+        basis[0] = bad
+        touched = np.zeros(n_rows, dtype=bool)
+        touched[matrix.row_ids()[matrix.indices == 0]] = True
+        assert 0 < touched.sum() < n_rows
+        got, want = np.empty((n_rows, BENCH_K)), np.empty((n_rows, BENCH_K))
+        with np.errstate(invalid="ignore"):  # inf * 0.0 and inf − inf in the Grams
+            _solve_rows(got, 0.4, [(1.0, matrix, basis)])
+            solve_rows_reference(want, 0.4, [(1.0, matrix, basis)], None, _solve_spd,
+                                 CHUNK_ROWS)
+        assert np.isnan(got[touched]).all() and np.isfinite(got[~touched]).all()
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("case", ["one term", "two terms"])
     def test_residuals_match_direct_sums(self, rng, case):
