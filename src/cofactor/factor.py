@@ -27,6 +27,7 @@ from .container import read_container, write_container
 from .corpus import DocTermMatrix, EvalSplit, RatingDataset, SplitMode
 from .errors import CheckpointError, TrainingDivergedError, ValidationError
 from .ppmi import PpmiMatrix
+from .scratch import Scratch
 from .sdae import (SdaeConfig, SdaeParams, corrupt, encode, is_int, pretrain, sdae_pass,
                    stack_widths)
 from .sparse import CHUNK_ROWS, CsrMatrix, from_coo
@@ -36,6 +37,7 @@ CHECKPOINT_VERSION = 1
 ENTRY_CHUNK = CHUNK_ROWS * 16  # rating entries per chunk of the θ_u·β_i gathers
 BATCH_ENTRIES = 1024  # most basis rows gathered at once for one batch of equal-length rows
 MIN_BATCH_ROWS = 3    # fewer equal-length rows are assembled one at a time
+SOLVE_CHUNK_BYTES = 2 << 20  # most bytes of one term's (rows, K, K) stack in the block solve
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,22 @@ class ModelState:
     epoch: int = 0
     rating_offset: float = 0.0
 
-    def copy(self) -> "ModelState":
-        return ModelState(self.user_factors.copy(), self.item_factors.copy(),
-                          self.context_factors.copy(),
-                          self.sdae.copy() if self.sdae is not None else None,
-                          self.epoch, self.rating_offset)
+    def copy(self, into: "ModelState | None" = None) -> "ModelState":
+        """A copy of this state: new arrays, or with `into`, a state of the same
+        shapes, this state's values written into its arrays."""
+        if into is None:
+            return ModelState(self.user_factors.copy(), self.item_factors.copy(),
+                              self.context_factors.copy(),
+                              self.sdae.copy() if self.sdae is not None else None,
+                              self.epoch, self.rating_offset)
+        for target, value in zip(into._arrays(), self._arrays(), strict=True):
+            target[...] = value
+        into.epoch, into.rating_offset = self.epoch, self.rating_offset
+        return into
+
+    def _arrays(self) -> list[np.ndarray]:
+        sdae = [] if self.sdae is None else self.sdae.weights + self.sdae.biases
+        return [self.user_factors, self.item_factors, self.context_factors, *sdae]
 
 
 @dataclass
@@ -127,9 +140,10 @@ def run_label(hyper: Hyperparams) -> str:
     return "pmf-degenerate" if hyper.lambda_s == 0 and hyper.sdae is None else "joint"
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0,
+               out: np.ndarray | None = None, scratch: Scratch | None = None) -> np.ndarray:
     """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K), whose
-    Grams include `ridge`·I.
+    Grams include `ridge`·I, into `out` (a new array when None).
 
     A non-finite system yields a NaN row, which train()'s loss check after the
     block reports as TrainingDivergedError. Each system is factored once, as
@@ -137,37 +151,49 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0) -> np.ndar
     time across the whole stack. A finite system with no factor is singular
     with no ridge (ValidationError). A positive ridge makes it positive definite,
     so entries far larger than the ridge swamped it: train() reports the
-    LinAlgError as divergence.
+    LinAlgError as divergence. `out` is written only once L exists: first with
+    the forward solution y, then, column by column from the last, with x. The
+    finite flags are a view of `scratch`; L is a new array, as
+    np.linalg.cholesky takes no `out`.
     """
-    finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
-    if not finite.all():
-        out = np.full(rhs.shape, np.nan)
-        out[finite] = _solve_spd(gram[finite], rhs[finite], ridge)
-        return out
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        if ridge > 0:
-            raise
-        raise ValidationError(f"singular block system: {exc}") from None
-    k = rhs.shape[-1]
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    y = np.empty(rhs.shape)
-    for j in range(k):          # L y = rhs
-        y[..., j] = (rhs[..., j] - np.einsum("...m,...m->...", chol[..., j, :j],
-                                             y[..., :j])) / diag[..., j]
-    x = np.empty(rhs.shape)
-    for j in range(k - 1, -1, -1):  # Lᵀ x = y
-        x[..., j] = (y[..., j] - np.einsum("...m,...m->...", chol[..., j + 1:, j],
-                                           x[..., j + 1:])) / diag[..., j]
-    return x
+    out = np.empty(rhs.shape) if out is None else out
+    scratch = Scratch() if scratch is None else scratch
+    with scratch.frame():
+        (flags,) = scratch.take(gram.shape, dtype=bool)
+        finite = (np.isfinite(gram, out=flags).all(axis=(-2, -1))
+                  & np.isfinite(rhs).all(axis=-1))
+        if not finite.all():
+            solved = _solve_spd(gram[finite], rhs[finite], ridge, scratch=scratch)
+            out[...] = np.nan
+            out[finite] = solved
+            return out
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            if ridge > 0:
+                raise
+            raise ValidationError(f"singular block system: {exc}") from None
+        k = rhs.shape[-1]
+        diag = np.diagonal(chol, axis1=-2, axis2=-1)
+        x = y = out     # x[j] replaces y[j], which only x[j] reads
+        for j in range(k):          # L y = rhs
+            y[..., j] = (rhs[..., j] - np.einsum("...m,...m->...", chol[..., j, :j],
+                                                 y[..., :j])) / diag[..., j]
+        for j in range(k - 1, -1, -1):  # Lᵀ x = y
+            x[..., j] = (y[..., j] - np.einsum("...m,...m->...", chol[..., j + 1:, j],
+                                               x[..., j + 1:])) / diag[..., j]
+    return out
 
 
 def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
-                    basis: np.ndarray, start: int, stop: int) -> None:
+                    basis: np.ndarray, start: int, stop: int, scratch: Scratch) -> None:
     """Write BᵀB and Bᵀv of each row r of `matrix` in start:stop into
     gram[r - start] and rhs[r - start], zeros for a row with no entries;
-    see _solve_rows."""
+    see _solve_rows. A batch's gather and products are views of `scratch`:
+    _solve_rows checks that the indices fit the basis, so np.take's "clip"
+    clips nothing, and it writes straight into `out`, where "raise" would copy.
+    A row alone gathers a new length × K array, which a view would make no
+    cheaper: it comes from the heap below 512 entries at K 32."""
     k = gram.shape[-1]
     indices, values = matrix.indices, matrix.data
     bounds = matrix.indptr[start:stop + 1]
@@ -178,16 +204,25 @@ def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
     sizes = np.diff(np.append(heads, len(order)))
     per_batch = BATCH_ENTRIES // np.maximum(ordered[heads], k)
     shared = (sizes >= MIN_BATCH_ROWS) & (per_batch >= MIN_BATCH_ROWS) & (ordered[heads] > 0)
-    for head, size, per in zip(*(part[shared].tolist() for part in (heads, sizes, per_batch))):
-        group = order[head:head + size]
-        span = np.arange(lengths[group[0]])
-        step = -(-size // -(-size // per))  # as few batches as the cap allows, evenly filled
-        for at in range(0, size, step):
-            batch = group[at:at + step]
-            entries = bounds[batch, None] + span
-            rows = basis.take(indices[entries], axis=0)
-            gram[batch] = np.matmul(rows.transpose(0, 2, 1), rows)
-            rhs[batch] = np.matmul(values[entries][:, None, :], rows)[:, 0]
+    with scratch.frame():
+        # a batch's gather and Gram products hold at most BATCH_ENTRIES × K floats each
+        gathered, products, rhs_products = scratch.take(
+            (BATCH_ENTRIES * k,), (BATCH_ENTRIES * k,), (BATCH_ENTRIES,))
+        for head, size, per in zip(*(part[shared].tolist() for part in (heads, sizes, per_batch))):
+            group = order[head:head + size]
+            length = int(lengths[group[0]])
+            span = np.arange(length)
+            step = -(-size // -(-size // per))  # as few batches as the cap allows, evenly filled
+            for at in range(0, size, step):
+                batch = group[at:at + step]
+                n = len(batch)
+                entries = bounds[batch, None] + span
+                rows = np.take(basis, indices[entries], axis=0, mode="clip",
+                               out=gathered[:n * length * k].reshape(n, length, k))
+                gram[batch] = np.matmul(rows.transpose(0, 2, 1), rows,
+                                        out=products[:n * k * k].reshape(n, k, k))
+                rhs[batch] = np.matmul(values[entries][:, None, :], rows,
+                                       out=rhs_products[:n * k].reshape(n, 1, k))[:, 0]
     empty = lengths == 0
     gram[empty] = 0.0
     rhs[empty] = 0.0
@@ -201,8 +236,15 @@ def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
         np.matmul(values[lo:hi], rows, out=rhs[r])
 
 
+def _solve_chunk_rows(k: int) -> int:
+    """Rows per chunk of the block solve: CHUNK_ROWS, fewer when K is so large
+    that a chunk's (rows, K, K) stack would pass SOLVE_CHUNK_BYTES."""
+    return min(CHUNK_ROWS, max(1, SOLVE_CHUNK_BYTES // (8 * k * k)))
+
+
 def _solve_rows(out: np.ndarray, ridge: float, terms: list,
-                anchor: np.ndarray | None = None) -> list[float]:
+                anchor: np.ndarray | None = None,
+                scratch: Scratch | None = None) -> list[float]:
     """Write into each row r of `out` the exact ridge solution of
 
         (Σ_b w_b Σ_{j∈N_b(r)} B_j B_jᵀ + ridge·I) x = Σ_b w_b Σ_{j∈N_b(r)} v_j B_j + ridge·anchor_r
@@ -213,11 +255,11 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     anchor the ridge pulls toward zero. Returns each term's weighted residual
     w_b Σ_r Σ_{j∈N_b(r)} (v_j − x_r·B_j)² at the solved rows x_r.
 
-    Rows are solved in chunks of CHUNK_ROWS, one stacked solve per chunk. For
-    each term the chunk's Grams and right-hand sides are assembled in a
-    (rows, K, K) and a (rows, K) stack, allocated once per call (a fresh
-    multi-megabyte array per chunk is mapped and page-faulted in afresh
-    whenever the allocator hands it out from outside its heap):
+    Rows are solved in chunks of _solve_chunk_rows(K) rows, one stacked solve
+    per chunk: CHUNK_ROWS at K ≤ 32, fewer above, so that one (rows, K, K)
+    stack holds at most SOLVE_CHUNK_BYTES whatever K. For each term the chunk's
+    Grams and right-hand sides are assembled in a (rows, K, K) and a (rows, K)
+    stack:
     - rows of the chunk with the same number of stored entries share batches:
       per batch one gather of their basis rows, one batched BLAS product for
       their Grams and one for their right-hand sides, written into their
@@ -246,51 +288,71 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     out of the first term's stacks, so that each term's stacks hold its own
     weighted Gram G_r and right-hand side b_r, and its residual is read off
     them as w·Σ v² − 2 x_r·b_r + x_rᵀ G_r x_r: K² per row and no gather.
+
+    The stacks, the batch gathers and products of the assembly, ridge·anchor,
+    the products G_r x_r and the solve's own temporaries are views of
+    `scratch` (a Scratch of this call's own when None), taken once per call
+    or per chunk and reused by every chunk; each solved chunk is written
+    straight into its rows of `out`. Per chunk only the Cholesky factor is a
+    new array, as np.linalg.cholesky takes no `out`, and so is each gather of
+    a row assembled alone, small enough to come from the heap.
     """
     n_rows, k = out.shape
+    for _, matrix, basis in terms:
+        if basis.shape != (matrix.shape[1], k):
+            raise ValidationError(f"a basis of shape {basis.shape} does not fit "
+                                  f"{matrix.shape[1]} columns and K = {k}")
     diag = np.arange(k)
-    height = min(CHUNK_ROWS, n_rows)
-    stacks = [(np.empty((height, k, k)), np.empty((height, k))) for _ in terms]
+    chunk_rows = _solve_chunk_rows(k)
+    height = min(chunk_rows, n_rows)
+    scratch = Scratch() if scratch is None else scratch
     residuals = [weight * float(matrix.data @ matrix.data) for weight, matrix, _ in terms]
-    for start in range(0, n_rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_rows)
-        chunk = [(gram[:stop - start], rhs[:stop - start]) for gram, rhs in stacks]
-        for (weight, matrix, basis), (term_gram, term_rhs) in zip(terms, chunk):
-            _assemble_chunk(term_gram, term_rhs, matrix, basis, start, stop)
-            if weight != 1.0:
-                term_gram *= weight
-                term_rhs *= weight
-        gram, rhs = chunk[0]    # the ridge joins before any later term, as in a per-row sum
-        gram[:, diag, diag] += ridge
-        if anchor is not None:
-            rhs += ridge * anchor[start:stop]
-        for term_gram, term_rhs in chunk[1:]:
-            gram += term_gram
-            rhs += term_rhs
-        x = out[start:stop]
-        x[:] = _solve_spd(gram, rhs, ridge)
-        for term_gram, term_rhs in chunk[1:]:
-            gram -= term_gram
-            rhs -= term_rhs
-        gram[:, diag, diag] -= ridge
-        if anchor is not None:
-            rhs -= ridge * anchor[start:stop]
-        for b, (term_gram, term_rhs) in enumerate(chunk):
-            residuals[b] += (np.vdot(np.matmul(term_gram, x[..., None]), x)
-                             - 2.0 * np.vdot(x, term_rhs))
+    with scratch.frame():
+        views = scratch.take(*[(height, k, k), (height, k)] * len(terms))
+        stacks = list(zip(views[::2], views[1::2]))
+        for start in range(0, n_rows, chunk_rows):
+            stop = min(start + chunk_rows, n_rows)
+            chunk = [(gram[:stop - start], rhs[:stop - start]) for gram, rhs in stacks]
+            for (weight, matrix, basis), (term_gram, term_rhs) in zip(terms, chunk):
+                _assemble_chunk(term_gram, term_rhs, matrix, basis, start, stop, scratch)
+                if weight != 1.0:
+                    term_gram *= weight
+                    term_rhs *= weight
+            gram, rhs = chunk[0]    # the ridge joins before any later term, as in a per-row sum
+            with scratch.frame():   # where the assembly's temporaries were
+                (tmp,) = scratch.take((stop - start, k))
+                gram[:, diag, diag] += ridge
+                if anchor is not None:
+                    rhs += np.multiply(anchor[start:stop], ridge, out=tmp)
+                for term_gram, term_rhs in chunk[1:]:
+                    gram += term_gram
+                    rhs += term_rhs
+                x = _solve_spd(gram, rhs, ridge, out=out[start:stop], scratch=scratch)
+                for term_gram, term_rhs in chunk[1:]:
+                    gram -= term_gram
+                    rhs -= term_rhs
+                gram[:, diag, diag] -= ridge
+                if anchor is not None:
+                    rhs -= np.multiply(anchor[start:stop], ridge, out=tmp)
+                for b, (term_gram, term_rhs) in enumerate(chunk):
+                    fitted = np.matmul(term_gram, x[..., None], out=tmp.reshape(-1, k, 1))
+                    residuals[b] += np.vdot(fitted, x) - 2.0 * np.vdot(x, term_rhs)
     return [float(value) for value in residuals]
 
 
 def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
-                    docs: DocTermMatrix | None = None) -> np.ndarray:
-    """Predicted rating of each entry of `ratings`, offset included. in_matrix
-    reads the item factor table; out_of_matrix encodes every item's clean text
-    row once, into an n_items × K table, and reads no item factor. The user
-    table and the item table must have one row per user and item of `ratings`.
+                    docs: DocTermMatrix | None = None,
+                    scratch: Scratch | None = None) -> np.ndarray:
+    """Predicted rating of each entry of `ratings`, offset included, as a new
+    array. in_matrix reads the item factor table; out_of_matrix encodes every
+    item's clean text row once, into an n_items × K table, and reads no item
+    factor. The user table and the item table must have one row per user and
+    item of `ratings`.
 
     θ_u·β_i is formed ENTRY_CHUNK entries at a time, written into the one
     output vector, so no n_entries × K gather and no other n_entries-long
-    scratch array is ever held.
+    scratch array is ever held. Each chunk's θ and β gathers are views of
+    `scratch` (a Scratch of this call's own when None).
     """
     if mode == "in_matrix":
         item_table, item_name = state.item_factors, "item factors"
@@ -308,20 +370,34 @@ def predict_ratings(state: ModelState, ratings: RatingDataset, mode: SplitMode,
     if mode == "out_of_matrix":
         item_table = encode(item_table, state.sdae)
     out = np.empty(ratings.n_entries)
-    for start in range(0, len(out), ENTRY_CHUNK):
-        chunk = slice(start, start + ENTRY_CHUNK)
-        np.einsum("ij,ij->i", state.user_factors[ratings.users[chunk]],
-                  item_table[ratings.items[chunk]], out=out[chunk])
+    height = min(ENTRY_CHUNK, len(out))
+    scratch = Scratch() if scratch is None else scratch
+    with scratch.frame():
+        # indices are checked against the tables above, so "clip" clips nothing;
+        # it lets np.take write straight into `out=`, which "raise" would copy
+        user_rows, item_rows = scratch.take((height, state.user_factors.shape[1]),
+                                            (height, item_table.shape[1]))
+        for start in range(0, len(out), ENTRY_CHUNK):
+            chunk = slice(start, start + ENTRY_CHUNK)
+            n = len(out[chunk])
+            np.einsum("ij,ij->i",
+                      np.take(state.user_factors, ratings.users[chunk], axis=0, mode="clip",
+                              out=user_rows[:n]),
+                      np.take(item_table, ratings.items[chunk], axis=0, mode="clip",
+                              out=item_rows[:n]), out=out[chunk])
     out += state.rating_offset
     return out
 
 
-def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) -> float:
+def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray,
+                      scratch: Scratch | None = None) -> float:
     """Σ (s_ij − β_i·α_j)² over the stored entries of `matrix`, stored zeros included.
 
-    Each chunk of CHUNK_ROWS rows forms beta[chunk] @ alpha.T and reads its
-    stored entries out of that product, so no factor row is gathered per entry:
-    temporary memory is a few CHUNK_ROWS·n_items arrays, not 2·nnz·K floats.
+    Each chunk of CHUNK_ROWS rows forms beta[chunk] @ alpha.T, in a view of
+    `scratch` (a Scratch of this call's own when None), and reads its stored
+    entries out of that product, so no factor row is gathered per entry:
+    temporary memory is one CHUNK_ROWS·n_items product and the chunk's
+    entries, not 2·nnz·K floats.
     The product costs n_items²·K flops at BLAS speed whatever the density.
     Against the per-entry gather of β_i and α_j (K=32, one BLAS thread) it
     breaks even near 1% density and is 16× faster on a full matrix; the
@@ -329,15 +405,20 @@ def _pair_residual_sq(matrix: CsrMatrix, beta: np.ndarray, alpha: np.ndarray) ->
     no stored entry are skipped.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    n_rows = matrix.shape[0]
     total = 0.0
-    for start in range(0, matrix.shape[0], CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, matrix.shape[0])
-        lo, hi = indptr[start], indptr[stop]
-        if lo == hi:
-            continue
-        local_rows = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
-        resid = data[lo:hi] - (beta[start:stop] @ alpha.T)[local_rows, indices[lo:hi]]
-        total += float(resid @ resid)
+    scratch = Scratch() if scratch is None else scratch
+    with scratch.frame():
+        (products,) = scratch.take((min(CHUNK_ROWS, n_rows), alpha.shape[0]))
+        for start in range(0, n_rows, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n_rows)
+            lo, hi = indptr[start], indptr[stop]
+            if lo == hi:
+                continue
+            local_rows = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+            product = np.matmul(beta[start:stop], alpha.T, out=products[:stop - start])
+            resid = data[lo:hi] - product[local_rows, indices[lo:hi]]
+            total += float(resid @ resid)
     return total
 
 
@@ -385,10 +466,11 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     offset = float(train_ds.ratings.mean()) if hyper.center_ratings else 0.0
     values = train_ds.ratings - offset
 
+    scratch = Scratch()     # every phase's chunk temporaries; see README
     rng = np.random.default_rng(hyper.seed)
     theta = 0.01 * rng.standard_normal((n_users, k))
     if sdae_on:
-        params = pretrain(docs.rows, hyper.sdae, k, seed=hyper.seed)
+        params = pretrain(docs.rows, hyper.sdae, k, seed=hyper.seed, scratch=scratch)
         beta = np.asarray(encode(docs.rows, params))
     else:
         params = None
@@ -408,7 +490,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     state = ModelState(theta, beta, alpha, params, 0, offset)
     trace = TrainingTrace(label=run_label(hyper))
     sdae_lr = hyper.sdae.learning_rate if sdae_on else 0.0
-    encoding = recon_sq = None
+    encoding = recon_sq = best_state = None
     stale = 0
     # the loss terms of the current state, in summation order; adding a pair
     # term of 0.0 when λ_s = 0 leaves every sum bit-identical
@@ -430,7 +512,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         its ridge term: each term takes half its residual, the ridge term
         ridge/2·‖out − anchor‖²."""
         try:
-            residuals = _solve_rows(out, ridge, block_terms, anchor)
+            residuals = _solve_rows(out, ridge, block_terms, anchor, scratch)
         except np.linalg.LinAlgError:
             raise TrainingDivergedError(epoch, block, block=True) from None
         changed = {name: 0.5 * value for name, value in zip(names, residuals)}
@@ -444,7 +526,8 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
 
     # the start state's terms that epoch 1 reads before a block sets them; no
     # block has solved its pair term, so that one is evaluated directly
-    pair = _pair_residual_sq(data.ppmi.matrix, beta, alpha) if hyper.lambda_s > 0 else 0.0
+    pair = (_pair_residual_sq(data.ppmi.matrix, beta, alpha, scratch) if hyper.lambda_s > 0
+            else 0.0)
     start = {"pair": 0.5 * hyper.lambda_s * pair,
              "context_reg": 0.5 * hyper.lambda_context * _sum_sq(alpha)}
     if not sdae_on:
@@ -456,7 +539,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
             xc = docs.rows
             x0 = corrupt(xc, hyper.sdae.noise_rate,
                          np.random.SeedSequence(entropy=hyper.seed, spawn_key=(epoch,)))
-            encoding, recon_sq, _ = sdae_pass(params, x0, xc)
+            encoding, recon_sq, _ = sdae_pass(params, x0, xc, scratch=scratch)
             loss(epoch, autoencoder_terms())
 
         loss_users = solve(epoch, "user", theta, hyper.lambda_user, user_terms,
@@ -474,16 +557,19 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         if sdae_on:
             _, _, (grads_w, grads_b) = sdae_pass(
                 params, x0, xc, beta, lambda_anchor=hyper.lambda_item,
-                lambda_recon=hyper.lambda_recon, lambda_decay=hyper.lambda_decay)
+                lambda_recon=hyper.lambda_recon, lambda_decay=hyper.lambda_decay,
+                scratch=scratch)
             for value, grad in zip(params.weights + params.biases, grads_w + grads_b):
-                value -= sdae_lr * grad     # in place
-            encoding, recon_sq, _ = sdae_pass(params, x0, xc)
+                grad *= sdae_lr
+                value -= grad               # in place
+            del grads_w, grads_b            # not held through the next epoch's solves
+            encoding, recon_sq, _ = sdae_pass(params, x0, xc, scratch=scratch)
             loss_end = loss(epoch, autoencoder_terms())
             if loss_end > loss_contexts:
                 sdae_lr *= 0.5
 
         err = split.validation.ratings - predict_ratings(state, split.validation,
-                                                         split.mode, docs)
+                                                         split.mode, docs, scratch)
         rmse_val = float(np.sqrt(np.mean(err * err)))
         if not np.isfinite(rmse_val):
             raise TrainingDivergedError(epoch, "validation_rmse")
@@ -493,7 +579,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         if rmse_val < trace.best_validation_rmse:
             trace.best_validation_rmse = rmse_val
             trace.best_epoch = epoch
-            best_state = state.copy()
+            best_state = state.copy(into=best_state)   # one copy per run, not per epoch
             stale = 0
         else:
             stale += 1

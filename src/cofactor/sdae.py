@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .scratch import Scratch
 from .sparse import CHUNK_ROWS, CsrMatrix
 
 
@@ -136,11 +137,15 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-def _forward(x, params: SdaeParams, n_layers: int):
-    """Activations [h_0 … h_n]; h_0 is the (possibly sparse) input."""
+def _forward(x, params: SdaeParams, n_layers: int, outs=None):
+    """Activations [h_0 … h_n]; h_0 is the (possibly sparse) input. With `outs`,
+    each dense layer's product is written into outs[layer], a view of its shape;
+    a sparse input's product is scipy's own fresh array."""
     acts = [x]
-    for w, b in zip(params.weights[:n_layers], params.biases[:n_layers]):
-        h = acts[-1] @ w
+    for layer, (w, b) in enumerate(zip(params.weights[:n_layers], params.biases[:n_layers])):
+        prev = acts[-1]
+        h = (prev @ w if outs is None or isinstance(prev, CsrMatrix)
+             else np.matmul(prev, w, out=outs[layer]))
         h += b
         acts.append(_sigmoid(h, out=h))     # in place: fresh arrays cost page faults
     return acts
@@ -152,20 +157,36 @@ def encode(x0, params: SdaeParams) -> np.ndarray:
     return _forward(x0, params, params.n_layers // 2)[-1]
 
 
+def _rows(buffer: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n·width floats of a flat buffer, as n rows of `width`."""
+    return buffer[:n * width].reshape(n, width)
+
+
 def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0.0,
-              lambda_recon: float = 0.0, lambda_decay: float = 0.0):
+              lambda_recon: float = 0.0, lambda_decay: float = 0.0,
+              scratch: Scratch | None = None):
     """(encode(x0), Σ‖xc − reconstruct(x0)‖², grads) for corrupted rows x0 and
-    clean rows xc, CHUNK_ROWS rows at a time: no array is taller than a chunk
-    and wider than a layer. grads is None without `beta`, else the weight and
-    bias gradient lists of (λ_anchor/2)·Σ‖β − encode(x0)‖² + (λ_recon/2)·Σ‖xc −
-    reconstruct(x0)‖² + (λ_decay/2)·(‖W‖² + ‖b‖²), with the anchor residual
-    injected at the middle layer. β broadcasts to the encoding.
+    clean rows xc, CHUNK_ROWS rows at a time. grads is None without `beta`, else
+    the weight and bias gradient lists of (λ_anchor/2)·Σ‖β − encode(x0)‖² +
+    (λ_recon/2)·Σ‖xc − reconstruct(x0)‖² + (λ_decay/2)·(‖W‖² + ‖b‖²), with the
+    anchor residual injected at the middle layer. β broadcasts to the encoding.
+
+    The encoding and the gradients are new arrays. Every chunk temporary is a
+    view of `scratch` (a Scratch of this call's own when None), taken once per
+    call: each layer's activations, the residual xc − reconstruction, the
+    back-propagated deltas (in two buffers, each chunk × widest layer, which
+    take turns) and the anchor residual. Each layer's weight-gradient product
+    goes into the buffer of the activations it computed, which the backward
+    pass has spent by then, so that buffer is as tall as the layer's fan-in
+    when that exceeds a chunk. Per chunk only scipy's products with sparse
+    rows are new arrays: the first layer's activations and its weight gradient.
     """
     _check_stack(x0, params)
     n_layers, n_rows, mid = params.n_layers, x0.shape[0], params.n_layers // 2
-    if xc.shape != (n_rows, params.layer_widths[-1]):
+    widths = params.layer_widths
+    if xc.shape != (n_rows, widths[-1]):
         raise ValidationError(f"clean rows of shape {xc.shape} do not fit the pass")
-    encoding = np.empty((n_rows, params.layer_widths[mid]))
+    encoding = np.empty((n_rows, widths[mid]))
     recon_sq, grads = 0.0, None
     if beta is not None:
         beta = np.broadcast_to(beta, encoding.shape)
@@ -174,44 +195,65 @@ def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0
             raise ValidationError("non-finite values in gradient inputs")
         grads = ([np.zeros_like(w) for w in params.weights],
                  [np.zeros_like(b) for b in params.biases])
-    for start in range(0, n_rows, CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, n_rows))
-        acts = _forward(x0[rows], params, n_layers)
-        encoding[rows] = acts[mid]
-        out, clean = acts[-1], xc[rows]
-        # xc − out in a new array; sparse clean rows are added into −out
-        resid = clean.toarray(np.negative(out)) if isinstance(clean, CsrMatrix) else clean - out
-        recon_sq += float(np.vdot(resid, resid))
-        if grads is None:
-            continue
-        delta = np.multiply(resid, -lambda_recon, out=resid)  # λ_recon·(out − xc)·out·(1 − out)
-        delta *= out
-        delta *= np.subtract(1.0, out, out=out)
-        for layer in range(n_layers - 1, -1, -1):
-            h = acts[layer]
-            grads[0][layer] += (h.transpose_matmul(delta) if isinstance(h, CsrMatrix)
-                                else h.T @ delta)
-            grads[1][layer] += delta.sum(axis=0)
-            if layer == 0:
-                break
-            delta = delta @ params.weights[layer].T
-            if layer == mid:
-                delta += lambda_anchor * (h - beta[rows])
-            delta *= h
-            delta *= 1.0 - h
+    height, widest = min(CHUNK_ROWS, n_rows), max(widths)
+    scratch = Scratch() if scratch is None else scratch
+    with scratch.frame():
+        # layer l's activations, in a buffer that can take its weight-gradient
+        # product once the backward pass has spent them; two delta buffers
+        *layer_bufs, delta_buf, spare_buf = scratch.take(
+            *[(max(height, w.shape[0]) * w.shape[1],) for w in params.weights],
+            (height * widest,), (height * widest,))
+        for start in range(0, n_rows, CHUNK_ROWS):
+            rows = slice(start, min(start + CHUNK_ROWS, n_rows))
+            n = rows.stop - start
+            outs = [_rows(buf, n, w.shape[1]) for buf, w in zip(layer_bufs, params.weights)]
+            acts = _forward(x0[rows], params, n_layers, outs)
+            encoding[rows] = acts[mid]
+            out, clean = acts[-1], xc[rows]
+            resid = _rows(delta_buf, n, out.shape[1])       # xc − out
+            if isinstance(clean, CsrMatrix):
+                clean.toarray(np.negative(out, out=resid))  # added into −out
+            else:
+                np.subtract(clean, out, out=resid)
+            recon_sq += float(np.vdot(resid, resid))
+            if grads is None:
+                continue
+            delta = np.multiply(resid, -lambda_recon, out=resid)  # λ_recon·(out − xc)·out·(1 − out)
+            delta *= out
+            delta *= np.subtract(1.0, out, out=out)
+            bufs = [delta_buf, spare_buf]     # delta is in bufs[0], bufs[1] is free
+            for layer in range(n_layers - 1, -1, -1):
+                h, w = acts[layer], params.weights[layer]
+                grads[0][layer] += (h.transpose_matmul(delta) if isinstance(h, CsrMatrix)
+                                    else np.matmul(h.T, delta, out=_rows(layer_bufs[layer],
+                                                                         *w.shape)))
+                grads[1][layer] += delta.sum(axis=0)
+                if layer == 0:
+                    break
+                delta = np.matmul(delta, w.T, out=_rows(bufs[1], *h.shape))
+                bufs.reverse()
+                if layer == mid:
+                    anchor = np.subtract(h, beta[rows], out=_rows(bufs[1], *h.shape))
+                    anchor *= lambda_anchor
+                    delta += anchor
+                delta *= h
+                delta *= np.subtract(1.0, h, out=h)   # h is spent
     if grads is not None:
         for grad, value in zip(grads[0] + grads[1], params.weights + params.biases):
             grad += lambda_decay * value
     return encoding, recon_sq, grads
 
 
-def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaeParams:
+def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int,
+             scratch: Scratch | None = None) -> SdaeParams:
     """Greedy layer-wise denoising pretraining of the full symmetric stack,
     stack_widths(width of the rows, config.hidden_widths, latent).
 
     Each encoder depth trains a one-hidden-layer denoising autoencoder on the
     clean propagation of the rows so far; its decoder initializes the mirror
-    layer. pretrain_epochs=0 returns the random initialization untouched.
+    layer. pretrain_epochs=0 returns the random initialization untouched. Every
+    pass writes its chunk temporaries into `scratch` (see sdae_pass), one
+    Scratch for all depths and epochs.
     """
     if not isinstance(clean_rows, CsrMatrix):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)
@@ -220,6 +262,7 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaePara
     if config.pretrain_epochs == 0:
         return params
     n_layers, n_rows = params.n_layers, clean_rows.shape[0]
+    scratch = Scratch() if scratch is None else scratch
     h = clean_rows
     for depth in range(n_layers // 2):
         enc, dec = depth, n_layers - 1 - depth
@@ -227,8 +270,10 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int) -> SdaePara
                           [params.biases[enc], params.biases[dec]])
         for _ in range(config.pretrain_epochs):
             noisy = corrupt(h, config.noise_rate, rng)
-            grads_w, grads_b = sdae_pass(pair, noisy, h, 0.0, lambda_recon=1.0 / n_rows)[2]
+            grads_w, grads_b = sdae_pass(pair, noisy, h, 0.0, lambda_recon=1.0 / n_rows,
+                                         scratch=scratch)[2]
             for value, grad in zip(pair.weights + pair.biases, grads_w + grads_b):
-                value -= config.learning_rate * grad    # in place
+                grad *= config.learning_rate
+                value -= grad   # in place
         h = _sigmoid(h @ params.weights[enc] + params.biases[enc])
     return params

@@ -11,11 +11,12 @@ import pytest
 from cofactor.container import read_container, write_container
 from cofactor.corpus import DocTermMatrix, RatingDataset, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (BATCH_ENTRIES, MIN_BATCH_ROWS, Hyperparams, ModelState,
-                             TrainData, _pair_residual_sq, _solve_rows, _solve_spd,
-                             load_checkpoint, predict_ratings, run_label, save_checkpoint,
-                             train)
+from cofactor.factor import (BATCH_ENTRIES, MIN_BATCH_ROWS, SOLVE_CHUNK_BYTES, Hyperparams,
+                             ModelState, TrainData, _pair_residual_sq, _solve_chunk_rows,
+                             _solve_rows, _solve_spd, load_checkpoint, predict_ratings,
+                             run_label, save_checkpoint, train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi
+from cofactor.scratch import Scratch
 from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
 from cofactor.sparse import CHUNK_ROWS, CsrMatrix, from_coo
 
@@ -363,6 +364,33 @@ class TestSolveRows:
                                  CHUNK_ROWS)
         assert np.isnan(got[touched]).all() and np.isfinite(got[~touched]).all()
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_large_k_chunks_are_bounded_in_bytes(self, rng):
+        # a CHUNK_ROWS-row stack at K 256 would be 256·K²·8 B = 128 MiB per term
+        k, n_rows = 256, 40
+        chunk_rows = _solve_chunk_rows(k)
+        assert chunk_rows * k * k * 8 <= SOLVE_CHUNK_BYTES < CHUNK_ROWS * k * k * 8
+        assert _solve_chunk_rows(BENCH_K) == CHUNK_ROWS
+        # rows of 5 entries share batches; the pair rows are gathered alone
+        terms = [(1.0, csr_with_row_lengths(rng, np.full(n_rows, 5), 300),
+                  rng.standard_normal((300, k))),
+                 (0.7, random_csr(rng, n_rows, n_rows, 0.5), rng.standard_normal((n_rows, k)))]
+        anchor = rng.standard_normal((n_rows, k))
+        got, want = np.empty((n_rows, k)), np.empty((n_rows, k))
+        scratch = Scratch()
+        tracemalloc.start()
+        try:
+            _solve_rows(got, 0.4, terms, anchor, scratch)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scratch buffer is anonymous memory, which tracemalloc does not see;
+        # it holds two terms' stacks and a batch's gather and Gram products, and
+        # the traced peak is mostly the Cholesky factor: about 5·SOLVE_CHUNK_BYTES
+        peak = traced + 8 * scratch.size
+        assert peak < 6 * SOLVE_CHUNK_BYTES, peak
+        solve_rows_reference(want, 0.4, terms, anchor, _solve_spd, chunk_rows)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", ["one term", "two terms"])
     def test_residuals_match_direct_sums(self, rng, case):
