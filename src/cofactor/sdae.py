@@ -140,7 +140,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _forward(x, params: SdaeParams, n_layers: int, outs=None):
     """Activations [h_0 … h_n]; h_0 is the (possibly sparse) input. With `outs`,
     each dense layer's product is written into outs[layer], a view of its shape;
-    a sparse input's product is scipy's own fresh array."""
+    a sparse input's product is a fresh array (written into the view instead,
+    it raised the paper-scale peak RSS by 10 MB)."""
     acts = [x]
     for layer, (w, b) in enumerate(zip(params.weights[:n_layers], params.biases[:n_layers])):
         prev = acts[-1]
@@ -178,8 +179,8 @@ def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0
     take turns) and the anchor residual. Each layer's weight-gradient product
     goes into the buffer of the activations it computed, which the backward
     pass has spent by then, so that buffer is as tall as the layer's fan-in
-    when that exceeds a chunk. Per chunk only scipy's products with sparse
-    rows are new arrays: the first layer's activations and its weight gradient.
+    when that exceeds a chunk. Per chunk only the products with sparse rows
+    are new arrays: the first layer's activations and its weight gradient.
     """
     _check_stack(x0, params)
     n_layers, n_rows, mid = params.n_layers, x0.shape[0], params.n_layers // 2

@@ -6,17 +6,24 @@ inside a compiled product. Every CsrMatrix is canonical: the columns of each
 row are strictly increasing, so no reader sorts or deduplicates one again;
 `from_coo`, the one builder from entries, sorts them. Rows are read by
 contiguous slice only, as views. Building, slicing, entry filtering and
-densifying are numpy. Three products run in scipy.sparse on a zero-copy
-view: the co-click count product XᵀX (`gram`), sparse × dense (`@`) and
-sparseᵀ × dense (`transpose_matmul`); in numpy, with one BLAS thread, the
-first took 3.7× and sparse × dense 7–17× as long. scipy is
-imported only where that view is made: importing scipy.sparse adds about
-0.2 s to a process's start (2-vCPU Xeon), which a command that runs none of
-the three never pays.
+densifying are numpy. Three products run in scipy's compiled
+CSR kernels, called on this matrix's own arrays: the co-click count product
+XᵀX (`gram`), sparse × dense (`@`) and sparseᵀ × dense (`transpose_matmul`);
+in numpy, with one BLAS thread, the first took 3.7× and sparse × dense 7–17×
+as long. Each product gives scipy 1.17's bits: the two dense products make
+the kernel call scipy's own method makes, and `gram` makes scipy's calls but
+sorts its product's rows where scipy transposes them, which gives the same
+symmetric matrix. The kernels' extension module is loaded from its
+file on the first product, without importing the scipy.sparse package:
+that import adds about 0.14 s and 14 MB to a process (2-vCPU Xeon), the
+module alone under a millisecond, and a command that runs no product loads
+neither.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,11 @@ _INT32_MAX = np.iinfo(np.int32).max
 CHUNK_ROWS = 256  # rows per chunk of every row-chunked loop; bounds its scratch memory
 
 
+def _index_dtype(*sizes: int):
+    """int32 when every size (dimension or entry count) fits it, else int64."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Row r holds the columns indices[indptr[r]:indptr[r+1]] with values
@@ -35,7 +47,7 @@ class CsrMatrix:
     each row are strictly increasing, so no (row, column) pair is stored twice.
 
     Index arrays are stored as int32 when every index and the entry count
-    fit, else int64 (scipy's rule, so that the scipy view shares them).
+    fit, else int64 (scipy's rule, so that the kernels take them uncopied).
     """
 
     shape: tuple[int, int]
@@ -74,7 +86,7 @@ class CsrMatrix:
             row = int(np.searchsorted(indptr, first_bad, side="right")) - 1
             raise ValidationError(f"array 'indices' repeats a column or has columns out of "
                                   f"order in row {row}")
-        index_dtype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.int64
+        index_dtype = _index_dtype(n_rows, n_cols, nnz)
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "indptr", indptr.astype(index_dtype, copy=False))
         object.__setattr__(self, "indices", indices.astype(index_dtype, copy=False))
@@ -113,25 +125,85 @@ class CsrMatrix:
         np.cumsum(keep, out=before[1:])
         return CsrMatrix(self.shape, before[self.indptr], self.indices[keep], self.data[keep])
 
-    def _scipy(self):
-        """A scipy.sparse CSR view sharing this matrix's arrays."""
-        import scipy.sparse
-        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                       shape=self.shape, copy=False)
-
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        return self._scipy() @ dense
+        return self._matvecs(_sparsetools().csr_matvecs, dense, self.shape)
 
     def transpose_matmul(self, dense: np.ndarray) -> np.ndarray:
         """selfᵀ @ dense."""
-        return self._scipy().T @ dense
+        return self._matvecs(_sparsetools().csc_matvecs, dense, self.shape[::-1])
+
+    def _matvecs(self, kernel, dense, shape: tuple[int, int]) -> np.ndarray:
+        """The (shape[0], k) product of this matrix, read as `shape`, with the
+        (shape[1], k) array `dense`: `kernel` adds each stored value times a row
+        of `dense` into a zeroed output of the upcast dtype, as scipy's own
+        product does. The kernel reads `dense` unchecked, so its shape is
+        checked here."""
+        dense = np.asarray(dense)
+        if dense.ndim != 2 or dense.shape[0] != shape[1]:
+            raise ValidationError(f"a dense operand of shape {dense.shape} does not fit a "
+                                  f"product with a {shape[0]} × {shape[1]} sparse matrix")
+        out = np.zeros((shape[0], dense.shape[1]),
+                       dtype=np.result_type(self.data.dtype, dense.dtype))
+        kernel(*shape, dense.shape[1], self.indptr, self.indices, self.data, dense.ravel(),
+               out.ravel())
+        return out
 
     def gram(self) -> "CsrMatrix":
-        """selfᵀ @ self, in canonical order."""
-        view = self._scipy()
-        product = (view.T @ view).tocsr()
-        product.sort_indices()
-        return CsrMatrix(product.shape, product.indptr, product.indices, product.data)
+        """selfᵀ @ self, in canonical order: bit for bit scipy's sorted
+        (X.T @ X).tocsr(). The kernel's product of the transpose (built by a
+        CSR → CSC pass) with this matrix leaves each row's columns unsorted."""
+        kernels = _sparsetools()
+        n_rows, n_cols = self.shape
+        t_indptr = np.empty(n_cols + 1, dtype=self.indptr.dtype)
+        t_indices = np.empty(self.nnz, dtype=self.indptr.dtype)
+        t_data = np.empty(self.nnz, dtype=self.data.dtype)
+        kernels.csr_tocsc(n_rows, n_cols, self.indptr, self.indices, self.data,
+                          t_indptr, t_indices, t_data)
+        max_nnz = kernels.csr_matmat_maxnnz(n_cols, n_cols, t_indptr, t_indices,
+                                            self.indptr, self.indices)
+        index_dtype = _index_dtype(n_rows, n_cols, self.nnz, max_nnz)
+        t_indptr, t_indices, indptr, indices = (
+            a.astype(index_dtype, copy=False)
+            for a in (t_indptr, t_indices, self.indptr, self.indices))
+        out_indptr = np.empty(n_cols + 1, dtype=index_dtype)
+        out_indices = np.empty(max_nnz, dtype=index_dtype)
+        out_data = np.empty(max_nnz, dtype=self.data.dtype)
+        kernels.csr_matmat(n_cols, n_cols, t_indptr, t_indices, t_data, indptr, indices,
+                           self.data, out_indptr, out_indices, out_data)
+        kernels.csr_sort_indices(n_cols, out_indptr, out_indices, out_data)
+        nnz = out_indptr[-1]    # the unwritten tail of the max_nnz buffers stays unpaged
+        return CsrMatrix((n_cols, n_cols), out_indptr, out_indices[:nnz], out_data[:nnz])
+
+
+# the kernels of scipy/sparse/_sparsetools that the products call
+_KERNELS = ("csr_matvecs", "csc_matvecs", "csr_tocsc", "csr_matmat_maxnnz", "csr_matmat",
+            "csr_sort_indices")
+
+
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels: the extension module
+    scipy/sparse/_sparsetools, loaded from its file so that neither scipy's
+    nor scipy.sparse's __init__ runs. Its name is the one scipy gives it, so
+    a later `import scipy.sparse` in the process finds it loaded. ImportError,
+    naming the paths searched, when the file or one of _KERNELS is missing."""
+    import importlib.machinery
+    import importlib.util
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec is not None else []
+    paths = [os.path.join(root, "sparse", "_sparsetools" + suffix)
+             for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError("scipy's sparse kernels are not installed: searched "
+                          + (", ".join(paths) or "sys.path for the scipy package"))
+    loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    missing = [name for name in _KERNELS if not hasattr(module, name)]
+    if missing:
+        raise ImportError(f"{path} lacks the sparse kernels {', '.join(missing)}")
+    return module
 
 
 def from_coo(shape: tuple[int, int], rows, cols, data) -> CsrMatrix:

@@ -959,6 +959,23 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+# the probe's line when the commands' exit codes are {} and the one scipy module
+# loaded is the extension holding the sparse kernels
+KERNELS_ONLY = "[{}] ['scipy.sparse._sparsetools']"
+
+# runs ingest and train on the config in sys.argv[1], then imports scipy.sparse
+# in the same process and prints two of its products
+IMPORT_AFTER_TRAIN = """
+import sys
+import numpy as np
+from cofactor.cli import main
+assert [main([command, "--config", sys.argv[1]]) for command in ("ingest", "train")] == [0, 0]
+import scipy.sparse
+x = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+print((x.T @ x).toarray().tolist(), (x @ np.ones(2)).tolist())
+"""
+
+
 def scipy_probe(*argvs: list[str]) -> str:
     args = [json.dumps(argvs)] if argvs else []
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
@@ -980,6 +997,23 @@ class TestScipyLoadsOnlyForSparseProducts:
 
     def test_text_run_loads_scipy(self, workspace):
         _, config = workspace
-        probe = scipy_probe(["ingest", "--config", str(config)],
-                            ["train", "--config", str(config)])
-        assert probe.startswith("[0, 0] [") and "'scipy.sparse'" in probe
+        assert scipy_probe(["ingest", "--config", str(config)],
+                           ["train", "--config", str(config)]) == KERNELS_ONLY.format("0, 0")
+
+    def test_out_of_matrix_eval_loads_only_the_kernels(self, tmp_path):
+        config = write_config(tmp_path, write_fixture(tmp_path),
+                              **{"split.mode": "out_of_matrix"})
+        ckpt = str(train_checkpoint(config))
+        assert scipy_probe(["eval", "--config", str(config), "--checkpoint", ckpt,
+                            "--mode", "out"]) == KERNELS_ONLY.format("0")
+
+    def test_click_sweep_loads_only_the_kernels(self, tmp_path):
+        config = write_config(tmp_path, write_fixture(tmp_path), **{"text.enabled": False})
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert scipy_probe(["sweep", "--config", str(config)]) == KERNELS_ONLY.format("0")
+
+    def test_scipy_sparse_imports_and_multiplies_after_a_text_train(self, workspace):
+        _, config = workspace
+        proc = subprocess.run([sys.executable, "-c", IMPORT_AFTER_TRAIN, str(config)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[[1.0, 2.0], [2.0, 13.0]] [3.0, 3.0]"

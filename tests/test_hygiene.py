@@ -109,8 +109,10 @@ def test_check_finds_an_unnamed_public_definition():
 
 
 def scipy_references(source: str) -> tuple[list[str], list[str]]:
-    """(lines naming scipy outside a function body, lines naming it inside one).
-    An import of scipy or of a scipy submodule and a bare `scipy` name count."""
+    """(lines naming scipy outside a function body, `function: line` for each
+    naming it inside one, with the innermost function's name). An import of
+    scipy or of a scipy submodule, a bare `scipy` name and a string that is a
+    scipy module's dotted name count; prose that mentions scipy does not."""
     tree = ast.parse(source)
 
     def names_scipy(node: ast.AST) -> bool:
@@ -118,30 +120,40 @@ def scipy_references(source: str) -> tuple[list[str], list[str]]:
             return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
         if isinstance(node, ast.ImportFrom):
             return (node.module or "").split(".")[0] == "scipy" and node.level == 0
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return re.fullmatch(r"scipy(\.\w+)*", node.value) is not None
         return isinstance(node, ast.Name) and node.id == "scipy"
 
-    in_functions = {id(node) for func in ast.walk(tree)
-                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-                    for node in ast.walk(func)}
+    enclosing = {}      # ast.walk goes outside in, so inner functions overwrite
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(func):
+                enclosing[id(node)] = getattr(func, "name", "<lambda>")
     found = [node for node in ast.walk(tree) if names_scipy(node)]
-    return ([f"line {n.lineno}" for n in found if id(n) not in in_functions],
-            [f"line {n.lineno}" for n in found if id(n) in in_functions])
+    return ([f"line {n.lineno}" for n in found if id(n) not in enclosing],
+            [f"{enclosing[id(n)]}: line {n.lineno}" for n in found if id(n) in enclosing])
 
 
 def test_only_sparse_module_names_scipy_and_only_inside_a_function():
+    """Only the sparse module's kernel loader names scipy."""
     for path in SOURCES:
         outside, inside = scipy_references(path.read_text(encoding="utf-8"))
         assert outside == [], path.name
         if path.name != "sparse.py":
             assert inside == [], path.name
-    assert scipy_references((SOURCES[0].parent / "sparse.py").read_text())[1] != []
+    inside = scipy_references((SOURCES[0].parent / "sparse.py").read_text())[1]
+    assert inside != [] and {ref.split(":")[0] for ref in inside} == {"_sparsetools"}
 
 
 def test_check_finds_scipy_references():
     source = ("import scipy.sparse as sp\nfrom scipy.special import expit\n"
               "from .scipy import x\nimport numpy\n\n"
-              "def view():\n    import scipy.sparse\n    return scipy.sparse\n")
-    assert scipy_references(source) == (["line 1", "line 2"], ["line 7", "line 8"])
+              "def view():\n    import scipy.sparse\n    return scipy.sparse\n\n"
+              "def load():\n    \"\"\"scipy's kernels.\"\"\"\n"
+              "    return find_spec('scipy'), lambda: 'scipy.sparse._sparsetools'\n")
+    assert scipy_references(source) == (
+        ["line 1", "line 2"],
+        ["view: line 7", "view: line 8", "load: line 12", "<lambda>: line 12"])
 
 
 def deferred_relative_imports(source: str) -> list[str]:

@@ -1,12 +1,16 @@
+import importlib.machinery
+import importlib.util
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cofactor import sparse
 from cofactor.errors import ValidationError
 from cofactor.sparse import CsrMatrix, from_coo
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, to_scipy
 from oracles import csr_reference, unordered_row_reference
 
 
@@ -175,3 +179,92 @@ class TestRowsAndEntries:
         gram = matrix.gram()
         np.testing.assert_allclose(gram.toarray(), dense.T @ dense, atol=1e-12)
         assert np.all(np.diff(gram.row_ids() * 15 + gram.indices) > 0)  # canonical
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def oracle_matrices(rng):
+    """Random matrices with empty rows, with and without stored entries, of
+    float64 and of int64 data."""
+    for shape in ((1, 1), (7, 3), (40, 90), (90, 40)):
+        for density in (0.0, 0.05, 0.5):
+            rows, cols, data, _ = random_triplets(rng, *shape, density)
+            matrix = from_coo(shape, rows, cols, data)
+            yield matrix
+            yield replace(matrix, data=rng.integers(-9, 10, matrix.nnz))
+
+
+class TestProductsEqualScipyBits:
+    """Each product against scipy's own method on the same arrays, bit for bit."""
+
+    def test_sparse_times_dense(self, rng):
+        for matrix in oracle_matrices(rng):
+            n_rows, n_cols = matrix.shape
+            for dense in (rng.standard_normal((n_cols, 5)), rng.standard_normal((n_cols, 1)),
+                          rng.standard_normal((4, n_cols)).T):     # a transposed view
+                assert_same_array(matrix @ dense, to_scipy(matrix) @ dense)
+            for dense in (rng.standard_normal((n_rows, 5)), rng.standard_normal((3, n_rows)).T):
+                assert_same_array(matrix.transpose_matmul(dense), to_scipy(matrix).T @ dense)
+
+    def test_gram(self, rng):
+        for matrix in oracle_matrices(rng):
+            clicks = replace(matrix, data=np.ones(matrix.nnz, dtype=np.int64))
+            for x in (matrix, clicks):
+                want = (to_scipy(x).T @ to_scipy(x)).tocsr()
+                want.sort_indices()
+                assert_same_csr(x.gram(), want)
+
+    def test_gram_of_clicks_with_no_entries(self):
+        clicks = CsrMatrix((4, 3), np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                           np.zeros(0, dtype=np.int64))
+        want = (to_scipy(clicks).T @ to_scipy(clicks)).tocsr()
+        want.sort_indices()
+        assert_same_csr(clicks.gram(), want)
+
+
+class TestDenseOperandChecked:
+    """The kernels read the dense operand unchecked: a short one once crashed
+    the process. Every misfit ends in ValidationError before the call."""
+
+    @pytest.mark.parametrize("shape", [(14, 3), (16, 3), (15,), (15, 3, 1), ()])
+    def test_sparse_times_dense(self, rng, shape):
+        matrix = from_coo((20, 15), *random_triplets(rng, 20, 15, 0.3)[:3])
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape} does not fit")):
+            matrix @ np.ones(shape)
+
+    @pytest.mark.parametrize("shape", [(19, 3), (21, 3), (20,), (20, 3, 1), ()])
+    def test_transpose_times_dense(self, rng, shape):
+        matrix = from_coo((20, 15), *random_triplets(rng, 20, 15, 0.3)[:3])
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape} does not fit")):
+            matrix.transpose_matmul(np.ones(shape))
+
+
+class TestKernelLoader:
+    """The loader, called uncached: it finds the extension by the interpreter's
+    suffixes, checks the kernels it needs, and names what it searched."""
+
+    def test_loads_every_kernel(self):
+        module = sparse._sparsetools.__wrapped__()
+        assert module.__name__ == "scipy.sparse._sparsetools"
+        assert all(callable(getattr(module, name)) for name in sparse._KERNELS)
+
+    def test_missing_file_names_the_paths_searched(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        path = f"{root}/sparse/_sparsetools.absent.so"
+        with pytest.raises(ImportError, match=f"searched {re.escape(path)}$"):
+            sparse._sparsetools.__wrapped__()
+
+    def test_missing_package_says_so(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="searched sys.path for the scipy package"):
+            sparse._sparsetools.__wrapped__()
+
+    def test_missing_kernel_names_file_and_kernel(self, monkeypatch):
+        monkeypatch.setattr(sparse, "_KERNELS", sparse._KERNELS + ("csr_absent",))
+        with pytest.raises(ImportError, match=r"_sparsetools\S* lacks the sparse kernels "
+                                              r"csr_absent$"):
+            sparse._sparsetools.__wrapped__()
