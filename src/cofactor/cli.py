@@ -316,10 +316,7 @@ def _build_hyper(cfg: dict, docs: corpus.DocTermMatrix | None) -> Hyperparams:
     if text["enabled"] and docs is None:
         raise ConfigError("text.enabled is true but no documents were ingested")
     try:
-        sdae = (SdaeConfig(hidden_widths=list(text["hidden_widths"]),
-                           noise_rate=text["noise_rate"],
-                           pretrain_epochs=text["pretrain_epochs"],
-                           learning_rate=text["learning_rate"])
+        sdae = (SdaeConfig(**{f.name: text[f.name] for f in dataclasses.fields(SdaeConfig)})
                 if text["enabled"] else None)
         return Hyperparams(sdae=sdae, seed=cfg["seed"], **cfg["hyper"])
     except ValidationError as exc:

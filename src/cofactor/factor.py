@@ -140,48 +140,39 @@ def run_label(hyper: Hyperparams) -> str:
     return "pmf-degenerate" if hyper.lambda_s == 0 and hyper.sdae is None else "joint"
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float = 0.0,
-               out: np.ndarray | None = None, scratch: Scratch | None = None) -> np.ndarray:
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float,
+               out: np.ndarray) -> np.ndarray:
     """Solve one system (K, K) x = (K,), or a stack (n, K, K) x = (n, K), whose
-    Grams include `ridge`·I, into `out` (a new array when None).
+    Grams include `ridge`·I, into `out`, and return it.
 
-    A non-finite system yields a NaN row, which train()'s loss check after the
-    block reports as TrainingDivergedError. Each system is factored once, as
-    L Lᵀ, and solved from L by forward and back substitution, one column at a
-    time across the whole stack. A finite system with no factor is singular
-    with no ridge (ValidationError). A positive ridge makes it positive definite,
-    so entries far larger than the ridge swamped it: train() reports the
-    LinAlgError as divergence. `out` is written only once L exists: first with
-    the forward solution y, then, column by column from the last, with x. The
-    finite flags are a view of `scratch`; L is a new array, as
-    np.linalg.cholesky takes no `out`.
+    Each system is factored once, as L Lᵀ, and solved from L by forward and
+    back substitution, one column at a time across the whole stack. A finite
+    Gram with no factor is singular with no ridge (ValidationError). A positive
+    ridge makes it positive definite, so entries far larger than the ridge
+    swamped it, and a non-finite Gram has no finite factor: both raise
+    LinAlgError, which train() reports as divergence of the block. A finite
+    Gram with a non-finite right-hand side solves to a non-finite row, which
+    train()'s loss check reports. `out` is written only once L exists: first
+    with the forward solution y, then, column by column from the last, with x.
+    L is a new array, as np.linalg.cholesky takes no `out`.
     """
-    out = np.empty(rhs.shape) if out is None else out
-    scratch = Scratch() if scratch is None else scratch
-    with scratch.frame():
-        (flags,) = scratch.take(gram.shape, dtype=bool)
-        finite = (np.isfinite(gram, out=flags).all(axis=(-2, -1))
-                  & np.isfinite(rhs).all(axis=-1))
-        if not finite.all():
-            solved = _solve_spd(gram[finite], rhs[finite], ridge, scratch=scratch)
-            out[...] = np.nan
-            out[finite] = solved
-            return out
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            if ridge > 0:
-                raise
-            raise ValidationError(f"singular block system: {exc}") from None
-        k = rhs.shape[-1]
-        diag = np.diagonal(chol, axis1=-2, axis2=-1)
-        x = y = out     # x[j] replaces y[j], which only x[j] reads
-        for j in range(k):          # L y = rhs
-            y[..., j] = (rhs[..., j] - np.einsum("...m,...m->...", chol[..., j, :j],
-                                                 y[..., :j])) / diag[..., j]
-        for j in range(k - 1, -1, -1):  # Lᵀ x = y
-            x[..., j] = (y[..., j] - np.einsum("...m,...m->...", chol[..., j + 1:, j],
-                                               x[..., j + 1:])) / diag[..., j]
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        if ridge > 0 or not np.isfinite(gram).all():
+            raise
+        raise ValidationError(f"singular block system: {exc}") from None
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    if not np.isfinite(diag).all():
+        raise np.linalg.LinAlgError("non-finite Cholesky factor")
+    x = y = out     # x[j] replaces y[j], which only x[j] reads
+    k = rhs.shape[-1]
+    for j in range(k):          # L y = rhs
+        y[..., j] = (rhs[..., j] - np.einsum("...m,...m->...", chol[..., j, :j],
+                                             y[..., :j])) / diag[..., j]
+    for j in range(k - 1, -1, -1):  # Lᵀ x = y
+        x[..., j] = (y[..., j] - np.einsum("...m,...m->...", chol[..., j + 1:, j],
+                                           x[..., j + 1:])) / diag[..., j]
     return out
 
 
@@ -289,13 +280,13 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     weighted Gram G_r and right-hand side b_r, and its residual is read off
     them as w·Σ v² − 2 x_r·b_r + x_rᵀ G_r x_r: K² per row and no gather.
 
-    The stacks, the batch gathers and products of the assembly, ridge·anchor,
-    the products G_r x_r and the solve's own temporaries are views of
-    `scratch` (a Scratch of this call's own when None), taken once per call
-    or per chunk and reused by every chunk; each solved chunk is written
-    straight into its rows of `out`. Per chunk only the Cholesky factor is a
-    new array, as np.linalg.cholesky takes no `out`, and so is each gather of
-    a row assembled alone, small enough to come from the heap.
+    The stacks, the batch gathers and products of the assembly, ridge·anchor
+    and the products G_r x_r are views of `scratch` (a Scratch of this call's
+    own when None), taken once per call or per chunk and reused by every
+    chunk; each solved chunk is written straight into its rows of `out`. Per
+    chunk only the Cholesky factor is a new array, as np.linalg.cholesky takes
+    no `out`, and so is each gather of a row assembled alone, small enough to
+    come from the heap.
     """
     n_rows, k = out.shape
     for _, matrix, basis in terms:
@@ -327,7 +318,7 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                 for term_gram, term_rhs in chunk[1:]:
                     gram += term_gram
                     rhs += term_rhs
-                x = _solve_spd(gram, rhs, ridge, out=out[start:stop], scratch=scratch)
+                x = _solve_spd(gram, rhs, ridge, out[start:stop])
                 for term_gram, term_rhs in chunk[1:]:
                     gram -= term_gram
                     rhs -= term_rhs
@@ -470,8 +461,7 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     rng = np.random.default_rng(hyper.seed)
     theta = 0.01 * rng.standard_normal((n_users, k))
     if sdae_on:
-        params = pretrain(docs.rows, hyper.sdae, k, seed=hyper.seed, scratch=scratch)
-        beta = np.asarray(encode(docs.rows, params))
+        params, beta = pretrain(docs.rows, hyper.sdae, k, seed=hyper.seed, scratch=scratch)
     else:
         params = None
         beta = 0.01 * rng.standard_normal((n_items, k))

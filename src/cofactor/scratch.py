@@ -50,18 +50,16 @@ class Scratch:
         """The buffer's length in float64s."""
         return self._buffer.size
 
-    def take(self, *shapes, dtype=np.float64) -> list[np.ndarray]:
-        """One new view of each shape, of `dtype`, above every view still taken."""
-        itemsize = np.dtype(dtype).itemsize
+    def take(self, *shapes) -> list[np.ndarray]:
+        """One new float64 view of each shape, above every view still taken."""
         counts = [math.prod(shape) for shape in shapes]
-        spans = [-(-count * itemsize // (8 * ALIGN)) * ALIGN for count in counts]
+        spans = [-(-count // ALIGN) * ALIGN for count in counts]
         end = self._top + sum(spans)
         if end > self._buffer.size:
             self._buffer = _anonymous(end)
         views = []
         for shape, count, span in zip(shapes, counts, spans):
-            region = self._buffer[self._top:self._top + span].view(dtype)
-            views.append(region[:count].reshape(shape))
+            views.append(self._buffer[self._top:self._top + count].reshape(shape))
             self._top += span
         return views
 

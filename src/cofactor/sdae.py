@@ -11,7 +11,6 @@ pull toward the middle layer, the clean-row reconstruction error, and weight dec
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +110,8 @@ def corrupt(x_clean, noise_rate: float, rng_seed):
         raise ValidationError("noise_rate must be in [0, 1)")
     rng = np.random.default_rng(rng_seed)
     if isinstance(x_clean, CsrMatrix):
-        masked = x_clean.data * (rng.random(x_clean.data.shape) >= noise_rate)
-        return dataclasses.replace(x_clean, data=masked).select(masked != 0)
+        keep = rng.random(x_clean.data.shape) >= noise_rate
+        return x_clean.select(keep & (x_clean.data != 0))
     x = np.asarray(x_clean, dtype=np.float64)
     return x * (rng.random(x.shape) >= noise_rate)
 
@@ -246,22 +245,22 @@ def sdae_pass(params: SdaeParams, x0, xc, beta=None, *, lambda_anchor: float = 0
 
 
 def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int,
-             scratch: Scratch | None = None) -> SdaeParams:
+             scratch: Scratch | None = None) -> tuple[SdaeParams, np.ndarray]:
     """Greedy layer-wise denoising pretraining of the full symmetric stack,
-    stack_widths(width of the rows, config.hidden_widths, latent).
+    stack_widths(width of the rows, config.hidden_widths, latent). Returns the
+    stack and the rows' encoding, bit for bit encode(clean_rows, stack).
 
     Each encoder depth trains a one-hidden-layer denoising autoencoder on the
     clean propagation of the rows so far; its decoder initializes the mirror
-    layer. pretrain_epochs=0 returns the random initialization untouched. Every
-    pass writes its chunk temporaries into `scratch` (see sdae_pass), one
-    Scratch for all depths and epochs.
+    layer. The propagation through the last depth is the encoding. With
+    pretrain_epochs=0 the stack is the random initialization. Every pass
+    writes its chunk temporaries into `scratch` (see sdae_pass), one Scratch
+    for all depths and epochs.
     """
     if not isinstance(clean_rows, CsrMatrix):
         clean_rows = np.asarray(clean_rows, dtype=np.float64)
     rng = np.random.default_rng(seed)
     params = init_params(stack_widths(clean_rows.shape[1], config.hidden_widths, latent), rng)
-    if config.pretrain_epochs == 0:
-        return params
     n_layers, n_rows = params.n_layers, clean_rows.shape[0]
     scratch = Scratch() if scratch is None else scratch
     h = clean_rows
@@ -276,5 +275,5 @@ def pretrain(clean_rows, config: SdaeConfig, latent: int, seed: int,
             for value, grad in zip(pair.weights + pair.biases, grads_w + grads_b):
                 grad *= config.learning_rate
                 value -= grad   # in place
-        h = _sigmoid(h @ params.weights[enc] + params.biases[enc])
-    return params
+        h = _forward(h, pair, 1)[-1]
+    return params, h

@@ -120,7 +120,7 @@ def solve_rows_reference(out, ridge, terms, anchor, solve, chunk_rows):
                     rows = basis[matrix.indices[lo:hi]]
                     gram[r] += weight * (rows.T @ rows)
                     rhs[r] += weight * (rows.T @ matrix.data[lo:hi])
-        out[start:stop] = solve(gram, rhs, ridge)
+        solve(gram, rhs, ridge, out[start:stop])
 
 
 def pmf_als_reference(users, items, values, n_users, n_items, k, lambda_user,

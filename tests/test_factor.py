@@ -163,10 +163,14 @@ class TestUpdateItemFeature:
             _solve_rows(out, 0.0, [(1.0, one_row([], [], 2), np.zeros((2, 3)))])
 
     def test_non_finite_system_not_reported_singular(self):
-        # a non-finite Gram goes on as a non-finite result for the loss check
-        gram = np.array([[1.0, np.inf], [np.inf, 1.0]])
-        out = _solve_spd(gram, np.ones(2))
-        assert not np.isfinite(out).any()
+        # a non-finite Gram has no factor: LinAlgError, which train() reports
+        # as divergence, at any ridge; a non-finite right-hand side goes on as
+        # a non-finite result for the loss check
+        for bad in (np.inf, np.nan):
+            gram = np.array([[1.0, bad], [bad, 1.0]])
+            for ridge in (0.0, 0.5):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _solve_spd(gram, np.ones(2), ridge, np.empty(2))
         out = np.empty((1, 2))
         _solve_rows(out, 0.5, [(1.0, one_row([0], [np.nan], 1), np.ones((1, 2)))])
         assert not np.isfinite(out).any()
@@ -276,15 +280,22 @@ class TestSolveRows:
         grams = np.repeat(np.eye(3)[None], 4, axis=0)
         grams[2] = np.outer(basis[0], basis[0])
         with pytest.raises(ValidationError, match="singular"):
-            _solve_spd(grams, np.ones((4, 3)))
+            _solve_spd(grams, np.ones((4, 3)), 0.0, np.empty((4, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_comes_back_nan(self, rng, bad):
+        # a non-finite Gram anywhere in the stack raises LinAlgError, at any
+        # ridge; a non-finite right-hand side makes exactly its own row non-finite
         grams = np.stack([np.eye(3) * (r + 1) for r in range(4)])
         rhs = rng.standard_normal((4, 3))
-        grams[1, 0, 2] = grams[1, 2, 0] = bad
-        out = _solve_spd(grams, rhs)
-        assert np.isnan(out[1]).all()
+        bad_grams = grams.copy()
+        bad_grams[1, 0, 2] = bad_grams[1, 2, 0] = bad
+        for ridge in (0.0, 0.5):
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve_spd(bad_grams, rhs, ridge, np.empty((4, 3)))
+        rhs[1, 2] = bad
+        out = _solve_spd(grams, rhs, 0.0, np.empty((4, 3)))
+        assert not np.isfinite(out[1]).any()
         keep = [0, 2, 3]
         np.testing.assert_allclose(out[keep], rhs[keep] / np.array([1.0, 3.0, 4.0])[:, None],
                                    rtol=1e-15)
@@ -293,7 +304,7 @@ class TestSolveRows:
         with np.errstate(invalid="ignore"):  # inf * 0.0 in the right-hand side
             _solve_rows(out, 0.5, [(1.0, CsrMatrix((3, 2), np.array([0, 1, 2, 3]),
                                                    np.array([0, 1, 0]), values), np.eye(2))])
-        assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
+        assert not np.isfinite(out[1]).any() and np.isfinite(out[[0, 2]]).all()
 
     @pytest.mark.parametrize("with_anchor", [False, True])
     def test_one_term_of_weight_one_is_bit_identical(self, rng, with_anchor):
@@ -353,17 +364,46 @@ class TestSolveRows:
         n_rows = CHUNK_ROWS + 37
         matrix = csr_with_row_lengths(rng, np.full(n_rows, 3), 12)
         basis = rng.standard_normal((12, BENCH_K))
-        basis[0] = bad
         touched = np.zeros(n_rows, dtype=bool)
         touched[matrix.row_ids()[matrix.indices == 0]] = True
         assert 0 < touched.sum() < n_rows
         got, want = np.empty((n_rows, BENCH_K)), np.empty((n_rows, BENCH_K))
+        # a non-finite basis row makes the Grams of the rows that gather it non-finite
+        bad_basis = basis.copy()
+        bad_basis[0] = bad
         with np.errstate(invalid="ignore"):  # inf * 0.0 and inf − inf in the Grams
-            _solve_rows(got, 0.4, [(1.0, matrix, basis)])
-            solve_rows_reference(want, 0.4, [(1.0, matrix, basis)], None, _solve_spd,
+            for solve_rows in (_solve_rows, lambda *args: solve_rows_reference(
+                    *args, _solve_spd, CHUNK_ROWS)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve_rows(got, 0.4, [(1.0, matrix, bad_basis)], None)
+        # a non-finite value leaves every Gram finite and makes exactly the
+        # right-hand sides, and so the rows, that read it non-finite
+        bad_values = CsrMatrix(matrix.shape, matrix.indptr, matrix.indices,
+                               np.where(matrix.indices == 0, bad, matrix.data))
+        with np.errstate(invalid="ignore"):  # inf * 0.0 in the right-hand sides
+            _solve_rows(got, 0.4, [(1.0, bad_values, basis)])
+            solve_rows_reference(want, 0.4, [(1.0, bad_values, basis)], None, _solve_spd,
                                  CHUNK_ROWS)
-        assert np.isnan(got[touched]).all() and np.isfinite(got[~touched]).all()
+        assert not np.isfinite(got[touched]).any() and np.isfinite(got[~touched]).all()
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_row_is_divergence_never_singular(self, rng, bad, ridge):
+        # rows of 5 entries in 3 dimensions are full rank; the empty last row
+        # is singular at ridge 0, in the same chunk as the rows that gather
+        # the non-finite basis row
+        n_rows = 20
+        matrix = csr_with_row_lengths(rng, [5] * (n_rows - 1) + [0], 12)
+        assert (matrix.indices == 0).any()
+        basis = rng.standard_normal((12, 3))
+        out = np.empty((n_rows, 3))
+        if ridge == 0.0:
+            with pytest.raises(ValidationError, match="singular"):
+                _solve_rows(out, ridge, [(1.0, matrix, basis)])
+        basis[0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _solve_rows(out, ridge, [(1.0, matrix, basis)])
 
     def test_large_k_chunks_are_bounded_in_bytes(self, rng):
         # a CHUNK_ROWS-row stack at K 256 would be 256·K²·8 B = 128 MiB per term
@@ -421,7 +461,7 @@ class TestSolveSpd:
     @staticmethod
     def assert_matches_lu(grams, rhs):
         want = np.linalg.solve(grams, rhs[..., None])[..., 0]
-        got = _solve_spd(grams, rhs)
+        got = _solve_spd(grams, rhs, 0.0, np.empty(rhs.shape))
         assert got.shape == rhs.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
 
@@ -436,7 +476,8 @@ class TestSolveSpd:
         self.assert_matches_lu(factor.T @ factor + 0.5 * np.eye(4), rng.standard_normal(4))
 
     def test_empty_stack(self):
-        assert _solve_spd(np.empty((0, 5, 5)), np.empty((0, 5))).shape == (0, 5)
+        assert _solve_spd(np.empty((0, 5, 5)), np.empty((0, 5)), 0.0,
+                          np.empty((0, 5))).shape == (0, 5)
 
 
 class TestTotalLoss:
@@ -1072,14 +1113,15 @@ class TestScaling:
         runs = [TrainData(split=make_split(ds, "in_matrix", 0.2, 0.08, seed=3), ppmi=pm)
                 for ds, pm in ((ratings, ppmi_small), (doubled, ppmi_big))]
         # the sizes take turns, so a burst of machine load slows both alike
-        best = [float("inf")] * len(runs)
-        for _ in range(3):
+        times = [[], []]
+        for _ in range(7):
             for k, data in enumerate(runs):
                 start = time.perf_counter()
                 train(data, hyper)
-                best[k] = min(best[k], time.perf_counter() - start)
-        small, large = best
-        assert large / small <= 2.6, f"doubling ratio {large / small:.2f}"
+                times[k].append(time.perf_counter() - start)
+        small, large = (min(sizes) for sizes in times)
+        assert large / small <= 2.6, (f"doubling ratio {large / small:.2f}; times (s), "
+                                      f"small {times[0]}, doubled {times[1]}")
 
 
 class TestHyperparams:

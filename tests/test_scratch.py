@@ -35,14 +35,14 @@ class TestScratch:
         with scratch.frame():
             a, b = scratch.take((3, 5), (7,))
             with scratch.frame():
-                (flags,) = scratch.take((9,), dtype=bool)
-                assert not any(np.shares_memory(flags, view) for view in (a, b))
+                (inner,) = scratch.take((9,))
+                assert not any(np.shares_memory(inner, view) for view in (a, b))
             (c,) = scratch.take((4,))
-            assert np.shares_memory(c, flags)   # flags was given back
+            assert np.shares_memory(c, inner)   # inner was given back
             assert not any(np.shares_memory(c, view) for view in (a, b))
         (d,) = scratch.take((16,))
         assert np.shares_memory(d, a)
-        for view in (a, b, flags, c, d):
+        for view in (a, b, inner, c, d):
             assert view.flags.c_contiguous and view.ctypes.data % 16 == 0
 
     def test_a_take_that_does_not_fit_leaves_earlier_views_intact(self):

@@ -77,6 +77,15 @@ class TestCorrupt:
             assert_same_csr(got, masked_reference(to_scipy(from_scipy(dense)), rate,
                                                   np.random.default_rng(seed)))
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_stored_zeros_draw_a_mask_value_and_are_dropped(self, rng, rate):
+        rows = from_scipy((rng.random((40, 25)) < 0.3) * rng.random((40, 25)))
+        data = np.where(rng.random(rows.nnz) < 0.2, 0.0, rows.data)
+        rows = CsrMatrix(rows.shape, rows.indptr, rows.indices, data)
+        assert (rows.data == 0).any()
+        got = corrupt(rows, rate, 5)
+        assert_same_csr(got, masked_reference(to_scipy(rows), rate, np.random.default_rng(5)))
+
 
 class TestSigmoid:
     def test_within_two_ulps_of_expit(self, rng):
@@ -277,7 +286,7 @@ class TestPretrain:
     def test_zero_epochs_returns_initialization(self, rng):
         rows = self._rows(rng)
         config = SdaeConfig(hidden_widths=[6], pretrain_epochs=0)
-        params = pretrain(rows, config, 3, seed=3)
+        params, _ = pretrain(rows, config, 3, seed=3)
         reference = init_params([12, 6, 3, 6, 12], np.random.default_rng(3))
         for a, b in zip(params.weights, reference.weights):
             np.testing.assert_array_equal(a, b)
@@ -289,22 +298,34 @@ class TestPretrain:
         config = SdaeConfig(hidden_widths=[6], pretrain_epochs=40,
                             learning_rate=0.5, noise_rate=0.2)
         before = init_params([12, 6, 3, 6, 12], np.random.default_rng(11))
-        after = pretrain(rows, config, 3, seed=11)
+        after, _ = pretrain(rows, config, 3, seed=11)
         assert recon_sq(rows, rows, after) <= recon_sq(rows, rows, before)
 
     def test_deterministic(self, rng):
         rows = self._rows(rng)
         config = SdaeConfig(hidden_widths=[], pretrain_epochs=5)
-        a = pretrain(rows, config, 4, seed=21)
-        b = pretrain(rows, config, 4, seed=21)
+        a, _ = pretrain(rows, config, 4, seed=21)
+        b, _ = pretrain(rows, config, 4, seed=21)
         for w_a, w_b in zip(a.weights, b.weights):
             np.testing.assert_array_equal(w_a, w_b)
 
     def test_accepts_sparse_rows(self, rng):
         rows = from_scipy(self._rows(rng))
         config = SdaeConfig(hidden_widths=[], pretrain_epochs=3)
-        params = pretrain(rows, config, 4, seed=1)
+        params, _ = pretrain(rows, config, 4, seed=1)
         assert params.n_layers == 2
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("hidden,latent", [([], 5), ([6], 3)],
+                             ids=["one-depth", "two-depths"])
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_encoding_is_encode_of_the_stack(self, rng, sparse, hidden, latent, epochs):
+        rows = _text_rows(rng, sparse)
+        config = SdaeConfig(hidden_widths=hidden, pretrain_epochs=epochs, learning_rate=0.5)
+        params, encoding = pretrain(rows, config, latent, seed=7)
+        want = encode(rows, params)
+        assert encoding.dtype == want.dtype and encoding.shape == want.shape
+        assert encoding.tobytes() == want.tobytes()
 
 
 def _text_rows(rng, sparse, n=30, v=12):
@@ -437,7 +458,7 @@ class TestPretrainMatchesReference:
         rows = _text_rows(rng, sparse)
         config = SdaeConfig(hidden_widths=hidden, noise_rate=0.3, pretrain_epochs=6,
                             learning_rate=0.5)
-        got = pretrain(rows, config, latent, seed=13)
+        got, _ = pretrain(rows, config, latent, seed=13)
         widths = stack_widths(rows.shape[1], hidden, latent)
         ref_weights, ref_biases = pretrain_reference(to_scipy(rows) if sparse else rows,
                                                      widths, 0.3, 6, 0.5, seed=13)
