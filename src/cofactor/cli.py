@@ -476,7 +476,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--deterministic", action="store_true",
-                        help="accepted, no effect: every run is deterministic")
+                        help="accepted, no effect: runs are seeded, and their bytes "
+                             "repeat at a fixed BLAS thread count")
 
 
 def build_parser() -> argparse.ArgumentParser:

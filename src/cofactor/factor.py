@@ -38,6 +38,8 @@ ENTRY_CHUNK = CHUNK_ROWS * 16  # rating entries per chunk of the θ_u·β_i gath
 BATCH_ENTRIES = 1024  # most basis rows gathered at once for one batch of equal-length rows
 MIN_BATCH_ROWS = 3    # fewer equal-length rows are assembled one at a time
 SOLVE_CHUNK_BYTES = 2 << 20  # most bytes of one term's (rows, K, K) stack in the block solve
+TILE_COLUMNS = 64     # columns per tile of the covered-tile form, or K when K is larger
+COVER_FRACTION = 7 / 8  # a row covers a tile when it stores at least this share of its columns
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,109 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray, ridge: float,
     return out
 
 
-def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
-                    basis: np.ndarray, start: int, stop: int, scratch: Scratch) -> None:
+@dataclass(frozen=True)
+class TilePlan:
+    """The covered-tile form of one matrix at one K (see _plan_tiles): the
+    tiles each row covers and the columns that correct their sum. It holds
+    column indices and signs, and no value of the matrix."""
+
+    spans: np.ndarray      # (tiles, 2): first and one-past-last column of each covered tile
+    cover: CsrMatrix       # row r's covered tiles, as positions in `spans`, each of value 1.0
+    # for a row that covers a tile: −1.0 at each column of its covered tiles
+    # that it does not store, +1.0 at each column it stores outside them
+    correction: CsrMatrix
+
+
+def _runs(begins: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges begins[i] up to begins[i] + counts[i]."""
+    return np.repeat(begins - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _plan_tiles(matrix: CsrMatrix, k: int) -> TilePlan | None:
+    """The covered-tile plan of `matrix` at K = k, None when no row covers a tile.
+
+    Columns are cut into tiles of max(TILE_COLUMNS, K) columns, the last tile
+    also taking the columns left over, so every tile is at least K columns
+    wide unless the matrix has fewer. A row covers a tile when it stores at
+    least COVER_FRACTION of the tile's columns; a tile narrower than K is
+    never covered, so no tile's K × K Gram holds more floats than its basis
+    rows. A covered tile costs a row one K × K addition plus one outer product
+    per column it lacks, at most 1/8 of the tile, where gathering would take
+    one per stored column, at least 7/8: never more than the row's entries.
+
+    The matrix is read a chunk of CHUNK_ROWS rows at a time, so no temporary
+    is longer than one chunk's entries (or, for the columns of the chunk's
+    covered tiles, 8/7 of them)."""
+    n_rows, n_cols = matrix.shape
+    width = max(TILE_COLUMNS, k)
+    n_tiles = max(1, n_cols // width) if n_cols else 0
+    starts = np.arange(n_tiles) * width
+    widths = np.diff(np.append(starts, n_cols))
+    need = np.where(widths >= k, np.ceil(COVER_FRACTION * widths), np.inf)
+    indptr, indices = matrix.indptr, matrix.indices
+    lengths = np.diff(indptr)
+    least = need.min(initial=np.inf)
+    pieces = []
+    for start in range(0, n_rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_rows)
+        if lengths[start:stop].max() < least:
+            continue
+        cols = indices[indptr[start]:indptr[stop]]
+        # the chunk's entries run in (row, tile) order: one run per occupied cell
+        cell = np.repeat(np.arange(stop - start) * n_tiles, lengths[start:stop])
+        cell += np.minimum(cols // width, n_tiles - 1)
+        begins = np.concatenate(([0], np.flatnonzero(cell[1:] != cell[:-1]) + 1))
+        counts = np.diff(begins, append=len(cell))
+        row, tile = np.divmod(cell[begins], n_tiles)
+        del cell
+        covers = counts >= need[tile]
+        if not covers.any():
+            continue
+        covering = np.zeros(stop - start, dtype=bool)
+        covering[row[covers]] = True
+        outside = covering[row] & ~covers
+        # each covered cell that lacks columns: all its columns, the stored ones struck off
+        short = covers & (counts < widths[tile])
+        span = widths[tile[short]]
+        offset = starts[tile[short]] - (np.cumsum(span) - span)    # column − position
+        missing = np.ones(int(span.sum()), dtype=bool)
+        stored = cols[_runs(begins[short], counts[short])]
+        missing[stored - np.repeat(offset, counts[short])] = False
+        absent = np.repeat(offset, span) + np.arange(len(missing))
+        pieces.append((row[covers] + start, tile[covers],
+                       np.repeat(row[short] + start, span)[missing], absent[missing],
+                       indptr[start] + _runs(begins[outside], counts[outside])))
+    if not pieces:
+        return None
+    cover_rows, cover_tiles, absent_rows, absent_cols, extra_at = (
+        np.concatenate(part) for part in zip(*pieces))
+    extra_rows = np.searchsorted(indptr, extra_at, side="right") - 1
+    tiles, position = np.unique(cover_tiles, return_inverse=True)
+    signs = np.repeat([-1.0, 1.0], [len(absent_rows), len(extra_at)])
+    return TilePlan(np.stack([starts[tiles], starts[tiles] + widths[tiles]], axis=1),
+                    from_coo((n_rows, len(tiles)), cover_rows, position, np.ones(len(position))),
+                    from_coo(matrix.shape, np.concatenate([absent_rows, extra_rows]),
+                             np.concatenate([absent_cols, indices[extra_at]]), signs))
+
+
+def _tile_grams(plan: TilePlan, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """BₜᵀBₜ of each covered tile t of `plan`, Bₜ its contiguous basis rows,
+    written into `out`, a (tiles, K, K) array, and returned."""
+    for gram, (lo, hi) in zip(out, plan.spans.tolist()):
+        np.matmul(basis[lo:hi].T, basis[lo:hi], out=gram)
+    return out
+
+
+def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray | None, matrix: CsrMatrix,
+                    basis: np.ndarray, start: int, stop: int, scratch: Scratch,
+                    slots: np.ndarray | None = None) -> None:
     """Write BᵀB and Bᵀv of each row r of `matrix` in start:stop into
     gram[r - start] and rhs[r - start], zeros for a row with no entries;
-    see _solve_rows. A batch's gather and products are views of `scratch`:
+    see _solve_rows. `slots`, when given, limits this to the rows at those
+    offsets r - start. With rhs None, add each row's Gram weighted by its
+    values, Σ_j v_j B_j B_jᵀ, onto its slot instead, and leave the slots of
+    rows with no entries as they are.
+    A batch's gather and products are views of `scratch`:
     _solve_rows checks that the indices fit the basis, so np.take's "clip"
     clips nothing, and it writes straight into `out`, where "raise" would copy.
     A row alone gathers a new length × K array, which a view would make no
@@ -189,11 +289,15 @@ def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
     indices, values = matrix.indices, matrix.data
     bounds = matrix.indptr[start:stop + 1]
     lengths = bounds[1:] - bounds[:-1]
-    order = np.argsort(lengths, kind="stable")
+    order = (np.argsort(lengths, kind="stable") if slots is None
+             else slots[np.argsort(lengths[slots], kind="stable")])
     ordered = lengths[order]
     heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     sizes = np.diff(np.append(heads, len(order)))
-    per_batch = BATCH_ENTRIES // np.maximum(ordered[heads], k)
+    # with rhs None a batch's weighted gather shares the products' buffer, so
+    # its rows are capped by length + K
+    per_batch = BATCH_ENTRIES // (np.maximum(ordered[heads], k) if rhs is not None
+                                  else ordered[heads] + k)
     shared = (sizes >= MIN_BATCH_ROWS) & (per_batch >= MIN_BATCH_ROWS) & (ordered[heads] > 0)
     with scratch.frame():
         # a batch's gather and Gram products hold at most BATCH_ENTRIES × K floats each
@@ -210,21 +314,53 @@ def _assemble_chunk(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix,
                 entries = bounds[batch, None] + span
                 rows = np.take(basis, indices[entries], axis=0, mode="clip",
                                out=gathered[:n * length * k].reshape(n, length, k))
-                gram[batch] = np.matmul(rows.transpose(0, 2, 1), rows,
-                                        out=products[:n * k * k].reshape(n, k, k))
-                rhs[batch] = np.matmul(values[entries][:, None, :], rows,
-                                       out=rhs_products[:n * k].reshape(n, 1, k))[:, 0]
-    empty = lengths == 0
-    gram[empty] = 0.0
-    rhs[empty] = 0.0
-    alone = np.empty(len(order), dtype=bool)
-    alone[order] = np.repeat(~shared, sizes)
+                grams = products[:n * k * k].reshape(n, k, k)
+                if rhs is not None:
+                    gram[batch] = np.matmul(rows.transpose(0, 2, 1), rows, out=grams)
+                    rhs[batch] = np.matmul(values[entries][:, None, :], rows,
+                                           out=rhs_products[:n * k].reshape(n, 1, k))[:, 0]
+                    continue
+                left = products[n * k * k:n * k * (k + length)].reshape(n, length, k)
+                np.multiply(rows, values[entries][..., None], out=left)
+                np.matmul(left.transpose(0, 2, 1), rows, out=grams)
+                if batch[-1] - batch[0] == n - 1:   # consecutive slots: added in place
+                    gram[batch[0]:batch[0] + n] += grams
+                else:
+                    gram[batch] += grams
+    alone = order[np.repeat(~shared, sizes)]
+    if rhs is not None:
+        empty = alone[lengths[alone] == 0]
+        gram[empty] = 0.0
+        rhs[empty] = 0.0
     bounds = bounds.tolist()
-    for r in np.flatnonzero(alone & ~empty).tolist():
+    for r in alone[lengths[alone] > 0].tolist():
         lo, hi = bounds[r], bounds[r + 1]
         rows = basis.take(indices[lo:hi], axis=0)
-        np.matmul(rows.T, rows, out=gram[r])
-        np.matmul(values[lo:hi], rows, out=rhs[r])
+        if rhs is not None:
+            np.matmul(rows.T, rows, out=gram[r])
+            np.matmul(values[lo:hi], rows, out=rhs[r])
+        else:
+            gram[r] += (rows * values[lo:hi, None]).T @ rows
+
+
+def _assemble_tiled(gram: np.ndarray, rhs: np.ndarray, matrix: CsrMatrix, basis: np.ndarray,
+                    start: int, stop: int, scratch: Scratch, plan: TilePlan | None,
+                    tile_grams: np.ndarray | None) -> None:
+    """_assemble_chunk, with each row of start:stop that covers a tile of
+    `plan` assembled in the covered-tile form (see _solve_rows) from the
+    plan's `tile_grams`; the other rows, as _assemble_chunk assembles them."""
+    if plan is not None:
+        covered = plan.cover.indptr[start + 1:stop + 1] > plan.cover.indptr[start:stop]
+    if plan is None or not covered.any():
+        _assemble_chunk(gram, rhs, matrix, basis, start, stop, scratch)
+        return
+    k = gram.shape[-1]
+    plan.cover.rows_matmul(start, stop, tile_grams.reshape(-1, k * k), gram.reshape(-1, k * k))
+    matrix.rows_matmul(start, stop, basis, rhs)
+    _assemble_chunk(gram, None, plan.correction, basis, start, stop, scratch)
+    plain = np.flatnonzero(~covered)
+    if len(plain):
+        _assemble_chunk(gram, rhs, matrix, basis, start, stop, scratch, slots=plain)
 
 
 def _solve_chunk_rows(k: int) -> int:
@@ -235,7 +371,7 @@ def _solve_chunk_rows(k: int) -> int:
 
 def _solve_rows(out: np.ndarray, ridge: float, terms: list,
                 anchor: np.ndarray | None = None,
-                scratch: Scratch | None = None) -> list[float]:
+                scratch: Scratch | None = None, plans: list | None = None) -> list[float]:
     """Write into each row r of `out` the exact ridge solution of
 
         (Σ_b w_b Σ_{j∈N_b(r)} B_j B_jᵀ + ridge·I) x = Σ_b w_b Σ_{j∈N_b(r)} v_j B_j + ridge·anchor_r
@@ -265,47 +401,69 @@ def _solve_rows(out: np.ndarray, ridge: float, terms: list,
     Rows are never padded to a common length: with equal lengths each batched
     product runs, row by row, the BLAS routine on the operands that the row's
     own product would, so it gives the same bits, which padding did not.
+
+    A row that stores nearly all of a tile's columns skips most of that
+    gather. Each term's matrix has a covered-tile plan (_plan_tiles; `plans`,
+    one per term, or built here when None), and per call the Gram BₜᵀBₜ of
+    each covered tile is formed once from its contiguous basis rows. A row
+    that covers tiles gets, by scipy's CSR kernel, the sum of its tiles' Grams
+    as its Gram and Σ v_j B_j over all its entries as its right-hand side;
+    then the plan's correction set, short rows batched as above, subtracts
+    the outer product of each column it lacks in its tiles and adds that of
+    each entry it stores outside them. The other rows of the chunk are
+    assembled as above.
+
     Then, once per chunk, the term's stacks are scaled by its weight (skipped
     at 1.0); the first term's stacks take ridge on their diagonals and
     ridge·anchor on their right-hand sides, and each later term's stacks are
     added to them.
 
-    So every system is bit-identical (up to the sign of an exact zero) to
-    adding each row's w·BᵀB and w·Bᵀv onto ridge·I and ridge·anchor term by
-    term: the additions come in the same order, and floating-point addition
-    commutes.
+    So the system of every row that covers no tile is bit-identical (up to
+    the sign of an exact zero) to adding each row's w·BᵀB and w·Bᵀv onto
+    ridge·I and ridge·anchor term by term: the additions come in the same
+    order, and floating-point addition commutes. A row that covers a tile
+    sums the same products in another order, which moved the solved factors
+    of a 0.998-dense PPMI by about 1e-13 relative.
 
     After the solve the later terms, the ridge and the anchor are taken back
     out of the first term's stacks, so that each term's stacks hold its own
     weighted Gram G_r and right-hand side b_r, and its residual is read off
     them as w·Σ v² − 2 x_r·b_r + x_rᵀ G_r x_r: K² per row and no gather.
 
-    The stacks, the batch gathers and products of the assembly, ridge·anchor
-    and the products G_r x_r are views of `scratch` (a Scratch of this call's
-    own when None), taken once per call or per chunk and reused by every
-    chunk; each solved chunk is written straight into its rows of `out`. Per
-    chunk only the Cholesky factor is a new array, as np.linalg.cholesky takes
-    no `out`, and so is each gather of a row assembled alone, small enough to
-    come from the heap.
+    The stacks, the tile Grams, the batch gathers and products of the
+    assembly, ridge·anchor and the products G_r x_r are views of `scratch` (a
+    Scratch of this call's own when None), taken once per call or per chunk
+    and reused by every chunk; each solved chunk is written straight into
+    its rows of `out`. Per chunk only the Cholesky factor is a new array, as
+    np.linalg.cholesky takes no `out`, and so is each gather of a row
+    assembled alone, small enough to come from the heap.
     """
     n_rows, k = out.shape
     for _, matrix, basis in terms:
         if basis.shape != (matrix.shape[1], k):
             raise ValidationError(f"a basis of shape {basis.shape} does not fit "
                                   f"{matrix.shape[1]} columns and K = {k}")
+    if plans is None:
+        plans = [_plan_tiles(matrix, k) for _, matrix, _ in terms]
     diag = np.arange(k)
     chunk_rows = _solve_chunk_rows(k)
     height = min(chunk_rows, n_rows)
     scratch = Scratch() if scratch is None else scratch
     residuals = [weight * float(matrix.data @ matrix.data) for weight, matrix, _ in terms]
     with scratch.frame():
-        views = scratch.take(*[(height, k, k), (height, k)] * len(terms))
-        stacks = list(zip(views[::2], views[1::2]))
+        views = scratch.take(*[(height, k, k), (height, k)] * len(terms),
+                             *[(len(plan.spans), k, k) for plan in plans if plan is not None])
+        stacks = list(zip(views[:2 * len(terms):2], views[1:2 * len(terms):2]))
+        spare = iter(views[2 * len(terms):])
+        tile_grams = [None if plan is None else _tile_grams(plan, basis, next(spare))
+                      for plan, (_, _, basis) in zip(plans, terms)]
         for start in range(0, n_rows, chunk_rows):
             stop = min(start + chunk_rows, n_rows)
             chunk = [(gram[:stop - start], rhs[:stop - start]) for gram, rhs in stacks]
-            for (weight, matrix, basis), (term_gram, term_rhs) in zip(terms, chunk):
-                _assemble_chunk(term_gram, term_rhs, matrix, basis, start, stop, scratch)
+            for (weight, matrix, basis), plan, grams, (term_gram, term_rhs) in zip(
+                    terms, plans, tile_grams, chunk):
+                _assemble_tiled(term_gram, term_rhs, matrix, basis, start, stop, scratch,
+                                plan, grams)
                 if weight != 1.0:
                     term_gram *= weight
                     term_rhs *= weight
@@ -476,6 +634,8 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
     if hyper.lambda_s > 0:
         item_terms.append((hyper.lambda_s, data.ppmi.matrix, alpha))
         context_terms.append((hyper.lambda_s, data.ppmi.matrix, beta))
+    # each matrix's covered-tile plan, built once per run for every solve of every epoch
+    plans = {matrix: _plan_tiles(matrix, k) for _, matrix, _ in item_terms + user_terms}
 
     state = ModelState(theta, beta, alpha, params, 0, offset)
     trace = TrainingTrace(label=run_label(hyper))
@@ -502,7 +662,8 @@ def train(data: TrainData, hyper: Hyperparams) -> tuple[ModelState, TrainingTrac
         its ridge term: each term takes half its residual, the ridge term
         ridge/2·‖out − anchor‖²."""
         try:
-            residuals = _solve_rows(out, ridge, block_terms, anchor, scratch)
+            residuals = _solve_rows(out, ridge, block_terms, anchor, scratch,
+                                    [plans[matrix] for _, matrix, _ in block_terms])
         except np.linalg.LinAlgError:
             raise TrainingDivergedError(epoch, block, block=True) from None
         changed = {name: 0.5 * value for name, value in zip(names, residuals)}

@@ -8,10 +8,11 @@ row are strictly increasing, so no reader sorts or deduplicates one again;
 contiguous slice only, as views. Building, slicing, entry filtering and
 densifying are numpy. Three products run in scipy's compiled
 CSR kernels, called on this matrix's own arrays: the co-click count product
-XᵀX (`gram`), sparse × dense (`@`) and sparseᵀ × dense (`transpose_matmul`);
-in numpy, with one BLAS thread, the first took 3.7× and sparse × dense 7–17×
-as long. Each product gives scipy 1.17's bits: the two dense products make
-the kernel call scipy's own method makes, and `gram` makes scipy's calls but
+XᵀX (`gram`), sparse × dense (`@`, or `rows_matmul` for a range of rows
+into a given output) and sparseᵀ × dense (`transpose_matmul`); in numpy,
+with one BLAS thread, the first took 3.7× and sparse × dense 7–17× as long.
+Each product gives scipy 1.17's bits: the dense products make the kernel
+call scipy's own method makes, and `gram` makes scipy's calls but
 sorts its product's rows where scipy transposes them, which gives the same
 symmetric matrix. The kernels' extension module is loaded from its
 file on the first product, without importing the scipy.sparse package:
@@ -128,24 +129,44 @@ class CsrMatrix:
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         return self._matvecs(_sparsetools().csr_matvecs, dense, self.shape)
 
+    def rows_matmul(self, start: int, stop: int, dense: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """self[start:stop] @ dense, written into `out`, a C-contiguous array of
+        shape (stop − start, dense.shape[1]) and the upcast dtype, and returned.
+        The kernel reads the rows where they are stored: no slice is built."""
+        if not 0 <= start <= stop <= self.shape[0]:
+            raise ValidationError(f"rows {start}:{stop} are not rows of a matrix of "
+                                  f"{self.shape[0]} rows")
+        return self._matvecs(_sparsetools().csr_matvecs, dense, (stop - start, self.shape[1]),
+                             self.indptr[start:stop + 1], out)
+
     def transpose_matmul(self, dense: np.ndarray) -> np.ndarray:
         """selfᵀ @ dense."""
         return self._matvecs(_sparsetools().csc_matvecs, dense, self.shape[::-1])
 
-    def _matvecs(self, kernel, dense, shape: tuple[int, int]) -> np.ndarray:
-        """The (shape[0], k) product of this matrix, read as `shape`, with the
-        (shape[1], k) array `dense`: `kernel` adds each stored value times a row
-        of `dense` into a zeroed output of the upcast dtype, as scipy's own
-        product does. The kernel reads `dense` unchecked, so its shape is
-        checked here."""
+    def _matvecs(self, kernel, dense, shape: tuple[int, int], indptr=None,
+                 out=None) -> np.ndarray:
+        """The (shape[0], k) product of this matrix, read as `shape` with row
+        pointers `indptr` (its own by default), with the (shape[1], k) array
+        `dense`: `kernel` adds each stored value times a row of `dense` into a
+        zeroed output of the upcast dtype, `out` when given, as scipy's own
+        product does. The kernel reads `dense` and writes `out` unchecked, so
+        their shapes are checked here."""
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != shape[1]:
             raise ValidationError(f"a dense operand of shape {dense.shape} does not fit a "
                                   f"product with a {shape[0]} × {shape[1]} sparse matrix")
-        out = np.zeros((shape[0], dense.shape[1]),
-                       dtype=np.result_type(self.data.dtype, dense.dtype))
-        kernel(*shape, dense.shape[1], self.indptr, self.indices, self.data, dense.ravel(),
-               out.ravel())
+        dtype = np.result_type(self.data.dtype, dense.dtype)
+        if out is None:
+            out = np.zeros((shape[0], dense.shape[1]), dtype=dtype)
+        elif out.shape != (shape[0], dense.shape[1]) or out.dtype != dtype \
+                or not out.flags.c_contiguous:
+            raise ValidationError(f"an output of shape {out.shape} and dtype {out.dtype} does "
+                                  f"not hold a {shape[0]} × {dense.shape[1]} {dtype} product")
+        else:
+            out[...] = 0
+        kernel(*shape, dense.shape[1], self.indptr if indptr is None else indptr,
+               self.indices, self.data, dense.ravel(), out.ravel())
         return out
 
     def gram(self) -> "CsrMatrix":

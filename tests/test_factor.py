@@ -11,10 +11,11 @@ import pytest
 from cofactor.container import read_container, write_container
 from cofactor.corpus import DocTermMatrix, RatingDataset, make_split
 from cofactor.errors import TrainingDivergedError, ValidationError
-from cofactor.factor import (BATCH_ENTRIES, MIN_BATCH_ROWS, SOLVE_CHUNK_BYTES, Hyperparams,
-                             ModelState, TrainData, _pair_residual_sq, _solve_chunk_rows,
-                             _solve_rows, _solve_spd, load_checkpoint, predict_ratings,
-                             run_label, save_checkpoint, train)
+from cofactor.factor import (BATCH_ENTRIES, COVER_FRACTION, MIN_BATCH_ROWS, SOLVE_CHUNK_BYTES,
+                             TILE_COLUMNS, Hyperparams, ModelState, TrainData,
+                             _pair_residual_sq, _plan_tiles, _solve_chunk_rows, _solve_rows,
+                             _solve_spd, load_checkpoint, predict_ratings, run_label,
+                             save_checkpoint, train)
 from cofactor.ppmi import PpmiMatrix, build_ppmi
 from cofactor.scratch import Scratch
 from cofactor.sdae import SdaeConfig, encode, init_params, stack_widths
@@ -455,6 +456,146 @@ class TestSolveRows:
             assert abs(got - want) <= 1e-12 * weight * float(matrix.data @ matrix.data)
 
 
+def covered_rows(matrix: CsrMatrix, k: int) -> np.ndarray:
+    """Flags of the rows of `matrix` that cover a tile at K = k."""
+    plan = _plan_tiles(matrix, k)
+    if plan is None:
+        return np.zeros(matrix.shape[0], dtype=bool)
+    return np.diff(plan.cover.indptr) > 0
+
+
+def assert_matches_both_references(ridge, terms, anchor, n_rows, k):
+    """_solve_rows against the dense reference (rtol 1e-10) and against the
+    per-row accumulation (1e-13 of the largest entry); returns both results."""
+    got, want = np.empty((n_rows, k)), np.empty((n_rows, k))
+    _solve_rows(got, ridge, terms, anchor)
+    solve_rows_reference(want, ridge, terms, anchor, _solve_spd, _solve_chunk_rows(k))
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    reference = dense_ridge_rows(ridge, terms, anchor, n_rows, k)
+    np.testing.assert_allclose(got, reference, rtol=1e-10, atol=1e-10 * scale)
+    return got, want
+
+
+class TestCoveredTiles:
+    """The covered-tile form of the block solve: rows that store nearly all of
+    a tile's columns start from the tile's Gram and are corrected for the
+    columns they lack and the entries they store outside their tiles."""
+
+    @pytest.mark.parametrize("density, k, n_rows, n_cols", [
+        (1.0, BENCH_K, CHUNK_ROWS + 37, 400),    # every row covers every tile
+        (0.98, BENCH_K, CHUNK_ROWS + 37, 400),   # rows lack a few columns of their tiles
+        (1.0, 256, 12, 300),                     # 4-row chunks, one 300-wide tile
+        (0.98, 256, 12, 300),
+    ])
+    def test_matches_both_references(self, rng, density, k, n_rows, n_cols):
+        matrix = random_csr(rng, n_rows, n_cols, density)
+        stored = np.diff(matrix.indptr) > 0
+        assert (covered_rows(matrix, k) == stored).all() and stored.any()
+        terms = [(0.7, matrix, rng.standard_normal((n_cols, k)))]
+        assert_matches_both_references(0.4, terms, rng.standard_normal((n_rows, k)), n_rows, k)
+
+    def test_rows_covering_only_the_last_tile(self, rng):
+        # 150 columns at K 32: tiles 0:64 and 64:150, the last one taking the
+        # columns left over; the rows are full in it and sparse before it
+        n_rows = 40
+        mask = rng.random((n_rows, 150)) < 0.1
+        mask[:, 64:] = rng.random((n_rows, 86)) < 0.97
+        rows, cols = np.nonzero(mask)
+        matrix = from_coo((n_rows, 150), rows, cols, rng.standard_normal(len(rows)))
+        plan = _plan_tiles(matrix, BENCH_K)
+        assert plan.spans.tolist() == [[64, 150]] and covered_rows(matrix, BENCH_K).all()
+        terms = [(1.0, matrix, rng.standard_normal((150, BENCH_K)))]
+        assert_matches_both_references(0.4, terms, None, n_rows, BENCH_K)
+
+    def test_matrix_narrower_than_a_tile(self, rng):
+        # 40 columns make one tile, covered at K 32 and never at K 48, whose
+        # Gram would hold more floats than the tile's basis rows
+        matrix = random_csr(rng, 30, 40, 1.0)
+        assert _plan_tiles(matrix, BENCH_K).spans.tolist() == [[0, 40]]
+        assert _plan_tiles(matrix, 48) is None
+        terms = [(1.0, matrix, rng.standard_normal((40, BENCH_K)))]
+        assert_matches_both_references(0.4, terms, None, 30, BENCH_K)
+
+    def test_stored_zeros_count_as_stored(self, rng):
+        # a row that stores every column, some of them as exact zeros, covers
+        # every tile with nothing to correct
+        n_rows, n_cols = 50, 200
+        dense = rng.standard_normal((n_rows, n_cols))
+        dense[rng.random((n_rows, n_cols)) < 0.3] = 0.0
+        rows, cols = np.nonzero(np.ones((n_rows, n_cols), dtype=bool))
+        matrix = from_coo((n_rows, n_cols), rows, cols, dense[rows, cols])
+        plan = _plan_tiles(matrix, BENCH_K)
+        assert plan.correction.nnz == 0 and (np.diff(plan.cover.indptr) == 3).all()
+        terms = [(0.7, matrix, rng.standard_normal((n_cols, BENCH_K)))]
+        assert_matches_both_references(0.4, terms, None, n_rows, BENCH_K)
+
+    def test_rows_empty_in_one_term_only(self, rng):
+        # items with dense co-click rows but no ratings, and items with ratings only
+        n_rows, n_users = CHUNK_ROWS + 37, 70
+        ratings = random_csr(rng, n_rows, n_users, 0.4)
+        pairs = random_csr(rng, n_rows, n_rows, 0.97)
+        rated, paired = np.diff(ratings.indptr) > 0, np.diff(pairs.indptr) > 0
+        assert (rated & ~paired).any() and (paired & ~rated).any()
+        assert (covered_rows(pairs, BENCH_K) == paired).all()
+        terms = [(1.0, ratings, rng.standard_normal((n_users, BENCH_K))),
+                 (0.7, pairs, rng.standard_normal((n_rows, BENCH_K)))]
+        assert_matches_both_references(0.4, terms, rng.standard_normal((n_rows, BENCH_K)),
+                                       n_rows, BENCH_K)
+
+    def test_plain_rows_beside_covered_ones_keep_their_bits(self, rng):
+        # every third row is dense, the others sparse, in the same chunks
+        n_rows, n_cols = CHUNK_ROWS + 37, 300
+        mask = rng.random((n_rows, n_cols)) < 0.2
+        mask[::3] = rng.random((len(mask[::3]), n_cols)) < 0.97
+        rows, cols = np.nonzero(mask)
+        matrix = from_coo((n_rows, n_cols), rows, cols, rng.standard_normal(len(rows)))
+        covered = covered_rows(matrix, BENCH_K)
+        assert covered[::3].all() and not covered[1::3].any() and not covered[2::3].any()
+        terms = [(0.7, matrix, rng.standard_normal((n_cols, BENCH_K)))]
+        got, want = assert_matches_both_references(0.4, terms, None, n_rows, BENCH_K)
+        assert np.array_equal(got[~covered], want[~covered])
+
+    @pytest.mark.parametrize("case", ["one term", "two terms"])
+    def test_residuals_match_direct_sums(self, rng, case):
+        n_rows, n_users = CHUNK_ROWS + 37, 70
+        pairs = random_csr(rng, n_rows, n_rows, 0.97)
+        assert (pairs.data == 0.0).any() and covered_rows(pairs, BENCH_K).any()
+        terms, anchor = [(0.7, pairs, rng.standard_normal((n_rows, BENCH_K)))], None
+        if case == "two terms":
+            terms.insert(0, (1.0, random_csr(rng, n_rows, n_users, 0.4),
+                             rng.standard_normal((n_users, BENCH_K))))
+            anchor = rng.standard_normal((n_rows, BENCH_K))
+        out = np.empty((n_rows, BENCH_K))
+        residuals = _solve_rows(out, 0.4, terms, anchor)
+        for got, (weight, matrix, basis) in zip(residuals, terms):
+            resid = matrix.data - np.einsum("ij,ij->i", out[matrix.row_ids()],
+                                            basis[matrix.indices])
+            want = weight * float(resid @ resid)
+            assert abs(got - want) <= 1e-12 * weight * float(matrix.data @ matrix.data)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_row_in_a_covered_tile_is_divergence_never_singular(
+            self, rng, bad, ridge):
+        # the last row is empty, so singular at ridge 0, in the chunk of the
+        # covered rows; the tile Gram that holds the bad row is non-finite
+        n_rows, n_cols = 30, 128
+        mask = rng.random((n_rows, n_cols)) < 0.97
+        mask[-1] = False
+        rows, cols = np.nonzero(mask)
+        matrix = from_coo((n_rows, n_cols), rows, cols, rng.standard_normal(len(rows)))
+        assert covered_rows(matrix, BENCH_K)[:-1].all()
+        basis = rng.standard_normal((n_cols, BENCH_K))
+        out = np.empty((n_rows, BENCH_K))
+        if ridge == 0.0:
+            with pytest.raises(ValidationError, match="singular"):
+                _solve_rows(out, ridge, [(1.0, matrix, basis)])
+        basis[70] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _solve_rows(out, ridge, [(1.0, matrix, basis)])
+
+
 class TestSolveSpd:
     """The solve from the Cholesky factor against numpy's LU solve."""
 
@@ -827,6 +968,21 @@ class TestTrain:
         _, trace = train(data, hyper)
         assert len(trace.epochs) == 4 and len(calls) == 1
 
+    def test_each_matrix_planned_once_per_run(self, monkeypatch):
+        # the covered-tile plan of the rating and PPMI matrices is built once,
+        # not once per block solve or per epoch
+        import cofactor.factor as factor
+        planned = []
+        original = factor._plan_tiles
+        monkeypatch.setattr(factor, "_plan_tiles",
+                            lambda matrix, k: planned.append(matrix) or original(matrix, k))
+        data = synthetic_train_data(with_text=False)
+        hyper = Hyperparams(n_factors=3, lambda_s=0.5, sdae=None, max_epochs=4, patience=0,
+                            seed=3)
+        train(data, hyper)
+        assert len(planned) == 3 and len(set(map(id, planned))) == 3
+        assert any(m is data.ppmi.matrix for m in planned)
+
     def test_click_term_without_ppmi_rejected(self):
         # used to train plain PMF, bit for bit the lambda_s 0 run, labelled "joint"
         data = synthetic_train_data(with_text=False, with_clicks=False)
@@ -1122,6 +1278,61 @@ class TestScaling:
         small, large = (min(sizes) for sizes in times)
         assert large / small <= 2.6, (f"doubling ratio {large / small:.2f}; times (s), "
                                       f"small {times[0]}, doubled {times[1]}")
+
+
+class TestPlannedWork:
+    """A machine-independent bound beside the wall-clock one: per row, the
+    covered-tile form plans no more K × K terms than gathering would."""
+
+    @pytest.mark.parametrize("k", [3, 16, BENCH_K, 256])
+    def test_no_row_plans_more_work_than_its_entries(self, rng, k):
+        # per row: covered tiles added, plus columns subtracted, plus entries
+        # gathered (all of a row's entries when it covers no tile)
+        seen_covered = False
+        for density in (0.3, 0.5, 0.7, 0.8, 0.875, 0.9, 0.95, 0.98, 1.0):
+            matrix = random_csr(rng, 90, 700, density)
+            lengths = np.diff(matrix.indptr)
+            plan = _plan_tiles(matrix, k)
+            if plan is None:
+                assert density < COVER_FRACTION
+                continue
+            covered = np.diff(plan.cover.indptr) > 0
+            seen_covered |= covered.any()
+            work = np.where(covered, np.diff(plan.cover.indptr) + np.diff(plan.correction.indptr),
+                            lengths)
+            assert (work <= lengths).all(), density
+        assert seen_covered
+
+    @pytest.mark.parametrize("k", [3, BENCH_K, 256])
+    def test_plan_spells_out_each_covered_row(self, rng, k):
+        # the covered tiles' columns, less the columns marked −1, plus those
+        # marked +1, are the row's stored columns; plain rows have no correction
+        matrix = random_csr(rng, 60, 700, 0.95)
+        plan = _plan_tiles(matrix, k)
+        spans = plan.spans.tolist()
+        width = max(TILE_COLUMNS, k)
+        assert all(hi - lo >= max(k, min(width, 700)) for lo, hi in spans)
+        assert len(spans) * k * k <= 700 * k     # the tile Grams never outgrow the basis
+        for r in range(60):
+            stored = set(matrix.indices[matrix.indptr[r]:matrix.indptr[r + 1]].tolist())
+            lo, hi = plan.cover.indptr[r], plan.cover.indptr[r + 1]
+            columns = {c for t in plan.cover.indices[lo:hi].tolist() for c in range(*spans[t])}
+            lo, hi = plan.correction.indptr[r], plan.correction.indptr[r + 1]
+            signs = dict(zip(plan.correction.indices[lo:hi].tolist(),
+                             plan.correction.data[lo:hi].tolist()))
+            if not columns:
+                assert not signs
+                continue
+            assert {c for c, sign in signs.items() if sign < 0} <= columns - stored
+            assert (columns - {c for c, sign in signs.items() if sign < 0}
+                    | {c for c, sign in signs.items() if sign > 0}) == stored
+
+    def test_sparse_rows_get_no_plan(self, rng):
+        # below the cover fraction no row covers a tile, so the block solve is
+        # the gathered one, bit for bit
+        matrix = random_csr(rng, 90, 700, 0.5)
+        assert _plan_tiles(matrix, BENCH_K) is None
+        assert _plan_tiles(random_csr(rng, 90, 20, 1.0), BENCH_K) is None  # narrower than K
 
 
 class TestHyperparams:

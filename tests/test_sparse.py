@@ -209,6 +209,18 @@ class TestProductsEqualScipyBits:
             for dense in (rng.standard_normal((n_rows, 5)), rng.standard_normal((3, n_rows)).T):
                 assert_same_array(matrix.transpose_matmul(dense), to_scipy(matrix).T @ dense)
 
+    def test_rows_of_sparse_times_dense(self, rng):
+        # the same kernel on the same rows: the bits of the whole product's rows,
+        # written over whatever the output held
+        for matrix in oracle_matrices(rng):
+            n_rows, n_cols = matrix.shape
+            dense = rng.standard_normal((n_cols, 5))
+            whole = matrix @ dense
+            for start, stop in ((0, n_rows), (n_rows // 3, n_rows), (n_rows // 2, n_rows // 2)):
+                out = np.full((stop - start, 5), np.nan)
+                assert matrix.rows_matmul(start, stop, dense, out) is out
+                assert_same_array(out, whole[start:stop])
+
     def test_gram(self, rng):
         for matrix in oracle_matrices(rng):
             clicks = replace(matrix, data=np.ones(matrix.nnz, dtype=np.int64))
@@ -240,6 +252,25 @@ class TestDenseOperandChecked:
         matrix = from_coo((20, 15), *random_triplets(rng, 20, 15, 0.3)[:3])
         with pytest.raises(ValidationError, match=re.escape(f"shape {shape} does not fit")):
             matrix.transpose_matmul(np.ones(shape))
+
+
+class TestRowsProductChecked:
+    """The kernel writes the output and reads the row pointers unchecked: an
+    output that does not hold the rows, or rows outside the matrix, end in
+    ValidationError before the call."""
+
+    @pytest.mark.parametrize("out", [np.zeros((4, 3)), np.zeros((5, 2)), np.zeros((5, 3), np.int64),
+                                     np.zeros((3, 5)).T])
+    def test_output_that_does_not_hold_the_rows(self, rng, out):
+        matrix = from_coo((20, 15), *random_triplets(rng, 20, 15, 0.3)[:3])
+        with pytest.raises(ValidationError, match="does not hold"):
+            matrix.rows_matmul(2, 7, np.ones((15, 3)), out)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (18, 21)])
+    def test_rows_outside_the_matrix(self, rng, start, stop):
+        matrix = from_coo((20, 15), *random_triplets(rng, 20, 15, 0.3)[:3])
+        with pytest.raises(ValidationError, match="are not rows"):
+            matrix.rows_matmul(start, stop, np.ones((15, 3)), np.zeros((max(stop - start, 0), 3)))
 
 
 class TestKernelLoader:
